@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import random
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +52,7 @@ from .invariant import (
 )
 from .knotdata import load_corpus, run_regression, validate_entry
 from .statemodel import (
+    check_cubic_relation,
     check_yang_baxter,
     lg_handles,
     lg_sigma,
@@ -58,6 +60,9 @@ from .statemodel import (
 )
 
 FORMATS = ("compact-text", "compact-machine", "laurent", "json")
+EVAL_ERRORS = (BraidSyntaxError, SizeCapExceeded, NonScalarTangleError, StructureError)
+# a braid word led by an inverse letter and going on past its digits
+_DASH_LED_WORD = re.compile(r"-\d+[,^][-\d,^]*")
 
 
 @dataclass
@@ -66,7 +71,6 @@ class EvalRequest:
     strings: int | None = None
     fmt: str = "compact-text"
     max_size: int = DEFAULT_SIZE_CAP
-    verbose: bool = False
     name: str | None = None
 
 
@@ -115,16 +119,10 @@ def _evaluate_request(req: EvalRequest) -> tuple[str, list[str]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    req = EvalRequest(
-        word=args.word,
-        strings=args.strings,
-        fmt=args.format,
-        max_size=args.max_size,
-        verbose=args.verbose,
-    )
+    req = EvalRequest(args.word, args.strings, args.format, args.max_size)
     try:
         record, meta = _evaluate_request(req)
-    except (BraidSyntaxError, SizeCapExceeded, NonScalarTangleError, StructureError) as exc:
+    except EVAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BraidSyntaxError) else 1
     print(record)
@@ -136,11 +134,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _batch_worker(task: tuple[str, str, int]) -> tuple[str, bool, str]:
     name, word, max_size = task
+    if not word:
+        return name, False, "no braid word after the name"
+    req = EvalRequest(word, fmt="compact-machine", max_size=max_size, name=name)
     try:
-        braid = parse(word)
-        compact = to_compact(to_invariant(evaluate_raw(braid, max_size=max_size)))
-        return name, True, render_machine(compact, name)
-    except (BraidSyntaxError, SizeCapExceeded, NonScalarTangleError, StructureError) as exc:
+        return name, True, _evaluate_request(req)[0]
+    except EVAL_ERRORS as exc:
         return name, False, str(exc)
 
 
@@ -243,6 +242,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     report("identity", "sigma * sigma^-1 = I", sig.compose(inv).is_identity())
     report("identity", "sigma^-1 * sigma = I", inv.compose(sig).is_identity())
     report("identity", "Yang-Baxter relation", check_yang_baxter())
+    report("identity", "(R - qp^-2)(R + 1)(R - qp^2) = 0", check_cubic_relation())
     try:
         c_plus, c_minus = lg_handles()
         report(
@@ -262,6 +262,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         "; ".join(f"{n}: {p}" for n, p in bad[:3]),
     )
     regression = run_regression(entries)
+    for entry, (name, status, _) in zip(entries, regression.results):
+        if args.verbose and entry.braid is not None:
+            word = render(entry.braid) or "(empty)"
+            mark = "pass" if status == "pass" else "FAIL"
+            print(f"    {name:<14} braid={word:<22} {regression.seconds[name]:6.2f}s  {mark}")
     counts = regression.counts()
     report(
         "corpus",
@@ -291,7 +296,7 @@ def cmd_dump_rmatrix(_: argparse.Namespace) -> int:
     grid = sig.as_matrix()
     cells = [[str(v) if v else "." for v in row] for row in grid]
     widths = [max(len(cells[r][c]) for r in range(16)) for c in range(16)]
-    print("crossing tensor, row = (a b) outgoing pair, col = (c d) incoming pair")
+    print("crossing tensor gauged by D = diag(1, 1, 1/Y, 1); row = (a b) out, col = (c d) in")
     for r, row in enumerate(cells):
         label = f"[{r // 4 + 1} {r % 4 + 1}]"
         body = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
@@ -336,6 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # argparse takes a word such as "-1^48" for an option (none of ours starts
+    # "-<digit>"); a leading space, which the braid grammar ignores, prevents it
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + a if _DASH_LED_WORD.fullmatch(a) else a for a in argv]
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,

@@ -5,8 +5,8 @@ the scalar.
 A tangle on n strings over a dimension-M basis has at most M^(2n) entries,
 which is the storage wall; the default cap admits 5 strings at M = 4 and
 refuses 6.  Tangles are kept as maps from a composite index (upper indices
-as the high base-M digits, lower as the low digits) to ring elements, with
-zero entries never stored.
+as the high base-M digits, lower as the low digits) to Laurent polynomials,
+with zero entries never stored.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .ring import ONE, ZERO, RingElem
+from .ring import ONE, ZERO, LaurentQP
 from .statemodel import DiagTensor2, M_DIM, RTensor4, generator_power, lg_handles
 
 logger = logging.getLogger(__name__)
@@ -27,11 +27,18 @@ class SizeCapExceeded(RuntimeError):
     """Evaluation refused because M^(2n) exceeds the configured cap."""
 
     def __init__(self, n: int, dim: int, cap: int):
-        self.full_size = dim ** (2 * n)
+        # M^(2n) is neither formed nor printed when it is sure to exceed the cap
+        self.full_size = None if _surely_over(n, cap) else dim ** (2 * n)
+        size = "" if self.full_size is None else f" = {self.full_size}"
         super().__init__(
-            f"tangle on {n} strings needs M^(2n) = {dim}^{2 * n} = "
-            f"{self.full_size} entries, over the size cap {cap}"
+            f"tangle on {n} strings needs M^(2n) = {dim}^{2 * n}{size} entries, "
+            f"over the size cap {cap}"
         )
+
+
+def _surely_over(n: int, cap: int) -> bool:
+    # M >= 2, so M^(2n) >= 2^(2n) > cap once 2n >= cap.bit_length()
+    return 2 * n >= cap.bit_length()
 
 
 class NonScalarTangleError(RuntimeError):
@@ -45,9 +52,9 @@ class SparseTangle:
 
     n: int
     dim: int
-    entries: dict[int, RingElem]
+    entries: dict[int, LaurentQP]
 
-    def entry(self, upper: tuple[int, ...], lower: tuple[int, ...]) -> RingElem:
+    def entry(self, upper: tuple[int, ...], lower: tuple[int, ...]) -> LaurentQP:
         key = 0
         for digit in upper + lower:
             key = key * self.dim + digit
@@ -59,13 +66,13 @@ class Tangle11:
     """Rank-2 tensor left after closure; t[a][b] with a upper, b lower."""
 
     dim: int
-    t: list[list[RingElem]]
+    t: list[list[LaurentQP]]
 
 
 def identity_tangle(n: int, dim: int = M_DIM, max_size: int = DEFAULT_SIZE_CAP) -> SparseTangle:
     if n < 1:
         raise ValueError("need at least one string")
-    if dim ** (2 * n) > max_size:
+    if _surely_over(n, max_size) or dim ** (2 * n) > max_size:
         raise SizeCapExceeded(n, dim, max_size)
     side = dim ** n
     return SparseTangle(n, dim, {t * side + t: ONE for t in range(side)})
@@ -78,16 +85,18 @@ def accrete(z: SparseTangle, x: RTensor4, j: int) -> SparseTangle:
     n, m = z.n, z.dim
     if not 1 <= j <= n - 1:
         raise ValueError(f"position {j} outside 1..{n - 1}")
-    xmap = x.lower_index_map()
     hi = m ** (2 * n - j)
     lo = m ** (2 * n - j - 1)
-    out: dict[int, RingElem] = {}
+    # x's entries grouped by lower pair, both pairs as offsets into the key
+    xmap: dict[int, list[tuple[int, LaurentQP]]] = {}
+    for (a1, a2, c1, c2), xv in x.nonzero():
+        xmap.setdefault(c1 * hi + c2 * lo, []).append((a1 * hi + a2 * lo, xv))
+    out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
-        c1 = key // hi % m
-        c2 = key // lo % m
-        base = key - c1 * hi - c2 * lo
-        for (a1, a2), xv in xmap.get((c1, c2), ()):
-            nk = base + a1 * hi + a2 * lo
+        lower = key // hi % m * hi + key // lo % m * lo
+        base = key - lower
+        for offset, xv in xmap.get(lower, ()):
+            nk = base + offset
             term = v * xv
             cur = out.get(nk)
             out[nk] = term if cur is None else cur + term
@@ -100,7 +109,7 @@ def _contract_first_string(z: SparseTangle, handle: DiagTensor2) -> SparseTangle
     mid = m ** n
     low = m ** (n - 1)
     diag = handle.diag
-    out: dict[int, RingElem] = {}
+    out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
         a1 = key // top
         b1 = key // low % m
@@ -128,7 +137,7 @@ def close(z: SparseTangle, handle: DiagTensor2 | None = None) -> Tangle11:
     return Tangle11(m, t)
 
 
-def extract_scalar(t: Tangle11) -> RingElem:
+def extract_scalar(t: Tangle11) -> LaurentQP:
     """Check that t is a scalar multiple of the identity and return the
     scalar; anything else signals a convention bug or invalid input."""
     m = t.dim
@@ -146,10 +155,10 @@ def extract_scalar(t: Tangle11) -> RingElem:
     return t.t[0][0]
 
 
-def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> RingElem:
+def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
     """Full pipeline: identity tangle, per-letter accretion (repeated
-    letters accreted in one stage via the memoized power), closure,
-    scalar extraction.  Returns the raw ring value."""
+    letters accreted in one stage via the generator power), closure,
+    scalar extraction.  Returns the raw Laurent polynomial in q^(1/2), p."""
     z = identity_tangle(word.n_strings, M_DIM, max_size)
     for i, (pos, exp) in enumerate(word.letters):
         z = accrete(z, generator_power(exp), pos)

@@ -1,5 +1,6 @@
-"""Conversion of raw ring values into the two-variable polynomial in q and
-P, plus the structural checks and the compact P-symmetric encoding.
+"""Conversion of raw values (Laurent polynomials in q^(1/2) and p) into the
+two-variable polynomial in q and P, plus the structural checks and the
+compact P-symmetric encoding.
 
 An invariant polynomial is a map (q-exponent, P-exponent) -> coefficient,
 always symmetric under P -> 1/P.  Its compact form is the list of
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .ring import RingElem
+from .ring import LaurentQP
 
 InvariantPoly = dict[tuple[int, int], int]  # (eq, eP) -> coefficient
 QPoly = dict[int, int]  # q-exponent -> coefficient
@@ -18,17 +19,15 @@ CompactForm = list[QPoly]
 
 
 class StructureError(RuntimeError):
-    """Raw value violates the invariant's structure (Y part, odd
-    exponents, or broken P-symmetry); indicates an upstream bug."""
+    """Raw value violates the invariant's structure (odd exponents or
+    broken P-symmetry); indicates an upstream bug."""
 
 
-def to_invariant(raw: RingElem) -> InvariantPoly:
-    """Convert a raw ring value: q-exponents must be integers, p-exponents
-    even (P = p^2), the Y part zero, and the result P-symmetric."""
-    if not raw.is_y_free():
-        raise StructureError(f"raw value has a Y part: {raw}")
+def to_invariant(raw: LaurentQP) -> InvariantPoly:
+    """Convert a raw value: q-exponents must be integers, p-exponents even
+    (P = p^2), and the result P-symmetric."""
     poly: InvariantPoly = {}
-    for (eq2, ep), c in raw.a.terms.items():
+    for (eq2, ep), c in raw.terms.items():
         if eq2 % 2:
             raise StructureError(f"half-integer q-exponent {eq2}/2 in {raw}")
         if ep % 2:

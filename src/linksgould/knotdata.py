@@ -9,11 +9,14 @@ machine-format polynomial record.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from importlib import resources
 
+import linksgould
+
 from .braid import BraidWord, closure_info, parse as parse_braid
-from .engine import evaluate_raw
+from .engine import DEFAULT_SIZE_CAP
 from .invariant import (
     CompactForm,
     from_compact,
@@ -21,7 +24,6 @@ from .invariant import (
     parse_machine,
     render_machine,
     to_compact,
-    to_invariant,
 )
 
 CORPUS_RESOURCE = "lg_table.txt"
@@ -126,6 +128,7 @@ def validate_entry(entry: CorpusEntry) -> list[str]:
 @dataclass
 class RegressionReport:
     results: list[tuple[str, str, str]] = field(default_factory=list)
+    seconds: dict[str, float] = field(default_factory=dict, init=False)  # evaluated
 
     def add(self, name: str, status: str, detail: str = "") -> None:
         self.results.append((name, status, detail))
@@ -154,18 +157,19 @@ class RegressionReport:
 
 
 def run_regression(
-    entries: list[CorpusEntry] | None = None, max_size: int | None = None
+    entries: list[CorpusEntry] | None = None, max_size: int = DEFAULT_SIZE_CAP
 ) -> RegressionReport:
     """Evaluate every entry that has a braid word and compare bit-exactly
-    with its stored compact form; entries without a braid are skipped as
-    value-only."""
+    with its stored compact form, timing each; entries without a braid are
+    skipped as value-only."""
     report = RegressionReport()
     for entry in entries if entries is not None else load_corpus():
         if entry.braid is None:
             report.add(entry.name, "value-only")
             continue
-        kwargs = {} if max_size is None else {"max_size": max_size}
-        got = to_compact(to_invariant(evaluate_raw(entry.braid, **kwargs)))
+        start = time.perf_counter()
+        got = to_compact(linksgould.evaluate(entry.braid, max_size=max_size))
+        report.seconds[entry.name] = time.perf_counter() - start
         if got == entry.compact:
             report.add(entry.name, "pass")
         else:

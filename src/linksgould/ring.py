@@ -1,47 +1,14 @@
-"""Exact arithmetic in Z[q^(1/2), q^(-1/2), p, p^(-1)] extended by the root Y.
+"""Exact arithmetic in Z[q^(1/2), q^(-1/2), p, p^(-1)].
 
-Y is the square root of  D = p^2 + p^-2 - q - q^-1,  so every element is
-a + b*Y with a, b Laurent polynomials in q^(1/2) and p, and products reduce
-via Y^2 = D.  Half-integer q-exponents are stored doubled (eq2 = 2 * q-exp)
-so that all exponent bookkeeping stays in plain integers; coefficients are
-Python ints and therefore exact at any size.
+Half-integer q-exponents are stored doubled (eq2 = 2 * q-exp) so that all
+exponent bookkeeping stays in plain integers; coefficients are Python ints
+and therefore exact at any size.
 """
 
 from __future__ import annotations
 
-import re
-
 TermKey = tuple[int, int]  # (eq2, ep): doubled q-exponent, p-exponent
 Terms = dict[TermKey, int]
-
-# Y^2 expanded: p^2 + p^-2 - q - q^-1
-Y_SQUARED: Terms = {(0, 2): 1, (0, -2): 1, (2, 0): -1, (-2, 0): -1}
-
-
-def _add_into(dst: Terms, src: Terms) -> None:
-    for k, c in src.items():
-        s = dst.get(k, 0) + c
-        if s:
-            dst[k] = s
-        elif k in dst:
-            del dst[k]
-
-
-def _mul_terms(x: Terms, y: Terms) -> Terms:
-    if not x or not y:
-        return {}
-    if len(y) < len(x):
-        x, y = y, x
-    out: Terms = {}
-    for (e1, p1), c1 in x.items():
-        for (e2, p2), c2 in y.items():
-            k = (e1 + e2, p1 + p2)
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-    return out
 
 
 class LaurentQP:
@@ -78,7 +45,12 @@ class LaurentQP:
 
     def __add__(self, other: LaurentQP) -> LaurentQP:
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
         return LaurentQP._raw(out)
 
     def __neg__(self) -> LaurentQP:
@@ -88,7 +60,19 @@ class LaurentQP:
         return self + (-other)
 
     def __mul__(self, other: LaurentQP) -> LaurentQP:
-        return LaurentQP._raw(_mul_terms(self.terms, other.terms))
+        x, y = self.terms, other.terms
+        if len(y) < len(x):
+            x, y = y, x
+        out: Terms = {}
+        for (e1, p1), c1 in x.items():
+            for (e2, p2), c2 in y.items():
+                k = (e1 + e2, p1 + p2)
+                s = out.get(k, 0) + c1 * c2
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+        return LaurentQP._raw(out)
 
     def invert_q(self) -> LaurentQP:
         """Negate every q-exponent (p fixed)."""
@@ -97,6 +81,10 @@ class LaurentQP:
     def invert_p(self) -> LaurentQP:
         """Negate every p-exponent (q fixed)."""
         return LaurentQP._raw({(e, -p): c for (e, p), c in self.terms.items()})
+
+    def invert_qp(self) -> LaurentQP:
+        """Negate q- and p-exponents together (mirror substitution)."""
+        return LaurentQP._raw({(-e, -p): c for (e, p), c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -115,121 +103,5 @@ class LaurentQP:
         return f"LaurentQP({self.terms!r})"
 
 
-_TERM_RE = re.compile(
-    r"^(-?\d+)(?:\*q\^(?:\((-?\d+)/2\)|(-?\d+)))?(?:\*p\^(-?\d+))?$"
-)
-
-
-def parse_laurent(text: str) -> LaurentQP:
-    """Inverse of str(LaurentQP) for canonical serializations."""
-    text = text.strip()
-    if text == "0":
-        return LaurentQP()
-    terms: Terms = {}
-    for part in text.split(" + "):
-        m = _TERM_RE.match(part.strip())
-        if m is None:
-            raise ValueError(f"bad term {part!r}")
-        c = int(m.group(1))
-        if m.group(2) is not None:
-            eq2 = int(m.group(2))
-        elif m.group(3) is not None:
-            eq2 = 2 * int(m.group(3))
-        else:
-            eq2 = 0
-        ep = int(m.group(4)) if m.group(4) is not None else 0
-        _add_into(terms, {(eq2, ep): c})
-    return LaurentQP._raw(terms)
-
-
-class RingElem:
-    """Element a + b*Y; multiplication reduces Y^2 to its expansion."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: LaurentQP | None = None, b: LaurentQP | None = None):
-        self.a = a if a is not None else LaurentQP()
-        self.b = b if b is not None else LaurentQP()
-
-    @classmethod
-    def monomial(cls, coeff: int, eq2: int = 0, ep: int = 0) -> RingElem:
-        return cls(LaurentQP.monomial(coeff, eq2, ep))
-
-    @classmethod
-    def y_monomial(cls, coeff: int, eq2: int = 0, ep: int = 0) -> RingElem:
-        return cls(LaurentQP(), LaurentQP.monomial(coeff, eq2, ep))
-
-    def is_y_free(self) -> bool:
-        return not self.b.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.a.terms or self.b.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RingElem):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, int):
-            return not self.b.terms and self.a == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __add__(self, other: RingElem) -> RingElem:
-        return RingElem(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> RingElem:
-        return RingElem(-self.a, -self.b)
-
-    def __sub__(self, other: RingElem) -> RingElem:
-        return RingElem(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: RingElem) -> RingElem:
-        a1, b1 = self.a.terms, self.b.terms
-        a2, b2 = other.a.terms, other.b.terms
-        a = _mul_terms(a1, a2)
-        if b1 and b2:
-            _add_into(a, _mul_terms(_mul_terms(b1, b2), Y_SQUARED))
-        b = _mul_terms(a1, b2)
-        _add_into(b, _mul_terms(b1, a2))
-        return RingElem(LaurentQP._raw(a), LaurentQP._raw(b))
-
-    def invert_q(self) -> RingElem:
-        # Y itself is fixed: its square is symmetric in q
-        return RingElem(self.a.invert_q(), self.b.invert_q())
-
-    def invert_p(self) -> RingElem:
-        return RingElem(self.a.invert_p(), self.b.invert_p())
-
-    def invert_qp(self) -> RingElem:
-        """Negate q- and p-exponents together (mirror substitution)."""
-        return RingElem(
-            self.a.invert_q().invert_p(), self.b.invert_q().invert_p()
-        )
-
-    def __str__(self) -> str:
-        if not self.b.terms:
-            return str(self.a)
-        ypart = f"({self.b})*Y"
-        if not self.a.terms:
-            return ypart
-        return f"{self.a} + {ypart}"
-
-    def __repr__(self) -> str:
-        return f"RingElem({self.a.terms!r}, {self.b.terms!r})"
-
-
-def parse_ring(text: str) -> RingElem:
-    """Inverse of str(RingElem) for canonical serializations."""
-    text = text.strip()
-    if text.endswith(")*Y"):
-        head, _, tail = text.rpartition(" + (")
-        if head:
-            return RingElem(parse_laurent(head), parse_laurent(tail[:-3]))
-        return RingElem(LaurentQP(), parse_laurent(text[1:-3]))
-    return RingElem(parse_laurent(text))
-
-
-ZERO = RingElem()
-ONE = RingElem.monomial(1)
-Y = RingElem.y_monomial(1)
+ZERO = LaurentQP()
+ONE = LaurentQP.monomial(1)

@@ -45,6 +45,23 @@ def test_eval_size_cap_refusal(capsys):
     assert out.splitlines()[0] == "0"  # four free strands: split closure
 
 
+def test_eval_far_over_cap_is_refused(capsys):
+    # 5001 strings: M^(2n) has over 6000 digits and must not be printed
+    code, _, err = run(capsys, "eval", "5000")
+    assert code == 1
+    assert err.startswith("error: tangle on 5001 strings")
+
+
+def test_eval_word_led_by_inverse_letter_with_exponent(capsys):
+    code, out, _ = run(capsys, "eval", "-1^48", "--format", "compact-machine")
+    assert code == 0
+    code, after_dashes, _ = run(capsys, "eval", "--format", "compact-machine", "--", "-1^48")
+    assert code == 0
+    assert out == after_dashes
+    # T(2,-48), the mirror of T(2,48): its top P-block is q^-47
+    assert out.rstrip().endswith("; 47: [-47:1]")
+
+
 def test_eval_parse_error(capsys):
     code, _, err = run(capsys, "eval", "1 bogus")
     assert code == 2
@@ -107,6 +124,24 @@ def test_batch_continues_past_bad_line(tmp_path, capsys):
     assert "b:" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("big 5000", "error: big: tangle on 5001 strings"),  # far over the size cap
+        ("lonely", "error: lonely: no braid word"),  # a name and no word
+    ],
+    ids=["oversized", "name-only"],
+)
+def test_batch_keeps_records_around_a_failing_line(tmp_path, capsys, line, error, jobs):
+    batch = tmp_path / "words.txt"
+    batch.write_text(f"a 1 1 1\n{line}\nc 1 1\n")
+    code, out, err = run(capsys, "batch", str(batch), "--jobs", jobs)
+    assert code == 1
+    assert [record.split(";")[0] for record in out.splitlines()] == ["a", "c"]
+    assert error in err
+
+
 def test_batch_jobs_preserve_order(tmp_path, capsys):
     batch = tmp_path / "words.txt"
     batch.write_text("a 1\nb 1 1\nc 1 1 1\nd 1 1 1 1\n")
@@ -128,6 +163,16 @@ def test_selftest_quick(capsys):
     assert "all passed" in out
 
 
+def test_selftest_lists_cubic_relation_and_regression_table(capsys):
+    code, out, _ = run(capsys, "selftest", "--quick", "-v")
+    assert code == 0
+    assert "(R - qp^-2)(R + 1)(R - qp^2) = 0" in out
+    rows = [line.split() for line in out.splitlines() if "braid=" in line]
+    assert len(rows) == 14
+    assert all(row[-1] == "pass" and row[-2].endswith("s") for row in rows)
+    assert ["3_1", "braid=1^3"] == rows[1][:2]
+
+
 def test_selftest_small_seeded(capsys):
     code, out, _ = run(capsys, "selftest", "--braids", "3", "--seed", "12345")
     assert code == 0
@@ -146,6 +191,7 @@ def test_dump_rmatrix(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 17  # header + 16 rows
+    assert "D = diag(1, 1, 1/Y, 1)" in lines[0]
     assert lines[1].startswith("[1 1]")
     assert "1*q^1*p^-2" in lines[1]  # top-left cell
     assert lines[-1].rstrip().endswith("1*q^1*p^2")  # bottom-right cell

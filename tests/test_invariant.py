@@ -18,7 +18,7 @@ from linksgould.invariant import (
     to_compact,
     to_invariant,
 )
-from linksgould.ring import LaurentQP, RingElem
+from linksgould.ring import LaurentQP
 
 TREFOIL = {
     (0, 0): 1, (2, 0): 2,
@@ -34,7 +34,7 @@ HOPF = {(0, 0): -1, (2, 0): -1, (1, 1): 1, (1, -1): 1}
 
 
 def test_to_invariant_unknot():
-    assert to_invariant(RingElem.monomial(1)) == {(0, 0): 1}
+    assert to_invariant(LaurentQP.monomial(1)) == {(0, 0): 1}
 
 
 def test_to_invariant_trefoil_and_fig8():
@@ -43,14 +43,12 @@ def test_to_invariant_trefoil_and_fig8():
 
 
 def test_to_invariant_structure_errors():
-    with pytest.raises(StructureError, match="Y part"):
-        to_invariant(RingElem.y_monomial(1))
     with pytest.raises(StructureError, match="half-integer"):
-        to_invariant(RingElem.monomial(1, 1, 0))
+        to_invariant(LaurentQP.monomial(1, 1, 0))
     with pytest.raises(StructureError, match="odd p-exponent"):
-        to_invariant(RingElem.monomial(1, 0, 1))
+        to_invariant(LaurentQP.monomial(1, 0, 1))
     with pytest.raises(StructureError, match="symmetric"):
-        to_invariant(RingElem(LaurentQP({(0, 2): 1})))
+        to_invariant(LaurentQP({(0, 2): 1}))
 
 
 def test_to_compact_examples():

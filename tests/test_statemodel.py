@@ -1,8 +1,10 @@
 import pytest
 
-from linksgould.ring import LaurentQP, RingElem
+from linksgould.ring import ONE, ZERO, LaurentQP
 from linksgould.statemodel import (
+    TRANSCRIPTION,
     DiagTensor2,
+    check_cubic_relation,
     check_yang_baxter,
     generator_power,
     lg_caps_cups,
@@ -13,7 +15,15 @@ from linksgould.statemodel import (
 
 
 def mono(c, eq2=0, ep=0):
-    return RingElem.monomial(c, eq2, ep)
+    return LaurentQP.monomial(c, eq2, ep)
+
+
+def dense_mul(x, y):
+    n = len(x)
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(n)), ZERO) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def test_corner_entries_match_transcription():
@@ -33,15 +43,17 @@ def test_nonzero_count_and_value_set():
             mono(1, 2, -2),
             mono(1, 1, -1),
             mono(1),
-            RingElem(LaurentQP({(2, -2): 1, (0, 0): -1})),
+            LaurentQP({(2, -2): 1, (0, 0): -1}),
             mono(-1),
             mono(-1, 2, 0),
-            RingElem.y_monomial(-1, 1, 0),
+            mono(-1, 1, 0),
             mono(1, 1, 1),
-            RingElem(LaurentQP({(4, 0): 1, (0, 0): -1})),
-            RingElem.y_monomial(1, 3, 0),
-            RingElem(LaurentQP({(2, 2): 1, (2, -2): 1, (4, 0): -1, (0, 0): -1})),
-            RingElem(LaurentQP({(2, 2): 1, (0, 0): -1})),
+            LaurentQP({(4, 0): 1, (0, 0): -1}),
+            mono(1, 3, 0),
+            LaurentQP({(1, 2): -1, (1, -2): -1, (3, 0): 1, (-1, 0): 1}),
+            LaurentQP({(3, 2): 1, (3, -2): 1, (5, 0): -1, (1, 0): -1}),
+            LaurentQP({(2, 2): 1, (2, -2): 1, (4, 0): -1, (0, 0): -1}),
+            LaurentQP({(2, 2): 1, (0, 0): -1}),
             mono(1, 2, 2),
         )
     }
@@ -49,16 +61,29 @@ def test_nonzero_count_and_value_set():
 
 
 def test_y_carrying_entries():
-    sig = lg_sigma()
-    carriers = {k: v for k, v in sig.entries.items() if not v.is_y_free()}
+    # in the transcription, cells map to (coefficient, power of Y)
+    carriers = {cell: v for cell, v in TRANSCRIPTION.items() if v[1]}
     assert carriers == {
-        (1, 2, 3, 0): RingElem.y_monomial(-1, 1, 0),
-        (3, 0, 1, 2): RingElem.y_monomial(-1, 1, 0),
-        (2, 1, 3, 0): RingElem.y_monomial(1, 3, 0),
-        (3, 0, 2, 1): RingElem.y_monomial(1, 3, 0),
+        (6, 12): (mono(-1, 1, 0), 1),
+        (12, 6): (mono(-1, 1, 0), 1),
+        (9, 12): (mono(1, 3, 0), 1),
+        (12, 9): (mono(1, 3, 0), 1),
     }
     # the Y^2 cell is stored pre-reduced (Y-free)
-    assert sig.entry(3, 0, 3, 0).is_y_free()
+    assert TRANSCRIPTION[(12, 12)][1] == 0
+
+
+def test_gauged_cells():
+    # conjugation by D x D, D = diag(1, 1, 1/Y, 1), with
+    # Y^2 = p^2 + p^-2 - q - q^-1 expanded by hand
+    grid = lg_sigma().as_matrix()
+    assert grid[6][12] == mono(-1, 1, 0)  # -q^1/2
+    assert grid[9][12] == mono(1, 3, 0)  # q^3/2
+    assert grid[12][6] == LaurentQP({(1, 2): -1, (1, -2): -1, (3, 0): 1, (-1, 0): 1})
+    assert grid[12][9] == LaurentQP({(3, 2): 1, (3, -2): 1, (5, 0): -1, (1, 0): -1})
+    for (row, col), (coeff, y) in TRANSCRIPTION.items():
+        if not y:
+            assert grid[row][col] == coeff, (row, col)
 
 
 def test_inverse_identity_both_ways():
@@ -89,7 +114,7 @@ def test_caps_cups():
     assert all(v == 1 for v in caps.mho_plus.diag)
     # mho- is the elementwise inverse of omega+
     for o, u in zip(caps.omega_plus.diag, caps.mho_minus.diag):
-        assert o * u == RingElem.monomial(1)
+        assert o * u == ONE
 
 
 def test_handles_match_closed_forms():
@@ -112,7 +137,7 @@ def test_handle_traces_vanish():
 def test_handles_are_mutually_inverse():
     c_plus, c_minus = lg_handles()
     for x, y in zip(c_plus.diag, c_minus.diag):
-        assert x * y == RingElem.monomial(1)
+        assert x * y == ONE
 
 
 def test_yang_baxter():
@@ -120,7 +145,6 @@ def test_yang_baxter():
 
 
 def test_generator_power_base_cases():
-    assert generator_power(1) is generator_power(1)  # memoized
     assert generator_power(1).entries == lg_sigma().entries
     assert generator_power(-1).entries == lg_sigma_inverse().entries
     with pytest.raises(ValueError):
@@ -134,9 +158,24 @@ def test_generator_powers_cancel():
     assert prod.is_identity()
 
 
+def test_cubic_relation():
+    assert check_cubic_relation()
+    # the same identity on the dense 16 x 16 matrix, without the tensor code
+    r = lg_sigma().as_matrix()
+
+    def shifted(lam):  # R - lam I
+        return [[v - lam if i == j else v for j, v in enumerate(row)] for i, row in enumerate(r)]
+
+    prod = dense_mul(dense_mul(shifted(mono(1, 2, -2)), shifted(mono(-1))), shifted(mono(1, 2, 2)))
+    assert not any(v for row in prod for v in row)
+
+
 def test_power_matches_repeated_composition():
-    sig = lg_sigma()
-    assert generator_power(3).entries == sig.compose(sig).compose(sig).entries
+    for base, sign in ((lg_sigma(), 1), (lg_sigma_inverse(), -1)):
+        oracle = base
+        for e in range(1, 13):
+            assert generator_power(sign * e).entries == oracle.entries, sign * e
+            oracle = oracle.compose(base)
 
 
 def test_diag_tensor_trace():
