@@ -11,12 +11,14 @@ import time
 import pytest
 
 from linksgould.braid import mirror, parse
-from linksgould.cli import run_markov_suite
+from linksgould.checks import check_handles, check_inverse, check_yang_baxter, run_markov_suite
 from linksgould.engine import (
     DEFAULT_SIZE_CAP,
     SizeCapExceeded,
     evaluate_raw,
     identity_tangle,
+    lg_sigma,
+    lg_sigma_inverse,
 )
 from linksgould.invariant import (
     from_compact,
@@ -26,13 +28,8 @@ from linksgould.invariant import (
     to_compact,
     to_invariant,
 )
-from linksgould.ring import LaurentQP
-from linksgould.statemodel import (
-    check_yang_baxter,
-    lg_handles,
-    lg_sigma,
-    lg_sigma_inverse,
-)
+from linksgould.ring import ZERO, LaurentQP
+from linksgould.statemodel import HANDLE_MINUS, HANDLE_PLUS
 
 # expected compact forms, frozen from the reference table
 EXPECTED = {
@@ -90,8 +87,8 @@ def passed(criterion: int, text: str) -> None:
 def test_criterion_1_exact_symbolic_identities():
     start = time.perf_counter()
     sig, inv = lg_sigma(), lg_sigma_inverse()
-    assert sig.compose(inv).is_identity()
-    assert inv.compose(sig).is_identity()
+    assert check_inverse(sig, inv)
+    assert check_inverse(inv, sig)
     assert check_yang_baxter()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"identities took {elapsed:.2f}s"
@@ -99,12 +96,11 @@ def test_criterion_1_exact_symbolic_identities():
 
 
 def test_criterion_2_handle_consistency():
-    # lg_handles raises internally if composition disagrees with the
-    # closed forms
-    c_plus, c_minus = lg_handles()
-    assert not c_plus.trace()
-    assert not c_minus.trace()
-    assert c_plus.diag[0] == LaurentQP.monomial(1, 2, -2)
+    # check_handles compares the composed handles with their closed forms
+    assert check_handles()
+    assert not sum(HANDLE_PLUS, ZERO)
+    assert not sum(HANDLE_MINUS, ZERO)
+    assert HANDLE_PLUS[0] == LaurentQP.monomial(1, 2, -2)
     passed(2, "handle composition matches closed forms, trace(C+) = 0")
 
 
@@ -165,9 +161,9 @@ def test_criterion_8_feasibility_envelope():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"4-string 10-letter braid took {elapsed:.1f}s"
     with pytest.raises(SizeCapExceeded) as exc:
-        identity_tangle(6, 4, DEFAULT_SIZE_CAP)
+        identity_tangle(6, DEFAULT_SIZE_CAP)
     assert "16777216" in str(exc.value)  # the diagnostic quotes M^(2n)
-    assert identity_tangle(5, 4, DEFAULT_SIZE_CAP).n == 5
+    assert identity_tangle(5, DEFAULT_SIZE_CAP).n == 5
     passed(
         8,
         f"4-string 10-letter braid in {elapsed:.2f}s; "

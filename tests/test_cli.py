@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from linksgould.cli import main, run_markov_suite
+from linksgould.checks import run_markov_suite
+from linksgould.cli import main
+from linksgould.invariant import parse_machine
 
 
 def run(capsys, *argv):
@@ -108,6 +110,41 @@ def test_batch(tmp_path, capsys):
     assert lines[1].startswith("fig8; 0: [-2:2, 0:7, 2:2]")
 
 
+def test_batch_splits_name_from_word_on_any_whitespace(tmp_path, capsys):
+    batch = tmp_path / "words.txt"
+    batch.write_text("trefoil\t1 1 1\nhopf \t 1\t1\n")
+    code, out, _ = run(capsys, "batch", str(batch))
+    assert code == 0
+    assert out.splitlines() == [
+        "trefoil; 0: [0:1, 2:2]; 1: [1:-1, 3:-1]; 2: [2:1]",
+        "hopf; 0: [0:-1, 2:-1]; 1: [1:1]",
+    ]
+    assert [parse_machine(line)[0] for line in out.splitlines()] == ["trefoil", "hopf"]
+
+
+def test_batch_file_not_utf8(tmp_path, capsys):
+    batch = tmp_path / "words.txt"
+    batch.write_bytes(b"a 1 1 1\n\xff\xfe 1\n")
+    code, out, err = run(capsys, "batch", str(batch))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {batch}: ")
+    assert "utf-8" in err
+
+
+@pytest.mark.parametrize(
+    "jobs, message",
+    [("0", "must be at least 1"), ("-4", "must be at least 1"), ("x", "not an integer")],
+    ids=["0", "-4", "x"],
+)
+def test_batch_rejects_jobs_below_one(tmp_path, capsys, jobs, message):
+    batch = tmp_path / "words.txt"
+    batch.write_text("a 1 1 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", str(batch), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"--jobs: {message}" in capsys.readouterr().err
+
+
 def test_batch_empty_file(tmp_path, capsys):
     batch = tmp_path / "empty.txt"
     batch.write_text("")
@@ -130,8 +167,9 @@ def test_batch_continues_past_bad_line(tmp_path, capsys):
     [
         ("big 5000", "error: big: tangle on 5001 strings"),  # far over the size cap
         ("lonely", "error: lonely: no braid word"),  # a name and no word
+        ("a;b 1 1 1", "error: a;b: name contains ';'"),  # the record separator
     ],
-    ids=["oversized", "name-only"],
+    ids=["oversized", "name-only", "semicolon-name"],
 )
 def test_batch_keeps_records_around_a_failing_line(tmp_path, capsys, line, error, jobs):
     batch = tmp_path / "words.txt"

@@ -8,15 +8,16 @@ from linksgould.engine import (
     NonScalarTangleError,
     SizeCapExceeded,
     SparseTangle,
-    Tangle11,
     accrete,
     close,
     evaluate_raw,
     extract_scalar,
+    generator_power,
     identity_tangle,
+    lg_sigma,
+    lg_sigma_inverse,
 )
 from linksgould.ring import ONE, ZERO, LaurentQP
-from linksgould.statemodel import generator_power, lg_sigma, lg_sigma_inverse
 
 # reference values in raw (eq2, ep) coordinates, P = p^2
 TREFOIL_RAW = LaurentQP(
@@ -30,27 +31,27 @@ HOPF_RAW = LaurentQP({(0, 0): -1, (4, 0): -1, (2, 2): 1, (2, -2): 1})
 
 
 def test_identity_tangle_sizes():
-    t = identity_tangle(1, 4)
+    t = identity_tangle(1)
     assert len(t.entries) == 4 and all(v == 1 for v in t.entries.values())
-    assert len(identity_tangle(2, 4).entries) == 16
-    assert len(identity_tangle(3, 2).entries) == 8
+    assert len(identity_tangle(2).entries) == 16
+    assert len(identity_tangle(3).entries) == 64
 
 
 def test_identity_tangle_is_diagonal():
-    t = identity_tangle(2, 4)
+    t = identity_tangle(2)
     assert t.entry((1, 2), (1, 2)) == ONE
     assert t.entry((1, 2), (2, 1)) == ZERO
 
 
 def test_size_guard():
     with pytest.raises(SizeCapExceeded) as exc:
-        identity_tangle(6, 4)
+        identity_tangle(6)
     assert "16777216" in str(exc.value)
     assert exc.value.full_size == 4**12
     # five strings are admitted by the default cap
-    assert identity_tangle(5, 4).n == 5
+    assert identity_tangle(5).n == 5
     with pytest.raises(SizeCapExceeded):
-        identity_tangle(2, 4, max_size=100)
+        identity_tangle(2, max_size=100)
 
 
 def test_accrete_position_validation():
@@ -59,12 +60,13 @@ def test_accrete_position_validation():
         accrete(z, lg_sigma(), 0)
     with pytest.raises(ValueError):
         accrete(z, lg_sigma(), 2)
+    with pytest.raises(ValueError, match="not 2"):
+        accrete(z, identity_tangle(3), 1)  # only 2-string tangles accrete
 
 
 def test_identity_absorbs_generator():
     z = accrete(identity_tangle(2), lg_sigma(), 1)
-    for (a, b, c, d), v in lg_sigma().nonzero():
-        assert z.entry((a, b), (c, d)) == v
+    assert z == lg_sigma()
     assert len(z.entries) == 26
 
 
@@ -97,35 +99,32 @@ def test_sparsity_bound_along_accretion():
 
 def test_close_single_string_is_passthrough():
     t = close(identity_tangle(1))
-    assert all(t.t[a][a] == ONE for a in range(4))
-    assert all(t.t[a][b] == ZERO for a in range(4) for b in range(4) if a != b)
+    assert t.n == 1
+    assert all(t.entry((a,), (a,)) == ONE for a in range(4))
+    assert all(t.entry((a,), (b,)) == ZERO for a in range(4) for b in range(4) if a != b)
 
 
 def test_close_identity_two_strings_vanishes():
     # the handle is traceless, so a free closed strand kills the tangle
     t = close(identity_tangle(2))
-    assert all(v == ZERO for row in t.t for v in row)
+    assert t.n == 1 and not t.entries
 
 
 def test_trefoil_closure_is_scalar():
     z = accrete(identity_tangle(2), generator_power(3), 1)
     t = close(z)
     for a in range(4):
-        assert t.t[a][a] == TREFOIL_RAW
+        assert t.entry((a,), (a,)) == TREFOIL_RAW
     assert extract_scalar(t) == TREFOIL_RAW
 
 
 def test_extract_scalar_cases():
-    ident = Tangle11(4, [[ONE if a == b else ZERO for b in range(4)] for a in range(4)])
-    assert extract_scalar(ident) == ONE
-    zero = Tangle11(4, [[ZERO] * 4 for _ in range(4)])
-    assert extract_scalar(zero) == ZERO
-    skew = Tangle11(4, [[ZERO] * 4 for _ in range(4)])
-    skew.t[0][1] = ONE
+    assert extract_scalar(identity_tangle(1)) == ONE
+    assert extract_scalar(SparseTangle(1, {})) == ZERO
+    skew = SparseTangle(1, {1: ONE})  # t[0][1]
     with pytest.raises(NonScalarTangleError, match=r"t\[0\]\[1\]"):
         extract_scalar(skew)
-    lopsided = Tangle11(4, [[ZERO] * 4 for _ in range(4)])
-    lopsided.t[0][0] = ONE
+    lopsided = SparseTangle(1, {0: ONE})  # t[0][0] only
     with pytest.raises(NonScalarTangleError):
         extract_scalar(lopsided)
 
@@ -160,7 +159,7 @@ def test_raw_values_live_in_the_even_subring():
 
 
 def test_sparse_tangle_entry_lookup():
-    z = SparseTangle(1, 4, {5: ONE})  # upper digit 1, lower digit 1
+    z = SparseTangle(1, {5: ONE})  # upper digit 1, lower digit 1
     assert z.entry((1,), (1,)) == ONE
     assert z.entry((0,), (1,)) == ZERO
 

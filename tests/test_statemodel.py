@@ -1,21 +1,32 @@
 import pytest
 
+from linksgould.checks import (
+    check_cubic_relation,
+    check_handles,
+    check_inverse,
+    check_yang_baxter,
+)
+from linksgould.engine import SparseTangle, generator_power, lg_sigma, lg_sigma_inverse
 from linksgould.ring import ONE, ZERO, LaurentQP
 from linksgould.statemodel import (
+    EIGENVALUES,
+    HANDLE_MINUS,
+    HANDLE_PLUS,
+    MHO_MINUS,
+    MHO_PLUS,
+    OMEGA_MINUS,
+    OMEGA_PLUS,
     TRANSCRIPTION,
-    DiagTensor2,
-    check_cubic_relation,
-    check_yang_baxter,
-    generator_power,
-    lg_caps_cups,
-    lg_handles,
-    lg_sigma,
-    lg_sigma_inverse,
 )
 
 
 def mono(c, eq2=0, ep=0):
     return LaurentQP.monomial(c, eq2, ep)
+
+
+def grid(t):
+    """The 16 x 16 matrix of a 2-string tangle (row = upper pair)."""
+    return [[t.entries.get(16 * r + c, ZERO) for c in range(16)] for r in range(16)]
 
 
 def dense_mul(x, y):
@@ -29,9 +40,9 @@ def dense_mul(x, y):
 def test_corner_entries_match_transcription():
     sig = lg_sigma()
     # 1-based (1,1,1,1) and (4,4,4,4); dots are exact zeros
-    assert sig.entry(0, 0, 0, 0) == mono(1, 2, -2)  # p^-2 q
-    assert sig.entry(3, 3, 3, 3) == mono(1, 2, 2)  # p^2 q
-    assert sig.entry(0, 1, 0, 0) == 0
+    assert sig.entry((0, 0), (0, 0)) == mono(1, 2, -2)  # p^-2 q
+    assert sig.entry((3, 3), (3, 3)) == mono(1, 2, 2)  # p^2 q
+    assert sig.entry((0, 1), (0, 0)) == 0
 
 
 def test_nonzero_count_and_value_set():
@@ -76,72 +87,83 @@ def test_y_carrying_entries():
 def test_gauged_cells():
     # conjugation by D x D, D = diag(1, 1, 1/Y, 1), with
     # Y^2 = p^2 + p^-2 - q - q^-1 expanded by hand
-    grid = lg_sigma().as_matrix()
-    assert grid[6][12] == mono(-1, 1, 0)  # -q^1/2
-    assert grid[9][12] == mono(1, 3, 0)  # q^3/2
-    assert grid[12][6] == LaurentQP({(1, 2): -1, (1, -2): -1, (3, 0): 1, (-1, 0): 1})
-    assert grid[12][9] == LaurentQP({(3, 2): 1, (3, -2): 1, (5, 0): -1, (1, 0): -1})
+    r = grid(lg_sigma())
+    assert r[6][12] == mono(-1, 1, 0)  # -q^1/2
+    assert r[9][12] == mono(1, 3, 0)  # q^3/2
+    assert r[12][6] == LaurentQP({(1, 2): -1, (1, -2): -1, (3, 0): 1, (-1, 0): 1})
+    assert r[12][9] == LaurentQP({(3, 2): 1, (3, -2): 1, (5, 0): -1, (1, 0): -1})
     for (row, col), (coeff, y) in TRANSCRIPTION.items():
         if not y:
-            assert grid[row][col] == coeff, (row, col)
+            assert r[row][col] == coeff, (row, col)
 
 
 def test_inverse_identity_both_ways():
     sig, inv = lg_sigma(), lg_sigma_inverse()
-    assert sig.compose(inv).is_identity()
-    assert inv.compose(sig).is_identity()
+    assert check_inverse(sig, inv)
+    assert check_inverse(inv, sig)
+    # and on the dense matrices, without the tensor code
+    identity = [[ONE if i == j else ZERO for j in range(16)] for i in range(16)]
+    assert dense_mul(grid(sig), grid(inv)) == identity
+    assert dense_mul(grid(inv), grid(sig)) == identity
 
 
 def test_inverse_bottom_right_entry():
     # forced by the inverse identity: row and column 15 of the generator
     # hold only p^2 q, so its inverse must hold (p^2 q)^-1 there
-    assert lg_sigma_inverse().entry(3, 3, 3, 3) == mono(1, -2, -2)
+    assert lg_sigma_inverse().entry((3, 3), (3, 3)) == mono(1, -2, -2)
 
 
 def test_inverse_zero_pattern_is_the_twisted_one():
     sig, inv = lg_sigma(), lg_sigma_inverse()
-    expected = {(b, a, d, c) for (a, b, c, d) in sig.entries}
+    expected = set()
+    for key in sig.entries:
+        a, b, c, d = key // 64, key // 16 % 4, key // 4 % 4, key % 4
+        expected.add(64 * b + 16 * a + 4 * d + c)
     assert set(inv.entries) == expected
 
 
 def test_caps_cups():
-    caps = lg_caps_cups()
-    assert caps.omega_plus.diag[0] == mono(1, 2, -2)  # p^-2 q
-    assert caps.omega_plus.diag == (
+    assert OMEGA_PLUS[0] == mono(1, 2, -2)  # p^-2 q
+    assert OMEGA_PLUS == (
         mono(1, 2, -2), mono(-1, 2, -2), mono(-1, -2, -2), mono(1, -2, -2)
     )
-    assert all(v == 1 for v in caps.omega_minus.diag)
-    assert all(v == 1 for v in caps.mho_plus.diag)
+    assert all(v == 1 for v in OMEGA_MINUS)
+    assert all(v == 1 for v in MHO_PLUS)
     # mho- is the elementwise inverse of omega+
-    for o, u in zip(caps.omega_plus.diag, caps.mho_minus.diag):
+    for o, u in zip(OMEGA_PLUS, MHO_MINUS):
         assert o * u == ONE
 
 
 def test_handles_match_closed_forms():
-    c_plus, c_minus = lg_handles()
-    assert c_plus.diag == (
+    assert check_handles()
+    assert HANDLE_PLUS == (
         mono(1, 2, -2), mono(-1, 2, -2), mono(-1, -2, -2), mono(1, -2, -2)
     )
-    assert c_minus.diag == (
+    assert HANDLE_MINUS == (
         mono(1, -2, 2), mono(-1, -2, 2), mono(-1, 2, 2), mono(1, 2, 2)
     )
-    assert c_plus.diag[2] == mono(-1, -2, -2)  # -p^-2 q^-1
+    assert HANDLE_PLUS[2] == mono(-1, -2, -2)  # -p^-2 q^-1
 
 
 def test_handle_traces_vanish():
-    c_plus, c_minus = lg_handles()
-    assert not c_plus.trace()
-    assert not c_minus.trace()
+    assert not sum(HANDLE_PLUS, ZERO)
+    assert not sum(HANDLE_MINUS, ZERO)
 
 
 def test_handles_are_mutually_inverse():
-    c_plus, c_minus = lg_handles()
-    for x, y in zip(c_plus.diag, c_minus.diag):
+    for x, y in zip(HANDLE_PLUS, HANDLE_MINUS):
         assert x * y == ONE
 
 
 def test_yang_baxter():
     assert check_yang_baxter()
+
+
+def test_yang_baxter_fails_on_a_flipped_cell():
+    sig = lg_sigma()
+    for key, v in sig.entries.items():
+        flipped = SparseTangle(2, {**sig.entries, key: -v})
+        assert not check_yang_baxter(flipped), key
 
 
 def test_generator_power_base_cases():
@@ -152,16 +174,14 @@ def test_generator_power_base_cases():
 
 
 def test_generator_powers_cancel():
-    prod = generator_power(2).compose(generator_power(-2))
-    assert prod.is_identity()
-    prod = generator_power(-3).compose(generator_power(3))
-    assert prod.is_identity()
+    assert check_inverse(generator_power(2), generator_power(-2))
+    assert check_inverse(generator_power(-3), generator_power(3))
 
 
 def test_cubic_relation():
     assert check_cubic_relation()
     # the same identity on the dense 16 x 16 matrix, without the tensor code
-    r = lg_sigma().as_matrix()
+    r = grid(lg_sigma())
 
     def shifted(lam):  # R - lam I
         return [[v - lam if i == j else v for j, v in enumerate(row)] for i, row in enumerate(r)]
@@ -170,14 +190,16 @@ def test_cubic_relation():
     assert not any(v for row in prod for v in row)
 
 
+def test_cubic_relation_fails_with_a_changed_eigenvalue():
+    l1, l2, l3 = EIGENVALUES
+    for changed in ((l1, l2, mono(1, 2, 0)), (l1, mono(1), l3), (mono(1, 2, 2), l2, l3)):
+        assert not check_cubic_relation(eigenvalues=changed), changed
+
+
 def test_power_matches_repeated_composition():
-    for base, sign in ((lg_sigma(), 1), (lg_sigma_inverse(), -1)):
+    # the oracle is the dense 16 x 16 product, not the tensor code
+    for base, sign in ((grid(lg_sigma()), 1), (grid(lg_sigma_inverse()), -1)):
         oracle = base
         for e in range(1, 13):
-            assert generator_power(sign * e).entries == oracle.entries, sign * e
-            oracle = oracle.compose(base)
-
-
-def test_diag_tensor_trace():
-    d = DiagTensor2(4, (mono(1), mono(-1), mono(2), mono(-2)))
-    assert not d.trace()
+            assert grid(generator_power(sign * e)) == oracle, sign * e
+            oracle = dense_mul(oracle, base)
