@@ -34,12 +34,10 @@ def check_yang_baxter(r: SparseTangle | None = None) -> bool:
     return sides[0] == sides[1]
 
 
-def check_cubic_relation(
-    r: SparseTangle | None = None, eigenvalues: tuple[LaurentQP, ...] = EIGENVALUES
-) -> bool:
+def check_cubic_relation(eigenvalues: tuple[LaurentQP, ...] = EIGENVALUES) -> bool:
     """(R - q p^-2)(R + 1)(R - q p^2) = 0, checked exactly as three
     accretions; generator_power rests on it."""
-    r = lg_sigma() if r is None else r
+    r = lg_sigma()
     identity = identity_tangle(2)
     z = identity
     for lam in eigenvalues:

@@ -36,6 +36,7 @@ from .engine import (
     lg_sigma_inverse,
 )
 from .invariant import (
+    MachineFormatError,
     StructureError,
     is_palindromic_q,
     parity_violations,
@@ -48,7 +49,13 @@ from .invariant import (
 from .knotdata import load_corpus, run_regression, validate_entry
 
 FORMATS = ("compact-text", "compact-machine", "laurent", "json")
-EVAL_ERRORS = (BraidSyntaxError, SizeCapExceeded, NonScalarTangleError, StructureError)
+EVAL_ERRORS = (
+    BraidSyntaxError,
+    SizeCapExceeded,
+    NonScalarTangleError,
+    StructureError,
+    MachineFormatError,
+)
 # a braid word led by an inverse letter and going on past its digits
 _DASH_LED_WORD = re.compile(r"-\d+[,^][-\d,^]*")
 
@@ -124,8 +131,6 @@ def _batch_worker(task: tuple[str, str, int]) -> tuple[str, bool, str]:
     name, word, max_size = task
     if not word:
         return name, False, "no braid word after the name"
-    if ";" in name:
-        return name, False, "name contains ';', which separates the fields of a record"
     req = EvalRequest(word, fmt="compact-machine", max_size=max_size, name=name)
     try:
         return name, True, _evaluate_request(req)[0]

@@ -124,22 +124,31 @@ def render_laurent(poly: InvariantPoly) -> str:
     return " + ".join(parts)
 
 
+_BLOCK_RE = re.compile(r"^(\d+)\s*:\s*\[([^\]]*)\]$")
+
+
+class MachineFormatError(ValueError):
+    pass
+
+
 def render_machine(blocks: CompactForm, name: str | None = None) -> str:
     """Machine format of record, one record per line:
-    ``[name; ]0: [e:c, ...]; 1: [e:c, ...]; ...`` with ascending e."""
+    ``[name; ]0: [e:c, ...]; 1: [e:c, ...]; ...`` with ascending e.
+    Refuses a name that parse_machine would not read back as the name:
+    an empty one, one containing ';' or one shaped like a block."""
+    if name is not None and (
+        not name.strip() or ";" in name or _BLOCK_RE.match(name.strip())
+    ):
+        raise MachineFormatError(
+            f"name {name!r} cannot be read back from a record"
+            " (it is empty, contains ';' or is shaped like a block)"
+        )
     chunks = []
     for k, block in enumerate(blocks):
         body = ", ".join(f"{eq}:{c}" for eq, c in sorted(block.items()))
         chunks.append(f"{k}: [{body}]")
     record = "; ".join(chunks)
     return f"{name}; {record}" if name is not None else record
-
-
-_BLOCK_RE = re.compile(r"^(\d+)\s*:\s*\[([^\]]*)\]$")
-
-
-class MachineFormatError(ValueError):
-    pass
 
 
 def parse_machine(record: str) -> tuple[str | None, CompactForm]:

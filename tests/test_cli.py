@@ -167,9 +167,10 @@ def test_batch_continues_past_bad_line(tmp_path, capsys):
     [
         ("big 5000", "error: big: tangle on 5001 strings"),  # far over the size cap
         ("lonely", "error: lonely: no braid word"),  # a name and no word
-        ("a;b 1 1 1", "error: a;b: name contains ';'"),  # the record separator
+        ("a;b 1 1 1", "error: a;b: name 'a;b' cannot be read back"),  # field separator
+        ("0:[] 1 1 1", "error: 0:[]: name '0:[]' cannot be read back"),  # block-shaped
     ],
-    ids=["oversized", "name-only", "semicolon-name"],
+    ids=["oversized", "name-only", "semicolon-name", "block-name"],
 )
 def test_batch_keeps_records_around_a_failing_line(tmp_path, capsys, line, error, jobs):
     batch = tmp_path / "words.txt"

@@ -128,6 +128,12 @@ def test_machine_format_round_trip_random(blocks):
     assert parse_machine(render_machine(blocks, "x")) == ("x", blocks)
 
 
+@pytest.mark.parametrize("name", ["", " ", "a;b", "0:[]", "2: [1:1]"])
+def test_render_machine_refuses_unreadable_names(name):
+    with pytest.raises(MachineFormatError):
+        render_machine(to_compact(TREFOIL), name)
+
+
 def test_machine_format_errors():
     with pytest.raises(MachineFormatError):
         parse_machine("")
