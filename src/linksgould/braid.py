@@ -83,10 +83,15 @@ def parse(text: str, n_strings: int | None = None) -> BraidWord:
         m = _TOKEN_RE.match(token)
         if m is None:
             raise BraidSyntaxError(f"bad token {token!r} at position {idx + 1}")
-        j = int(m.group(1))
+        try:
+            j = int(m.group(1))
+            k = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:  # over the interpreter's limit on digits
+            raise BraidSyntaxError(
+                f"integer in token at position {idx + 1} has too many digits"
+            ) from None
         if j == 0:
             raise BraidSyntaxError(f"generator index 0 at position {idx + 1}")
-        k = int(m.group(2)) if m.group(2) is not None else 1
         if k == 0:
             continue
         _merge_push(letters, abs(j), (1 if j > 0 else -1) * k)

@@ -1,7 +1,7 @@
 """Exact checks of the state model and of the evaluator, all written over
 ``engine.accrete``: the generator inverse, the Yang-Baxter relation, the
-cubic relation, the handles' closed forms and traces, and the Markov-move
-property suite.
+cubic relation, the power law of the generator's powers, the handles'
+closed forms and traces, and the Markov-move property suite.
 """
 
 from __future__ import annotations
@@ -10,7 +10,16 @@ import random
 from dataclasses import dataclass, field
 
 from .braid import BraidWord, conjugate, free_insert, mirror, random_braid, render, stabilize
-from .engine import SparseTangle, accrete, combine, evaluate_raw, identity_tangle, lg_sigma
+from .engine import (
+    SparseTangle,
+    accrete,
+    combine,
+    evaluate_raw,
+    generator_power,
+    identity_tangle,
+    lg_sigma,
+    lg_sigma_inverse,
+)
 from .invariant import parity_violations, q_inverted, to_invariant
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS
@@ -43,6 +52,29 @@ def check_cubic_relation(eigenvalues: tuple[LaurentQP, ...] = EIGENVALUES) -> bo
     for lam in eigenvalues:
         z = accrete(z, combine([(ONE, r), (-lam, identity)]), 1)
     return not z.entries
+
+
+# (a, b) pairs for R^a R^b = R^(a+b), each sum built from R, R^-1 and sums
+# earlier in the list: together they pin every power from -5 to 5, and the
+# last three multiply powers of opposite sign
+_POWER_PAIRS = (
+    (1, 1), (1, 2), (2, 2), (2, 3),
+    (-1, -1), (-1, -2), (-2, -2), (-2, -3),
+    (5, -3), (-5, 3), (4, -5),
+)
+
+
+def check_power_law() -> bool:
+    """generator_power(+-1) is the generator or its inverse, and
+    R^a R^b = R^(a+b) for small a, b, as accretions on two strings; the
+    Newton form behind generator_power shares no code with the cubic
+    relation's check."""
+    if generator_power(1) != lg_sigma() or generator_power(-1) != lg_sigma_inverse():
+        return False
+    return all(
+        accrete(generator_power(a), generator_power(b), 1) == generator_power(a + b)
+        for a, b in _POWER_PAIRS
+    )
 
 
 def check_handles() -> bool:

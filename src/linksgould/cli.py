@@ -24,6 +24,7 @@ from .checks import (
     check_cubic_relation,
     check_handles,
     check_inverse,
+    check_power_law,
     check_yang_baxter,
     run_markov_suite,
 )
@@ -47,6 +48,8 @@ from .invariant import (
     to_invariant,
 )
 from .knotdata import load_corpus, run_regression, validate_entry
+
+logger = logging.getLogger(__name__)
 
 FORMATS = ("compact-text", "compact-machine", "laurent", "json")
 EVAL_ERRORS = (
@@ -136,6 +139,9 @@ def _batch_worker(task: tuple[str, str, int]) -> tuple[str, bool, str]:
         return name, True, _evaluate_request(req)[0]
     except EVAL_ERRORS as exc:
         return name, False, str(exc)
+    except Exception as exc:  # a defect: report it on this record, keep the others
+        logger.debug("batch record %r failed", name, exc_info=True)
+        return name, False, f"internal error: {type(exc).__name__}: {exc}"
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -184,6 +190,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     report("identity", "sigma^-1 * sigma = I", check_inverse(inv, sig))
     report("identity", "Yang-Baxter relation", check_yang_baxter())
     report("identity", "(R - qp^-2)(R + 1)(R - qp^2) = 0", check_cubic_relation())
+    report("identity", "R^a R^b = R^(a+b)", check_power_law())
     report("identity", "handles: composition, trace(C+/-) = 0", check_handles())
 
     entries = load_corpus()

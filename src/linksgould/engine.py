@@ -129,8 +129,11 @@ def _swap_invert(t: SparseTangle) -> SparseTangle:
 
 
 _SIGMA = SparseTangle(2, GAUGED)
-_SIGMA_SQUARED = accrete(_SIGMA, _SIGMA, 1)
 _IDENTITY2 = identity_tangle(2)
+# Newton basis of the cubic relation at the eigenvalues taken in the order
+# (-1, q p^-2, q p^2): N1 = R + I and N2 = (R + I)(R - q p^-2 I)
+_NEWTON_1 = combine([(ONE, _SIGMA), (ONE, _IDENTITY2)])
+_NEWTON_2 = accrete(_NEWTON_1, combine([(ONE, _SIGMA), (-EIGENVALUES[0], _IDENTITY2)]), 1)
 
 
 def lg_sigma() -> SparseTangle:
@@ -143,18 +146,32 @@ def lg_sigma_inverse() -> SparseTangle:
     return _swap_invert(_SIGMA)
 
 
+def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
+    """The divided differences of x^e at the nodes (-1, q p^-2) and
+    (-1, q p^-2, q p^2), which are the complete homogeneous polynomials
+        h_{e-1}(-1, qp^-2)        = sum_{i < e} (-1)^(e-1-i) q^i p^(-2i),
+        h_{e-2}(-1, qp^-2, qp^2)  = sum_{i+k <= e-2} (-1)^(e-2-i-k) q^(i+k) p^(2k-2i).
+    Each term is +-1 on a monomial of its own, so both are written down
+    without a ring product."""
+    h1 = {(2 * i, -2 * i): (-1) ** (e - 1 - i) for i in range(e)}
+    h2 = {
+        (2 * (i + k), 2 * (k - i)): (-1) ** (e - i - k)
+        for i in range(e - 1)
+        for k in range(e - 1 - i)
+    }
+    return LaurentQP(h1), LaurentQP(h2)
+
+
 def _positive_power(e: int) -> SparseTangle:
-    """R^e = a R^2 + b R + c I for e >= 1, with (a, b, c) stepped from
-    (0, 1, 0) at e = 1 by the cubic relation R^3 = s1 R^2 - s2 R + s3
-    (s1, s2, s3: elementary symmetric polynomials of the eigenvalues)."""
-    if e == 1:
+    """R^e for e >= 1 in Newton form over the eigenvalues: x^e modulo the
+    cubic relation is its interpolating polynomial at the three roots, so
+    R^e = (-1)^e I + h_{e-1} N1 + h_{e-2} N2.  The coefficients have O(e^2)
+    terms and R^e is one linear combination, so the cost grows as e^2."""
+    if e == 1:  # most letters; the combination costs about 200 times this copy
         return lg_sigma()
-    l1, l2, l3 = EIGENVALUES
-    s1, s2, s3 = l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3
-    a, b, c = ZERO, ONE, ZERO
-    for _ in range(e - 1):
-        a, b, c = a * s1 + b, c - a * s2, a * s3
-    return combine([(a, _SIGMA_SQUARED), (b, _SIGMA), (c, _IDENTITY2)])
+    h1, h2 = _newton_coefficients(e)
+    sign = ONE if e % 2 == 0 else -ONE
+    return combine([(sign, _IDENTITY2), (h1, _NEWTON_1), (h2, _NEWTON_2)])
 
 
 def generator_power(e: int) -> SparseTangle:

@@ -76,6 +76,11 @@ def test_syntax_errors_carry_position():
         parse("0")
     with pytest.raises(BraidSyntaxError):
         parse("1^")
+    # integers past the interpreter's digit limit, as an index or an exponent
+    with pytest.raises(BraidSyntaxError, match="position 3"):
+        parse("1 2 " + "1" * 5000)
+    with pytest.raises(BraidSyntaxError, match="position 1"):
+        parse("1^" + "1" * 5000)
 
 
 def test_closure_components():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from linksgould import cli
 from linksgould.checks import run_markov_suite
 from linksgould.cli import main
 from linksgould.invariant import parse_machine
@@ -68,6 +69,10 @@ def test_eval_parse_error(capsys):
     code, _, err = run(capsys, "eval", "1 bogus")
     assert code == 2
     assert "bogus" in err
+    # an integer too long to convert is a syntax error too, not a traceback
+    code, _, err = run(capsys, "eval", "1" * 5000)
+    assert code == 2
+    assert err.startswith("error: integer in token at position 1")
 
 
 def test_eval_machine_format(capsys):
@@ -169,8 +174,9 @@ def test_batch_continues_past_bad_line(tmp_path, capsys):
         ("lonely", "error: lonely: no braid word"),  # a name and no word
         ("a;b 1 1 1", "error: a;b: name 'a;b' cannot be read back"),  # field separator
         ("0:[] 1 1 1", "error: 0:[]: name '0:[]' cannot be read back"),  # block-shaped
+        ("long " + "1" * 5000, "error: long: integer in token at position 1"),  # digit limit
     ],
-    ids=["oversized", "name-only", "semicolon-name", "block-name"],
+    ids=["oversized", "name-only", "semicolon-name", "block-name", "long-integer"],
 )
 def test_batch_keeps_records_around_a_failing_line(tmp_path, capsys, line, error, jobs):
     batch = tmp_path / "words.txt"
@@ -179,6 +185,25 @@ def test_batch_keeps_records_around_a_failing_line(tmp_path, capsys, line, error
     assert code == 1
     assert [record.split(";")[0] for record in out.splitlines()] == ["a", "c"]
     assert error in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_reports_an_internal_error_per_record(tmp_path, capsys, monkeypatch, jobs):
+    exact = cli.evaluate_raw
+
+    def failing_on_two_letters(braid, **kwargs):
+        if braid.expanded_length() == 2:
+            raise ZeroDivisionError("planted defect")
+        return exact(braid, **kwargs)
+
+    # forked pool workers inherit the patched module
+    monkeypatch.setattr(cli, "evaluate_raw", failing_on_two_letters)
+    batch = tmp_path / "words.txt"
+    batch.write_text("a 1 1 1\nb 1 1\nc 1 1 1 1\n")
+    code, out, err = run(capsys, "batch", str(batch), "--jobs", jobs)
+    assert code == 1
+    assert [record.split(";")[0] for record in out.splitlines()] == ["a", "c"]
+    assert "error: b: internal error: ZeroDivisionError: planted defect" in err
 
 
 def test_batch_jobs_preserve_order(tmp_path, capsys):
@@ -206,6 +231,7 @@ def test_selftest_lists_cubic_relation_and_regression_table(capsys):
     code, out, _ = run(capsys, "selftest", "--quick", "-v")
     assert code == 0
     assert "(R - qp^-2)(R + 1)(R - qp^2) = 0" in out
+    assert "R^a R^b = R^(a+b)" in out
     rows = [line.split() for line in out.splitlines() if "braid=" in line]
     assert len(rows) == 14
     assert all(row[-1] == "pass" and row[-2].endswith("s") for row in rows)

@@ -1,12 +1,22 @@
 import pytest
 
+from linksgould import engine
 from linksgould.checks import (
     check_cubic_relation,
     check_handles,
     check_inverse,
+    check_power_law,
     check_yang_baxter,
 )
-from linksgould.engine import SparseTangle, generator_power, lg_sigma, lg_sigma_inverse
+from linksgould.engine import (
+    SparseTangle,
+    accrete,
+    combine,
+    generator_power,
+    identity_tangle,
+    lg_sigma,
+    lg_sigma_inverse,
+)
 from linksgould.ring import ONE, ZERO, LaurentQP
 from linksgould.statemodel import (
     EIGENVALUES,
@@ -194,6 +204,65 @@ def test_cubic_relation_fails_with_a_changed_eigenvalue():
     l1, l2, l3 = EIGENVALUES
     for changed in ((l1, l2, mono(1, 2, 0)), (l1, mono(1), l3), (mono(1, 2, 2), l2, l3)):
         assert not check_cubic_relation(eigenvalues=changed), changed
+
+
+def recurrence_powers(r, eigenvalues, exponents):
+    """r^e for each e in exponents by the scalar recurrence the Newton form
+    replaced, kept as the oracle: r^e = a r^2 + b r + c I, (a, b, c) stepped
+    from (0, 1, 0) at e = 1 by r^3 = s1 r^2 - s2 r + s3, the s_i being the
+    elementary symmetric polynomials of r's eigenvalues."""
+    l1, l2, l3 = eigenvalues
+    s1, s2, s3 = l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3
+    r2, identity = accrete(r, r, 1), identity_tangle(2)
+    a, b, c = ZERO, ONE, ZERO
+    out = {}
+    for e in range(1, max(exponents) + 1):
+        if e in exponents:
+            out[e] = combine([(a, r2), (b, r), (c, identity)])
+        a, b, c = a * s1 + b, c - a * s2, a * s3
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_power_matches_the_cubic_recurrence(sign):
+    # negative powers come from the inverse generator and the inverted
+    # eigenvalues, so the oracle does not go through the swap-and-invert map
+    r = lg_sigma() if sign > 0 else lg_sigma_inverse()
+    eigenvalues = EIGENVALUES if sign > 0 else tuple(lam.invert_qp() for lam in EIGENVALUES)
+    exponents = (*range(2, 21), 31, 48, 64)
+    for e, oracle in recurrence_powers(r, eigenvalues, exponents).items():
+        assert generator_power(sign * e).entries == oracle.entries, sign * e
+
+
+def test_power_fails_with_a_flipped_newton_coefficient(monkeypatch):
+    assert check_power_law()
+    exact = engine._newton_coefficients
+    e = 6
+    oracle = recurrence_powers(lg_sigma(), EIGENVALUES, (e,))[e]
+    h1, h2 = exact(e)
+    assert (len(h1.terms), len(h2.terms)) == (e, e * (e - 1) // 2)
+    for which, h in enumerate((h1, h2)):
+        for key, c in h.terms.items():
+            mutated = [h1, h2]
+            mutated[which] = LaurentQP({**h.terms, key: -c})
+            monkeypatch.setattr(engine, "_newton_coefficients", lambda _, m=tuple(mutated): m)
+            assert generator_power(e) != oracle, (which, key)
+
+    # the run-time check sees a flip too: the constant term of h_{e-2}, at
+    # every e >= 2, so R^1 and R^-1 stay right and a pair product fails
+    def flip_constant_term(e):
+        h1, h2 = exact(e)
+        if h2:
+            h2 = LaurentQP({**h2.terms, (0, 0): -h2.terms[(0, 0)]})
+        return h1, h2
+
+    monkeypatch.setattr(engine, "_newton_coefficients", flip_constant_term)
+    assert not check_power_law()
+
+
+@pytest.mark.parametrize("a, b", [(5, -3), (-7, 2), (4, 9)])
+def test_powers_multiply(a, b):
+    assert accrete(generator_power(a), generator_power(b), 1) == generator_power(a + b)
 
 
 def test_power_matches_repeated_composition():
