@@ -1,8 +1,9 @@
 """Exact state-sum evaluation of the Links-Gould two-variable link invariant.
 
 The invariant of the closure of a braid word is computed by accreting the
-rank-4 crossing tensor letter by letter into a sparse rank-2n tensor, closing
-all but the rightmost string, and reading off the scalar.  All arithmetic is
+rank-4 crossing tensor letter by letter into a sparse tensor on the strings
+still in use, closing every string but the rightmost against the left handle
+after its last letter, and reading off the scalar.  All arithmetic is
 exact; the result is a Laurent polynomial in q and P, symmetric under
 P -> 1/P.
 """

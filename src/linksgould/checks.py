@@ -1,7 +1,8 @@
 """Exact checks of the state model and of the evaluator, all written over
 ``engine.accrete``: the generator inverse, the Yang-Baxter relation, the
 cubic relation, the power law of the generator's powers, the handles'
-closed forms and traces, and the Markov-move property suite.
+closed forms and traces, the handle's commuting with the generator, and
+the Markov-move property suite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .engine import (
 )
 from .invariant import parity_violations, q_inverted, to_invariant
 from .ring import ONE, ZERO, LaurentQP
-from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS
+from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS, M_DIM, Diagonal
 
 
 def check_inverse(x: SparseTangle, y: SparseTangle) -> bool:
@@ -88,6 +89,20 @@ def check_handles() -> bool:
         and HANDLE_MINUS == expect_minus
         and not sum(HANDLE_PLUS, ZERO)
         and not sum(HANDLE_MINUS, ZERO)
+    )
+
+
+def check_handle_commutes(handle: Diagonal = HANDLE_PLUS) -> bool:
+    """(C+ x C+) R = R (C+ x C+), and the same for R^-1, as accretions on
+    two strings: the enhancement condition under which conjugate braids
+    have the same closure, so that evaluate_raw may start the word at any
+    rotation."""
+    side = M_DIM * M_DIM
+    pair = SparseTangle(
+        2, {row * side + row: handle[row // M_DIM] * handle[row % M_DIM] for row in range(side)}
+    )
+    return all(
+        accrete(r, pair, 1) == accrete(pair, r, 1) for r in (lg_sigma(), lg_sigma_inverse())
     )
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .braid import BraidSyntaxError, closure_info, parse, render, writhe
 from .checks import (
     check_cubic_relation,
+    check_handle_commutes,
     check_handles,
     check_inverse,
     check_power_law,
@@ -192,6 +193,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     report("identity", "(R - qp^-2)(R + 1)(R - qp^2) = 0", check_cubic_relation())
     report("identity", "R^a R^b = R^(a+b)", check_power_law())
     report("identity", "handles: composition, trace(C+/-) = 0", check_handles())
+    report("identity", "(C+ x C+) R = R (C+ x C+), also R^-1", check_handle_commutes())
 
     entries = load_corpus()
     bad = [(e.name, p) for e in entries for p in validate_entry(e)]

@@ -1,20 +1,24 @@
-"""Core evaluation: accrete crossing tensors into a sparse rank-2n tangle,
-close all strings but the rightmost against the left handle, and extract
-the scalar.
+"""Core evaluation: accrete crossing tensors into a sparse tangle on the
+live strings only, closing each string but the rightmost against the left
+handle right after its last letter, and extract the scalar.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
 one.  ``accrete`` is the one product.
 
 A tangle on n strings over the dimension-M basis has at most M^(2n)
-entries, which is the storage wall; the default cap admits 5 strings at
-M = 4 and refuses 6.  Tangles are kept as maps from a composite index
-(upper indices as the high base-M digits, lower as the low digits) to
-Laurent polynomials, with zero entries never stored.
+entries.  The size guard is that dense bound on the word's string count:
+the default cap admits 5 strings at M = 4 and refuses 6.  What costs is
+the number of strings open at each letter: ``evaluate_raw`` opens a string
+at its first letter, closes it after its last, and starts the word at the
+rotation that keeps the fewest strings open.  Tangles are kept as maps
+from a composite index (upper indices as the high base-M digits, lower as
+the low digits) to Laurent polynomials, with zero entries never stored.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
 
@@ -68,11 +72,15 @@ class SparseTangle:
         return self.entries.get(key, ZERO)
 
 
+def _guard(n: int, max_size: int) -> None:
+    if _surely_over(n, max_size) or M_DIM ** (2 * n) > max_size:
+        raise SizeCapExceeded(n, max_size)
+
+
 def identity_tangle(n: int, max_size: int = DEFAULT_SIZE_CAP) -> SparseTangle:
     if n < 1:
         raise ValueError("need at least one string")
-    if _surely_over(n, max_size) or M_DIM ** (2 * n) > max_size:
-        raise SizeCapExceeded(n, max_size)
+    _guard(n, max_size)
     side = M_DIM ** n
     return SparseTangle(n, {t * side + t: ONE for t in range(side)})
 
@@ -182,31 +190,52 @@ def generator_power(e: int) -> SparseTangle:
     return _positive_power(e) if e > 0 else _swap_invert(_positive_power(-e))
 
 
-def _contract_first_string(z: SparseTangle) -> SparseTangle:
-    """Partial trace of string 1 against the (diagonal) left handle C+."""
-    n = z.n
-    top = M_DIM ** (2 * n - 1)
-    mid = M_DIM ** n
-    low = M_DIM ** (n - 1)
+def _open_string(z: SparseTangle, i: int) -> SparseTangle:
+    """z with an identity string inserted after its first i strings."""
+    k = z.n
+    side = M_DIM ** k
+    tail = M_DIM ** (k - i)  # values of the digits right of the new string
+    head = tail * M_DIM  # weight of the digits left of it, once it is in
+    wide = side * M_DIM
+    step = tail * wide + tail  # the new string's upper plus lower digit
     out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
-        a1 = key // top
-        b1 = key // low % M_DIM
-        if a1 != b1:
+        upper, lower = divmod(key, side)
+        uh, ul = divmod(upper, tail)
+        lh, ll = divmod(lower, tail)
+        base = (uh * head + ul) * wide + lh * head + ll
+        for a in range(M_DIM):
+            out[base + a * step] = v
+    return SparseTangle(k + 1, out)
+
+
+def _contract_string(z: SparseTangle, j: int) -> SparseTangle:
+    """Partial trace of string j against the (diagonal) left handle C+."""
+    n = z.n
+    side = M_DIM ** n
+    tail = M_DIM ** (n - j)  # values of the digits right of string j
+    narrow = side // M_DIM
+    out: dict[int, LaurentQP] = {}
+    for key, v in z.entries.items():
+        upper, lower = divmod(key, side)
+        uh, ul = divmod(upper, tail)
+        lh, ll = divmod(lower, tail)
+        a = uh % M_DIM
+        if a != lh % M_DIM:
             continue
-        nk = (key // mid % low) * low + key % low
-        term = v * HANDLE_PLUS[a1]
+        nk = (uh // M_DIM * tail + ul) * narrow + lh // M_DIM * tail + ll
+        term = v * HANDLE_PLUS[a]
         cur = out.get(nk)
         out[nk] = term if cur is None else cur + term
     return SparseTangle(n - 1, {k: v for k, v in out.items() if v})
 
 
-def close(z: SparseTangle) -> SparseTangle:
-    """Contract strings 1..n-1 against the left handle, one string at a
-    time, leaving the rightmost string open: a 1-string tangle."""
-    while z.n > 1:
-        z = _contract_first_string(z)
-        logger.debug("closed one string: rank %d, %d entries", 2 * z.n, len(z.entries))
+def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTangle:
+    """Contract the given strings of z (1-based; by default every string
+    but the rightmost, which leaves a 1-string tangle) against the left
+    handle, one string at a time from the right."""
+    for j in sorted(range(1, z.n) if strings is None else strings, reverse=True):
+        z = _contract_string(z, j)
     return z
 
 
@@ -229,15 +258,128 @@ def extract_scalar(t: SparseTangle) -> LaurentQP:
     return diag
 
 
+def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
+    """Cost of each rotation r of the word, letters[r:] + letters[:r]: the
+    sum over letters of 16^(strings live at that letter), where a string
+    is live from its first letter to its last, and string n from its
+    first letter to the end.
+
+    Letter indices stay those of the word as written.  Moving the cut past
+    letter r (from the front of the word to its back) changes the live
+    span of r's two strings only, and of string n, which then also covers
+    r.  For each of r's strings the stretch up to its next letter turns
+    dead and, unless it is string n (live to the end already), the stretch
+    since its previous letter turns live.  Over all rotations each such
+    stretch is crossed at most twice, so the whole is O(n L)."""
+    size = len(letters)
+    touches: dict[int, list[int]] = {}
+    for t, (pos, _) in enumerate(letters):
+        touches.setdefault(pos, []).append(t)
+        touches.setdefault(pos + 1, []).append(t)
+    live = [0] * (size + 1)
+    for s, ts in touches.items():  # rotation 0, as a difference array
+        live[ts[0]] += 1
+        live[size if s == n else ts[-1] + 1] -= 1
+    for t in range(1, size):
+        live[t] += live[t - 1]
+    del live[size]
+    cost = sum(_PAIR ** c for c in live)
+
+    def shift(start: int, length: int, delta: int) -> None:
+        nonlocal cost
+        for k in range(start, start + length):
+            t = k % size
+            cost += _PAIR ** (live[t] + delta) - _PAIR ** live[t]
+            live[t] += delta
+
+    # each letter's neighbours among the letters touching the same string
+    prev: dict[tuple[int, int], int] = {}
+    nxt: dict[tuple[int, int], int] = {}
+    for s, ts in touches.items():
+        for k, t in enumerate(ts):
+            prev[t, s] = ts[k - 1]
+            nxt[t, s] = ts[(k + 1) % len(ts)]
+
+    costs = [cost]
+    for r in range(size - 1):
+        pos = letters[r][0]
+        for s in (pos, pos + 1):
+            if s < n:  # the stretch since s's previous letter turns live
+                shift(prev[r, s] + 1, (r - prev[r, s] - 1) % size, 1)
+            shift(r + 1, (nxt[r, s] - r - 1) % size, -1)  # and up to its next, dead
+        if n in touches and pos + 1 != n:
+            shift(r, 1, 1)  # r is now the last letter, and string n is open
+        costs.append(cost)
+    return costs
+
+
+def _open(z: SparseTangle, live: list[int], s: int) -> SparseTangle:
+    """Open braid string s in z; live lists the open strings in order."""
+    i = bisect.bisect(live, s)
+    live.insert(i, s)
+    z = _open_string(z, i)
+    logger.debug("opened string %d: %d live strings, %d entries", s, len(live), len(z.entries))
+    return z
+
+
+def _shut(z: SparseTangle, live: list[int], s: int) -> SparseTangle:
+    """Close braid string s of z against the left handle."""
+    i = live.index(s)
+    del live[i]
+    z = close(z, (i + 1,))
+    logger.debug(
+        "closed one string (%d): %d live strings, %d entries", s, len(live), len(z.entries)
+    )
+    return z
+
+
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
-    """Full pipeline: identity tangle, per-letter accretion (repeated
-    letters accreted in one stage via the generator power), closure,
-    scalar extraction.  Returns the raw Laurent polynomial in q^(1/2), p."""
-    z = identity_tangle(word.n_strings, max_size)
-    for i, (pos, exp) in enumerate(word.letters):
-        z = accrete(z, generator_power(exp), pos)
+    """Full pipeline: the word's cheapest rotation, its letters accreted on
+    the live strings (a string opens at its first letter and, unless it is
+    the rightmost, closes against the left handle after its last), scalar
+    extraction.  Returns the raw Laurent polynomial in q^(1/2), p.
+
+    Exact: the handle on a string commutes with every operator that does
+    not act on it, so an untouched string may be opened late and closed
+    early; and conjugate braids have the same closure, so any rotation
+    gives the same value."""
+    n = word.n_strings
+    _guard(n, max_size)
+    costs = _rotation_costs(n, word.letters)
+    r = costs.index(min(costs))  # the earliest of the cheapest
+    letters = word.letters[r:] + word.letters[:r]
+    logger.debug("rotation %d of %d", r, len(letters))
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for t, (pos, _) in enumerate(letters):
+        for s in (pos, pos + 1):
+            first.setdefault(s, t)
+            last[s] = t
+
+    z = SparseTangle(0, {0: ONE})
+    live: list[int] = []
+    for s in range(1, n):
+        if s not in first:  # a free string: a factor trace(C+)
+            z = _shut(_open(z, live, s), live, s)
+    for t, (pos, exp) in enumerate(letters):
+        x = generator_power(exp)
+        if not live and z.entries == {0: ONE}:  # the first letter is the tangle
+            z = x
+            live[:] = [pos, pos + 1]
+            for s in live:
+                logger.debug("opened string %d: 2 live strings, %d entries", s, len(z.entries))
+        else:
+            for s in (pos, pos + 1):
+                if first[s] == t:
+                    z = _open(z, live, s)
+            z = accrete(z, x, live.index(pos) + 1)
         logger.debug(
             "accreted letter %d/%d (pos %d, exp %+d): %d entries",
-            i + 1, len(word.letters), pos, exp, len(z.entries),
+            t + 1, len(letters), pos, exp, len(z.entries),
         )
-    return extract_scalar(close(z))
+        for s in (pos + 1, pos):
+            if s < n and last[s] == t:
+                z = _shut(z, live, s)
+    if n not in first:  # the open string is never touched
+        z = _open(z, live, n)
+    return extract_scalar(z)

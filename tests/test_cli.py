@@ -232,6 +232,7 @@ def test_selftest_lists_cubic_relation_and_regression_table(capsys):
     assert code == 0
     assert "(R - qp^-2)(R + 1)(R - qp^2) = 0" in out
     assert "R^a R^b = R^(a+b)" in out
+    assert "(C+ x C+) R = R (C+ x C+), also R^-1" in out
     rows = [line.split() for line in out.splitlines() if "braid=" in line]
     assert len(rows) == 14
     assert all(row[-1] == "pass" and row[-2].endswith("s") for row in rows)

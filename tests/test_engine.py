@@ -1,8 +1,10 @@
+import logging
 import random
 
 import pytest
 
-from linksgould.braid import conjugate, parse, random_braid
+from linksgould import engine
+from linksgould.braid import BraidWord, conjugate, parse, random_braid
 from linksgould.engine import (
     DEFAULT_SIZE_CAP,
     NonScalarTangleError,
@@ -165,10 +167,127 @@ def test_sparse_tangle_entry_lookup():
 
 
 def test_progress_diagnostics_on_verbose_channel(caplog):
-    import logging
-
     with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
         evaluate_raw(parse("1 -2 1 -2"))
     messages = [r.getMessage() for r in caplog.records]
     assert any("accreted letter" in m and "entries" in m for m in messages)
     assert any("closed one string" in m for m in messages)
+
+
+def old_schedule(word):
+    """Every string open from the first letter to the last, then closed:
+    the schedule evaluate_raw used before it opened and closed strings
+    as they go live and dead."""
+    z = identity_tangle(word.n_strings)
+    for pos, exp in word.letters:
+        z = accrete(z, generator_power(exp), pos)
+    return extract_scalar(close(z))
+
+
+def test_live_strings_match_the_old_schedule():
+    rng = random.Random(2024)
+    for _ in range(200):
+        b = random_braid(rng, max_strings=4, max_expanded_len=10)
+        assert evaluate_raw(b) == old_schedule(b), b
+
+
+@pytest.mark.parametrize(
+    "word, strings",
+    [
+        ("1", 3),  # the open string is never touched
+        ("-1 1 3", 4),  # a component closes off mid-word
+        ("", 1),
+        ("", 2),
+        ("2 2 2", 3),  # string 1 is never touched
+        ("1 -2 1 3 -2 3", 4),
+    ],
+)
+def test_schedule_edge_cases(word, strings):
+    b = parse(word, strings)
+    assert evaluate_raw(b) == old_schedule(b)
+
+
+def test_untouched_and_split_words_vanish():
+    assert evaluate_raw(parse("1", 3)) == ZERO
+    assert evaluate_raw(parse("-1 1 3", 4)) == ZERO
+
+
+def test_every_rotation_gives_one_value():
+    b = parse("1 -2 3 -2 1", 4)
+    values = {
+        str(evaluate_raw(BraidWord(4, b.letters[r:] + b.letters[:r])))
+        for r in range(len(b.letters))
+    }
+    assert values == {str(old_schedule(b))}
+
+
+def rotation_costs_by_brute_force(n, letters):
+    costs = []
+    for r in range(max(len(letters), 1)):
+        rotated = letters[r:] + letters[:r]
+        spans = {}
+        for t, (pos, _) in enumerate(rotated):
+            for s in (pos, pos + 1):
+                spans[s] = (spans.get(s, (t, t))[0], t)
+        end = len(rotated) - 1
+        costs.append(
+            sum(
+                16 ** sum(lo <= t <= (end if s == n else hi) for s, (lo, hi) in spans.items())
+                for t in range(len(rotated))
+            )
+        )
+    return costs
+
+
+def test_rotation_costs_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(150):
+        b = random_braid(rng, max_strings=6, max_expanded_len=14)
+        expected = rotation_costs_by_brute_force(b.n_strings, b.letters)
+        assert engine._rotation_costs(b.n_strings, b.letters) == expected, b
+
+
+@pytest.mark.parametrize(
+    "word, strings, rotation",
+    [
+        ("1 -1", 2, 0),  # both rotations cost the same: the word as written wins
+        ("1 -2 1 -2", 3, 0),
+        # string 1's letters wrap around the end: starting at the last
+        # letter closes it after the second
+        ("1 2 3 3 1", 4, 3),
+        ("1 3 3 2 1", 4, 2),  # rotations 2 and 3 tie: the earlier wins
+    ],
+)
+def test_chosen_rotation(caplog, word, strings, rotation):
+    b = parse(word, strings)
+    costs = rotation_costs_by_brute_force(b.n_strings, b.letters)
+    assert rotation == costs.index(min(costs))
+    with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
+        evaluate_raw(b)
+    assert f"rotation {rotation} of {len(b.letters)}" in caplog.messages
+
+
+@pytest.mark.parametrize("word, strings, calls", [("1^5", 2, 0), ("1 2", 3, 1)])
+def test_first_letter_is_taken_as_the_tangle(monkeypatch, word, strings, calls):
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return accrete(*args)
+
+    monkeypatch.setattr(engine, "accrete", counting)
+    b = parse(word, strings)
+    assert evaluate_raw(b) == old_schedule(b)
+    assert len(seen) == calls
+
+
+def test_opening_and_closing_are_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
+        evaluate_raw(parse("1 2 -1 3", 4))
+    messages = caplog.messages
+    assert "rotation 0 of 4" in messages
+    opened = [m for m in messages if m.startswith("opened string")]
+    closed = [m for m in messages if m.startswith("closed one string")]
+    assert len(opened) == 4 and len(closed) == 3
+    assert "opened string 4: 2 live strings" in opened[-1]
+    assert all("live strings" in m and "entries" in m for m in opened + closed)

@@ -3,6 +3,7 @@ import pytest
 from linksgould import engine
 from linksgould.checks import (
     check_cubic_relation,
+    check_handle_commutes,
     check_handles,
     check_inverse,
     check_power_law,
@@ -163,6 +164,21 @@ def test_handle_traces_vanish():
 def test_handles_are_mutually_inverse():
     for x, y in zip(HANDLE_PLUS, HANDLE_MINUS):
         assert x * y == ONE
+
+
+def test_handle_commutes_with_the_generator():
+    assert check_handle_commutes()
+    # cell by cell: R[(a, b), (c, d)] != 0 only where h_a h_b = h_c h_d
+    for row, col in TRANSCRIPTION:
+        a, b, c, d = row // 4, row % 4, col // 4, col % 4
+        assert HANDLE_PLUS[a] * HANDLE_PLUS[b] == HANDLE_PLUS[c] * HANDLE_PLUS[d]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_handle_commutes_fails_on_a_perturbed_entry(index):
+    handle = list(HANDLE_PLUS)
+    handle[index] = handle[index] * mono(1, 2)  # times q
+    assert not check_handle_commutes(tuple(handle))
 
 
 def test_yang_baxter():
