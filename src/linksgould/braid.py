@@ -11,31 +11,50 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class BraidSyntaxError(ValueError):
     """Raised on malformed braid-word text; carries the offending token."""
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """n_strings >= 1 plus run-length letters (position, nonzero exponent),
-    positions 1-based in 1..n_strings-1."""
+    positions 1-based in 1..n_strings-1.  Immutable and hashable; a copy or
+    an unpickled word is validated again."""
 
-    n_strings: int
-    letters: tuple[tuple[int, int], ...]
+    __slots__ = ("n_strings", "letters")
 
-    def __post_init__(self) -> None:
-        if self.n_strings < 1:
-            raise ValueError(f"need at least one string, got {self.n_strings}")
-        for pos, exp in self.letters:
-            if not 1 <= pos <= self.n_strings - 1:
-                raise ValueError(
-                    f"letter position {pos} outside 1..{self.n_strings - 1}"
-                )
+    def __init__(self, n_strings: int, letters: tuple[tuple[int, int], ...]) -> None:
+        if n_strings < 1:
+            raise ValueError(f"need at least one string, got {n_strings}")
+        for pos, exp in letters:
+            if not 1 <= pos <= n_strings - 1:
+                raise ValueError(f"letter position {pos} outside 1..{n_strings - 1}")
             if exp == 0:
                 raise ValueError("zero exponent letter")
+        object.__setattr__(self, "n_strings", n_strings)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a BraidWord")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a BraidWord")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return (self.n_strings, self.letters) == (other.n_strings, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.n_strings, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(n_strings={self.n_strings!r}, letters={self.letters!r})"
+
+    def __reduce__(self) -> tuple:
+        return BraidWord, (self.n_strings, self.letters)
 
     def expanded_length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
@@ -118,13 +137,11 @@ def render(word: BraidWord) -> str:
     return " ".join(tokens)
 
 
-@dataclass(frozen=True)
-class ClosureInfo:
+class ClosureInfo(namedtuple("ClosureInfo", "permutation components")):
     """Permutation induced on string endpoints plus its cycle count (the
     number of components of the closed-up link)."""
 
-    permutation: tuple[int, ...]
-    components: int
+    __slots__ = ()
 
 
 def closure_info(word: BraidWord) -> ClosureInfo:

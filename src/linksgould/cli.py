@@ -11,24 +11,12 @@ metadata and timing go to stderr for the machine formats.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .braid import BraidSyntaxError, closure_info, parse, render, writhe
-from .checks import (
-    check_cubic_relation,
-    check_handle_commutes,
-    check_handles,
-    check_inverse,
-    check_power_law,
-    check_yang_baxter,
-    run_markov_suite,
-)
 from .engine import (
     DEFAULT_SIZE_CAP,
     NonScalarTangleError,
@@ -48,7 +36,10 @@ from .invariant import (
     to_compact,
     to_invariant,
 )
-from .knotdata import load_corpus, run_regression, validate_entry
+
+# concurrent.futures (batch --jobs above 1), json (--format json), and checks
+# and knotdata (selftest) are imported only where they are used: each eval is
+# a fresh process, and on a small word start-up is most of its cost.
 
 logger = logging.getLogger(__name__)
 
@@ -64,20 +55,13 @@ EVAL_ERRORS = (
 _DASH_LED_WORD = re.compile(r"-\d+[,^][-\d,^]*")
 
 
-@dataclass
-class EvalRequest:
-    word: str
-    strings: int | None = None
-    fmt: str = "compact-text"
-    max_size: int = DEFAULT_SIZE_CAP
-    name: str | None = None
-
-
-def _evaluate_request(req: EvalRequest) -> tuple[str, list[str]]:
+def _evaluate(
+    word: str, strings: int | None, fmt: str, max_size: int, name: str | None = None
+) -> tuple[str, list[str]]:
     """Returns (stdout record, human metadata lines)."""
-    braid = parse(req.word, req.strings)
+    braid = parse(word, strings)
     start = time.perf_counter()
-    poly = to_invariant(evaluate_raw(braid, max_size=req.max_size))
+    poly = to_invariant(evaluate_raw(braid, max_size=max_size))
     elapsed = time.perf_counter() - start
     compact = to_compact(poly)
     info = closure_info(braid)
@@ -94,16 +78,18 @@ def _evaluate_request(req: EvalRequest) -> tuple[str, list[str]]:
         meta.append(f"parity violations: {violations}")
     if not poly:
         meta.append("note: value is 0 (the closure has a split component)")
-    if req.fmt == "compact-text":
+    if fmt == "compact-text":
         record = render_compact_text(compact)
-    elif req.fmt == "compact-machine":
-        record = render_machine(compact, req.name)
-    elif req.fmt == "laurent":
+    elif fmt == "compact-machine":
+        record = render_machine(compact, name)
+    elif fmt == "laurent":
         record = render_laurent(poly)
     else:
+        import json
+
         record = json.dumps(
             {
-                "name": req.name,
+                "name": name,
                 "word": render(braid),
                 "strings": braid.n_strings,
                 "letters": braid.expanded_length(),
@@ -118,14 +104,13 @@ def _evaluate_request(req: EvalRequest) -> tuple[str, list[str]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    req = EvalRequest(args.word, args.strings, args.format, args.max_size)
     try:
-        record, meta = _evaluate_request(req)
+        record, meta = _evaluate(args.word, args.strings, args.format, args.max_size)
     except EVAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BraidSyntaxError) else 1
     print(record)
-    stream = sys.stdout if req.fmt == "compact-text" else sys.stderr
+    stream = sys.stdout if args.format == "compact-text" else sys.stderr
     for line in meta:
         print(line, file=stream)
     return 0
@@ -135,9 +120,8 @@ def _batch_worker(task: tuple[str, str, int]) -> tuple[str, bool, str]:
     name, word, max_size = task
     if not word:
         return name, False, "no braid word after the name"
-    req = EvalRequest(word, fmt="compact-machine", max_size=max_size, name=name)
     try:
-        return name, True, _evaluate_request(req)[0]
+        return name, True, _evaluate(word, None, "compact-machine", max_size, name)[0]
     except EVAL_ERRORS as exc:
         return name, False, str(exc)
     except Exception as exc:  # a defect: report it on this record, keep the others
@@ -162,6 +146,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
     if args.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_batch_worker, tasks))
     else:
@@ -177,6 +163,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .checks import (
+        check_cubic_relation,
+        check_handle_commutes,
+        check_handles,
+        check_inverse,
+        check_power_law,
+        check_yang_baxter,
+        run_markov_suite,
+    )
+    from .knotdata import load_corpus, run_regression, validate_entry
+
     failures = 0
 
     def report(section: str, label: str, ok: bool, extra: str = "") -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import logging
-from dataclasses import dataclass
 
 from .braid import BraidWord
 from .ring import ONE, ZERO, LaurentQP
@@ -54,7 +53,6 @@ class NonScalarTangleError(RuntimeError):
     """The closed (1,1)-tangle is not a scalar multiple of the identity."""
 
 
-@dataclass
 class SparseTangle:
     """Rank-2n tensor as {composite index: value}; index digits are
     a_1..a_n (upper, most significant first) then b_1..b_n (lower).
@@ -62,8 +60,17 @@ class SparseTangle:
     On two strings the key is row * 16 + col of the 16 x 16 matrix with
     row = 4 a_1 + a_2 and col = 4 b_1 + b_2."""
 
-    n: int
-    entries: dict[int, LaurentQP]
+    def __init__(self, n: int, entries: dict[int, LaurentQP]) -> None:
+        self.n = n
+        self.entries = entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SparseTangle:
+            return NotImplemented
+        return (self.n, self.entries) == (other.n, other.entries)
+
+    def __repr__(self) -> str:
+        return f"SparseTangle(n={self.n!r}, entries={self.entries!r})"
 
     def entry(self, upper: tuple[int, ...], lower: tuple[int, ...]) -> LaurentQP:
         key = 0
@@ -342,7 +349,8 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     Exact: the handle on a string commutes with every operator that does
     not act on it, so an untouched string may be opened late and closed
     early; and conjugate braids have the same closure, so any rotation
-    gives the same value."""
+    gives the same value.  A tangle that falls empty stays empty, so no
+    power is formed after that."""
     n = word.n_strings
     _guard(n, max_size)
     costs = _rotation_costs(n, word.letters)
@@ -362,9 +370,8 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
         if s not in first:  # a free string: a factor trace(C+)
             z = _shut(_open(z, live, s), live, s)
     for t, (pos, exp) in enumerate(letters):
-        x = generator_power(exp)
         if not live and z.entries == {0: ONE}:  # the first letter is the tangle
-            z = x
+            z = generator_power(exp)
             live[:] = [pos, pos + 1]
             for s in live:
                 logger.debug("opened string %d: 2 live strings, %d entries", s, len(z.entries))
@@ -372,7 +379,8 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
             for s in (pos, pos + 1):
                 if first[s] == t:
                     z = _open(z, live, s)
-            z = accrete(z, x, live.index(pos) + 1)
+            if z.entries:  # else a closing emptied it, and no later step refills it
+                z = accrete(z, generator_power(exp), live.index(pos) + 1)
         logger.debug(
             "accreted letter %d/%d (pos %d, exp %+d): %d entries",
             t + 1, len(letters), pos, exp, len(z.entries),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -134,6 +136,19 @@ def test_letter_validation():
         BraidWord(2, ((1, 0),))
     with pytest.raises(ValueError):
         BraidWord(0, ())
+
+
+def test_braid_word_is_an_immutable_value():
+    b = parse("1 -2 1", 4)
+    assert b == BraidWord(4, ((1, 1), (2, -1), (1, 1)))
+    assert b != BraidWord(3, b.letters) and b != (4, b.letters)
+    assert {b: 1}[parse("1 -2 1", 4)] == 1
+    assert repr(b) == "BraidWord(n_strings=4, letters=((1, 1), (2, -1), (1, 1)))"
+    with pytest.raises(AttributeError):
+        b.n_strings = 5
+    with pytest.raises(AttributeError):
+        del b.letters
+    assert copy.deepcopy(b) == b and pickle.loads(pickle.dumps(b)) == b
 
 
 words = st.integers(0, 10**9).map(

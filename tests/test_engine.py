@@ -291,3 +291,24 @@ def test_opening_and_closing_are_logged(caplog):
     assert len(opened) == 4 and len(closed) == 3
     assert "opened string 4: 2 live strings" in opened[-1]
     assert all("live strings" in m and "entries" in m for m in opened + closed)
+
+
+def test_no_power_is_formed_once_the_tangle_is_empty(monkeypatch):
+    # strings 1 and 2 close off after "1 -1", so R^200 would be multiplied into 0
+    built = []
+
+    def counting(e):
+        built.append(e)
+        return generator_power(e)
+
+    monkeypatch.setattr(engine, "generator_power", counting)
+    assert evaluate_raw(parse("1 -1 3^200", 4)) == ZERO
+    assert built == [1, -1]
+
+
+def test_sparse_tangle_equality():
+    t = SparseTangle(1, {0: ONE})
+    assert t == SparseTangle(1, {0: ONE})
+    assert t != SparseTangle(2, {0: ONE}) and t != SparseTangle(1, {})
+    with pytest.raises(TypeError):
+        hash(t)
