@@ -2,9 +2,10 @@
 the closure's link type (used heavily by the property-test suite).
 
 Grammar: a word is whitespace- or comma-separated tokens, each ``j`` or
-``j^k``.  A token ``j`` with j > 0 is the generator crossing strings j and
-j+1; j < 0 is its inverse.  ``j^k`` repeats the token k times; negative k
-means |k| copies of the inverse of the generator given.
+``j^k``, with j and k in ASCII digits (any other script's digits are a
+syntax error).  A token ``j`` with j > 0 is the generator crossing
+strings j and j+1; j < 0 is its inverse.  ``j^k`` repeats the token k
+times; negative k means |k| copies of the inverse of the generator given.
 """
 
 from __future__ import annotations
@@ -59,19 +60,11 @@ class BraidWord:
     def expanded_length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 
-    def expanded(self) -> list[tuple[int, int]]:
-        """Letters with exponents split into +-1 steps."""
-        out = []
-        for pos, exp in self.letters:
-            step = 1 if exp > 0 else -1
-            out.extend((pos, step) for _ in range(abs(exp)))
-        return out
-
     def __str__(self) -> str:
         return render(self)
 
 
-_TOKEN_RE = re.compile(r"^(-?\d+)(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"^(-?[0-9]+)(?:\^(-?[0-9]+))?$")
 
 
 def infer_strings(letters: tuple[tuple[int, int], ...] | list[tuple[int, int]]) -> int:
@@ -147,9 +140,9 @@ class ClosureInfo(namedtuple("ClosureInfo", "permutation components")):
 def closure_info(word: BraidWord) -> ClosureInfo:
     n = word.n_strings
     perm = list(range(n))
-    for pos, _ in word.expanded():
-        i = pos - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    for pos, exp in word.letters:
+        if exp % 2:  # sigma_i^e permutes the strings as sigma_i^(e mod 2)
+            perm[pos - 1], perm[pos] = perm[pos], perm[pos - 1]
     seen = [False] * n
     cycles = 0
     for i in range(n):

@@ -1,6 +1,6 @@
-"""Core evaluation: accrete crossing tensors into a sparse tangle on the
-live strings only, closing each string but the rightmost against the left
-handle right after its last letter, and extract the scalar.
+"""Core evaluation: ``plan`` decides a braid word's schedule with no
+arithmetic, and ``execute`` runs it over sparse tangles and extracts the
+scalar.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
@@ -9,11 +9,10 @@ one.  ``accrete`` is the one product.
 A tangle on n strings over the dimension-M basis has at most M^(2n)
 entries.  The size guard is that dense bound on the word's string count:
 the default cap admits 5 strings at M = 4 and refuses 6.  What costs is
-the number of strings open at each letter: ``evaluate_raw`` opens a string
-at its first letter, closes it after its last, and starts the word at the
-rotation that keeps the fewest strings open.  Tangles are kept as maps
-from a composite index (upper indices as the high base-M digits, lower as
-the low digits) to Laurent polynomials, with zero entries never stored.
+the number of strings open at each letter, which the plan keeps low.
+Tangles are kept as maps from a composite index (upper indices as the high
+base-M digits, lower as the low digits) to Laurent polynomials, with zero
+entries never stored.
 """
 
 from __future__ import annotations
@@ -216,33 +215,28 @@ def _open_string(z: SparseTangle, i: int) -> SparseTangle:
     return SparseTangle(k + 1, out)
 
 
-def _contract_string(z: SparseTangle, j: int) -> SparseTangle:
-    """Partial trace of string j against the (diagonal) left handle C+."""
-    n = z.n
-    side = M_DIM ** n
-    tail = M_DIM ** (n - j)  # values of the digits right of string j
-    narrow = side // M_DIM
-    out: dict[int, LaurentQP] = {}
-    for key, v in z.entries.items():
-        upper, lower = divmod(key, side)
-        uh, ul = divmod(upper, tail)
-        lh, ll = divmod(lower, tail)
-        a = uh % M_DIM
-        if a != lh % M_DIM:
-            continue
-        nk = (uh // M_DIM * tail + ul) * narrow + lh // M_DIM * tail + ll
-        term = v * HANDLE_PLUS[a]
-        cur = out.get(nk)
-        out[nk] = term if cur is None else cur + term
-    return SparseTangle(n - 1, {k: v for k, v in out.items() if v})
-
-
 def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTangle:
-    """Contract the given strings of z (1-based; by default every string
-    but the rightmost, which leaves a 1-string tangle) against the left
-    handle, one string at a time from the right."""
+    """Partial trace of the given strings of z (1-based; by default every
+    string but the rightmost, which leaves a 1-string tangle) against the
+    (diagonal) left handle C+, one string at a time from the right."""
     for j in sorted(range(1, z.n) if strings is None else strings, reverse=True):
-        z = _contract_string(z, j)
+        n = z.n
+        side = M_DIM ** n
+        tail = M_DIM ** (n - j)  # values of the digits right of string j
+        narrow = side // M_DIM
+        out: dict[int, LaurentQP] = {}
+        for key, v in z.entries.items():
+            upper, lower = divmod(key, side)
+            uh, ul = divmod(upper, tail)
+            lh, ll = divmod(lower, tail)
+            a = uh % M_DIM
+            if a != lh % M_DIM:
+                continue
+            nk = (uh // M_DIM * tail + ul) * narrow + lh // M_DIM * tail + ll
+            term = v * HANDLE_PLUS[a]
+            cur = out.get(nk)
+            out[nk] = term if cur is None else cur + term
+        z = SparseTangle(n - 1, {k: v for k, v in out.items() if v})
     return z
 
 
@@ -320,74 +314,80 @@ def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
     return costs
 
 
-def _open(z: SparseTangle, live: list[int], s: int) -> SparseTangle:
-    """Open braid string s in z; live lists the open strings in order."""
-    i = bisect.bisect(live, s)
-    live.insert(i, s)
-    z = _open_string(z, i)
-    logger.debug("opened string %d: %d live strings, %d entries", s, len(live), len(z.entries))
-    return z
+def plan(word: BraidWord) -> tuple[int, int, list[tuple[str, int, int, int]]]:
+    """The schedule of a word, with no arithmetic: its earliest cheapest
+    rotation r, r's modelled cost (see _rotation_costs), and the steps
+    (op, braid string s, live index i, exponent e) that evaluate it:
+        ("open", s, i, 0)     open string s at live index i;
+        ("accrete", s, i, e)  accrete R^e on live strings i, i + 1 (s, s + 1);
+        ("take", s, 0, e)     the first letter: it opens both its strings on
+                              the scalar ONE, so R^e is the tangle;
+        ("close", s, i, 0)    close live string i against the left handle.
+    A string opens at its first letter and, unless it is string n, closes
+    after its last; a free string (s < n, untouched) opens and closes
+    before the first letter, an untouched string n opens after the last.
+    Exact: the handle on a string commutes with every operator not acting
+    on it, and conjugate braids have the same closure."""
+    n = word.n_strings
+    costs = _rotation_costs(n, word.letters)
+    r = costs.index(min(costs))  # the earliest of the cheapest
+    touched = {s for pos, _ in word.letters for s in (pos, pos + 1)}
+    # each event is the strings it touches and its exponent, 0 for no letter
+    events = [((s,), 0) for s in range(1, n) if s not in touched]
+    events += [((pos, pos + 1), exp) for pos, exp in word.letters[r:] + word.letters[:r]]
+    events.append(((n,), 0))  # a no-op if string n is live already
+    last = {s: t for t, (span, _) in enumerate(events) for s in span}
+    live: list[int] = []
+    steps: list[tuple[str, int, int, int]] = []
+    for t, (span, exp) in enumerate(events):
+        op = "accrete" if steps else "take"
+        for s in span:
+            if s not in live:
+                bisect.insort(live, s)
+                steps.append(("open", s, live.index(s), 0))
+        if exp:
+            steps.append((op, span[0], live.index(span[0]), exp))
+        for s in reversed(span):
+            if s < n and last[s] == t:
+                steps.append(("close", s, live.index(s), 0))
+                live.remove(s)
+    return r, costs[r], steps
 
 
-def _shut(z: SparseTangle, live: list[int], s: int) -> SparseTangle:
-    """Close braid string s of z against the left handle."""
-    i = live.index(s)
-    del live[i]
-    z = close(z, (i + 1,))
-    logger.debug(
-        "closed one string (%d): %d live strings, %d entries", s, len(live), len(z.entries)
-    )
-    return z
+def execute(schedule: tuple[int, int, list[tuple[str, int, int, int]]]) -> LaurentQP:
+    """Run the steps of a plan over SparseTangle, one debug line each, and
+    extract the scalar.  A tangle that falls empty stays empty, so no power
+    is formed after that."""
+    rotation, cost, steps = schedule
+    letters = sum(op in ("take", "accrete") for op, *_ in steps)
+    logger.debug("rotation %d of %d", rotation, letters)
+    logger.debug("modelled cost %d", cost)
+    z = SparseTangle(0, {0: ONE})
+    done = 0
+    for op, s, i, e in steps:
+        if op == "open":
+            z = _open_string(z, i)
+            logger.debug("opened string %d: %d live strings, %d entries", s, z.n, len(z.entries))
+        elif op == "close":
+            z = close(z, (i + 1,))
+            logger.debug(
+                "closed one string (%d): %d live strings, %d entries", s, z.n, len(z.entries)
+            )
+        else:
+            if op == "take":
+                z = generator_power(e)
+            elif z.entries:  # else a closing emptied it, and no later step refills it
+                z = accrete(z, generator_power(e), i + 1)
+            done += 1
+            logger.debug(
+                "accreted letter %d/%d (pos %d, exp %+d): %d entries",
+                done, letters, s, e, len(z.entries),
+            )
+    return extract_scalar(z)
 
 
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
-    """Full pipeline: the word's cheapest rotation, its letters accreted on
-    the live strings (a string opens at its first letter and, unless it is
-    the rightmost, closes against the left handle after its last), scalar
-    extraction.  Returns the raw Laurent polynomial in q^(1/2), p.
-
-    Exact: the handle on a string commutes with every operator that does
-    not act on it, so an untouched string may be opened late and closed
-    early; and conjugate braids have the same closure, so any rotation
-    gives the same value.  A tangle that falls empty stays empty, so no
-    power is formed after that."""
-    n = word.n_strings
-    _guard(n, max_size)
-    costs = _rotation_costs(n, word.letters)
-    r = costs.index(min(costs))  # the earliest of the cheapest
-    letters = word.letters[r:] + word.letters[:r]
-    logger.debug("rotation %d of %d", r, len(letters))
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for t, (pos, _) in enumerate(letters):
-        for s in (pos, pos + 1):
-            first.setdefault(s, t)
-            last[s] = t
-
-    z = SparseTangle(0, {0: ONE})
-    live: list[int] = []
-    for s in range(1, n):
-        if s not in first:  # a free string: a factor trace(C+)
-            z = _shut(_open(z, live, s), live, s)
-    for t, (pos, exp) in enumerate(letters):
-        if not live and z.entries == {0: ONE}:  # the first letter is the tangle
-            z = generator_power(exp)
-            live[:] = [pos, pos + 1]
-            for s in live:
-                logger.debug("opened string %d: 2 live strings, %d entries", s, len(z.entries))
-        else:
-            for s in (pos, pos + 1):
-                if first[s] == t:
-                    z = _open(z, live, s)
-            if z.entries:  # else a closing emptied it, and no later step refills it
-                z = accrete(z, generator_power(exp), live.index(pos) + 1)
-        logger.debug(
-            "accreted letter %d/%d (pos %d, exp %+d): %d entries",
-            t + 1, len(letters), pos, exp, len(z.entries),
-        )
-        for s in (pos + 1, pos):
-            if s < n and last[s] == t:
-                z = _shut(z, live, s)
-    if n not in first:  # the open string is never touched
-        z = _open(z, live, n)
-    return extract_scalar(z)
+    """The raw value of the word's closure, a Laurent polynomial in
+    q^(1/2), p: the size guard, then the plan executed."""
+    _guard(word.n_strings, max_size)
+    return execute(plan(word))

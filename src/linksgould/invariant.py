@@ -43,13 +43,14 @@ def to_invariant(raw: LaurentQP) -> InvariantPoly:
 
 def to_compact(poly: InvariantPoly) -> CompactForm:
     """q-polynomial blocks for P^0, P^1, ..., P^K (negative powers are
-    implied by symmetry); interior zero blocks are kept."""
+    implied by symmetry), each in ascending q-exponent order; interior zero
+    blocks are kept."""
     k_max = max((eP for _, eP in poly), default=0)
     blocks: CompactForm = [{} for _ in range(k_max + 1)]
     for (eq, eP), c in poly.items():
         if eP >= 0:
             blocks[eP][eq] = c
-    return blocks
+    return [dict(sorted(block.items())) for block in blocks]
 
 
 def from_compact(blocks: CompactForm) -> InvariantPoly:
@@ -124,7 +125,9 @@ def render_laurent(poly: InvariantPoly) -> str:
     return " + ".join(parts)
 
 
-_BLOCK_RE = re.compile(r"^(\d+)\s*:\s*\[([^\]]*)\]$")
+# ASCII digits only: int() would also read other scripts' digits, '_' and '+'
+_BLOCK_RE = re.compile(r"^([0-9]+)\s*:\s*\[([^\]]*)\]$")
+_PAIR_RE = re.compile(r"\s*(-?[0-9]+)\s*:\s*(-?[0-9]+)\s*")
 
 
 class MachineFormatError(ValueError):
@@ -152,7 +155,8 @@ def render_machine(blocks: CompactForm, name: str | None = None) -> str:
 
 
 def parse_machine(record: str) -> tuple[str | None, CompactForm]:
-    """Inverse of render_machine."""
+    """Inverse of render_machine; integers are ASCII digits with an
+    optional leading '-'."""
     fields = [f.strip() for f in record.strip().split(";")]
     name: str | None = None
     if fields and _BLOCK_RE.match(fields[0]) is None:
@@ -172,8 +176,8 @@ def parse_machine(record: str) -> tuple[str | None, CompactForm]:
         body = m.group(2).strip()
         if body:
             for pair in body.split(","):
-                es, cs = pair.split(":")
-                eq, c = int(es), int(cs)
+                pm = _PAIR_RE.fullmatch(pair)
+                eq, c = map(int, pm.groups()) if pm else (0, 0)  # c = 0 marks a bad pair
                 if c == 0 or eq in block:
                     raise MachineFormatError(f"bad pair {pair!r}")
                 block[eq] = c

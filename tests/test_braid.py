@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,13 @@ def test_explicit_strings_override():
         parse("2 2", 2)
 
 
+@pytest.mark.parametrize("text", ["１ １ １", "١^3", "1^٣", "-١"])
+def test_non_ascii_digits_are_refused(text):
+    # int() reads the digits of any script; the grammar takes ASCII only
+    with pytest.raises(BraidSyntaxError, match="bad token"):
+        parse(text)
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(BraidSyntaxError, match="position 2"):
         parse("1 x 2")
@@ -94,6 +102,31 @@ def test_closure_components():
 def test_closure_permutation():
     info = closure_info(parse("1", 2))
     assert info.permutation == (2, 1)
+
+
+def closure_by_walk(word):
+    """The closure permutation, one crossing at a time."""
+    perm = list(range(word.n_strings))
+    for pos, exp in word.letters:
+        for _ in range(abs(exp)):
+            perm[pos - 1], perm[pos] = perm[pos], perm[pos - 1]
+    return tuple(i + 1 for i in perm)
+
+
+def test_closure_info_reads_exponent_parity():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        letters = tuple(
+            (rng.randint(1, n - 1), rng.choice((1, -1)) * rng.randint(1, 6))
+            for _ in range(rng.randint(0, 8))
+        )
+        b = BraidWord(n, letters)
+        assert closure_info(b).permutation == closure_by_walk(b), b
+    start = time.perf_counter()
+    info = closure_info(parse("1^3000000 2^-3000001", 3))
+    assert time.perf_counter() - start < 1.0  # O(letters), not O(crossings)
+    assert info == ((1, 3, 2), 2)
 
 
 def test_writhe():

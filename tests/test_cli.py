@@ -75,6 +75,13 @@ def test_eval_parse_error(capsys):
     assert err.startswith("error: integer in token at position 1")
 
 
+@pytest.mark.parametrize("word", ["１ １ １", "١^3"])
+def test_eval_refuses_non_ascii_digits(capsys, word):
+    code, out, err = run(capsys, "eval", word)
+    assert code == 2 and not out
+    assert "bad token" in err
+
+
 def test_eval_machine_format(capsys):
     code, out, err = run(capsys, "eval", "1^3", "--format", "compact-machine")
     assert code == 0

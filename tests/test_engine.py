@@ -312,3 +312,87 @@ def test_sparse_tangle_equality():
     assert t != SparseTangle(2, {0: ONE}) and t != SparseTangle(1, {})
     with pytest.raises(TypeError):
         hash(t)
+
+
+def test_free_strings_close_before_the_first_letter(monkeypatch):
+    # string 1 is free, so the tangle is 0 before the first letter and
+    # R^200 is never formed
+    built = []
+
+    def counting(e):
+        built.append(e)
+        return generator_power(e)
+
+    monkeypatch.setattr(engine, "generator_power", counting)
+    assert evaluate_raw(parse("2^200", 3)) == ZERO
+    assert built == []
+
+
+def test_plan_step_by_step():
+    rotation, cost, steps = engine.plan(parse("1 2 -1 3", 4))
+    assert rotation == 0
+    assert cost == 16**2 + 16**3 + 16**3 + 16**2  # live strings at each letter
+    assert steps == [
+        ("open", 1, 0, 0),
+        ("open", 2, 1, 0),
+        ("take", 1, 0, 1),  # opened on the scalar ONE: R is the tangle
+        ("open", 3, 2, 0),
+        ("accrete", 2, 1, 1),
+        ("accrete", 1, 0, -1),
+        ("close", 2, 1, 0),
+        ("close", 1, 0, 0),
+        ("open", 4, 1, 0),
+        ("accrete", 3, 0, 1),
+        ("close", 3, 0, 0),
+    ]
+
+
+def test_plan_does_no_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the plan formed a tensor")
+
+    monkeypatch.setattr(engine, "accrete", refuse)
+    monkeypatch.setattr(engine, "generator_power", refuse)
+    rng = random.Random(31)
+    for _ in range(150):
+        b = random_braid(rng, max_strings=6, max_expanded_len=14)
+        n = b.n_strings
+        costs = engine._rotation_costs(n, b.letters)
+        rotation, cost, steps = engine.plan(b)
+        assert (rotation, cost) == (costs.index(min(costs)), min(costs)), b
+        letters = b.letters[rotation:] + b.letters[:rotation]
+        touched = {s for pos, _ in letters for s in (pos, pos + 1)}
+        live: list[int] = []  # the open braid strings, in order
+        opened, closed, accreted, modelled = [], [], [], 0
+        previous = None  # the latest step that is not a closing
+        for step in steps:
+            op, s, i, e = step
+            if op == "open":
+                assert s not in opened and live[:i] == [t for t in live if t < s], b
+                live.insert(i, s)
+                opened.append(s)
+            elif op == "close":
+                assert s < n and live[i] == s, b
+                if s in touched:  # right after its last letter
+                    assert previous[0] in ("take", "accrete"), b
+                    assert s in (previous[1], previous[1] + 1), b
+                else:  # a free string closes right after it opens
+                    assert previous == ("open", s, i, 0), b
+                del live[i]
+                closed.append(s)
+            else:
+                assert live[i : i + 2] == [s, s + 1], b
+                accreted.append((s, e))
+                modelled += 16 ** len(live)
+            assert len(live) <= n, b
+            if op != "close":
+                previous = step
+        assert accreted == list(letters), b
+        assert modelled == min(costs), b
+        assert sorted(opened) == list(range(1, n + 1)), b
+        assert sorted(closed) == list(range(1, n)), b
+        assert live == [n], b
+        ops = [op for op, *_ in steps]
+        free = set(range(1, n)) - touched
+        assert ops.count("take") == (1 if letters and not free else 0), b
+        assert "take" not in ops or ops.index("take") == 2, b

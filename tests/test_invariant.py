@@ -58,6 +58,11 @@ def test_to_compact_examples():
     assert to_compact({}) == [{}]
 
 
+def test_to_compact_blocks_ascend_in_q():
+    poly = {(3, 1): -1, (1, 1): -1, (3, -1): -1, (1, -1): -1, (0, 0): 1}
+    assert [list(block) for block in to_compact(poly)] == [[0], [1, 3]]
+
+
 def test_interior_zero_blocks_survive():
     poly = from_compact([{0: 1}, {}, {2: 3}])
     assert to_compact(poly) == [{0: 1}, {}, {2: 3}]
@@ -145,3 +150,19 @@ def test_machine_format_errors():
         parse_machine("0: [0:0]")  # zero coefficient
     with pytest.raises(MachineFormatError):
         parse_machine("0: [0:1, 0:2]")  # duplicate exponent
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "0: [1_0:1]",  # int() would read exponent 10
+        "0: [+1:1]",
+        "0: [1:٣]",
+        "0: [0:1]; ١: [1:1]",
+        "0: [1:2:3]",
+        "0: [1]",
+    ],
+)
+def test_machine_format_refuses_what_int_would_reinterpret(record):
+    with pytest.raises(MachineFormatError):
+        parse_machine(record)
