@@ -97,9 +97,9 @@ def check_handle_commutes(handle: Diagonal = HANDLE_PLUS) -> bool:
     two strings: the enhancement condition under which conjugate braids
     have the same closure, so that evaluate_raw may start the word at any
     rotation."""
-    side = M_DIM * M_DIM
-    pair = SparseTangle(
-        2, {row * side + row: handle[row // M_DIM] * handle[row % M_DIM] for row in range(side)}
+    indices = range(M_DIM)
+    pair = SparseTangle.from_cells(
+        2, {((a, b), (a, b)): handle[a] * handle[b] for a in indices for b in indices}
     )
     return all(
         accrete(r, pair, 1) == accrete(pair, r, 1) for r in (lg_sigma(), lg_sigma_inverse())

@@ -231,14 +231,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_rmatrix(_: argparse.Namespace) -> int:
-    entries = lg_sigma().entries
-    cells = [[str(entries.get(16 * r + c, ".")) for c in range(16)] for r in range(16)]
-    widths = [max(len(cells[r][c]) for r in range(16)) for c in range(16)]
+    sig = lg_sigma()
+    pairs = [divmod(i, 4) for i in range(16)]  # the index pair of row or column 4a + b
+    cells = [[str(sig.entry(row, col) or ".") for col in pairs] for row in pairs]
+    widths = [max(len(row[c]) for row in cells) for c in range(16)]
     print("crossing tensor gauged by D = diag(1, 1, 1/Y, 1); row = (a b) out, col = (c d) in")
-    for r, row in enumerate(cells):
-        label = f"[{r // 4 + 1} {r % 4 + 1}]"
+    for (a, b), row in zip(pairs, cells):
         body = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        print(f"{label} {body}")
+        print(f"[{a + 1} {b + 1}] {body}")
     return 0
 
 
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="model identities, corpus, Markov suite")
     p_self.add_argument("--quick", action="store_true", help="skip the Markov suite")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--braids", type=int, default=100)
+    p_self.add_argument("--braids", type=_positive_int, default=100)
     p_self.add_argument("-v", "--verbose", action="store_true")
     p_self.set_defaults(func=cmd_selftest)
 

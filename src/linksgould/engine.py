@@ -10,15 +10,15 @@ A tangle on n strings over the dimension-M basis has at most M^(2n)
 entries.  The size guard is that dense bound on the word's string count:
 the default cap admits 5 strings at M = 4 and refuses 6.  What costs is
 the number of strings open at each letter, which the plan keeps low.
-Tangles are kept as maps from a composite index (upper indices as the high
-base-M digits, lower as the low digits) to Laurent polynomials, with zero
-entries never stored.
+Tangles are kept as maps from a composite index, which only this module
+reads or builds, to Laurent polynomials, with zero entries never stored.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+from itertools import product
 
 from .braid import BraidWord
 from .ring import ONE, ZERO, LaurentQP
@@ -27,7 +27,10 @@ from .statemodel import EIGENVALUES, GAUGED, HANDLE_PLUS, M_DIM
 logger = logging.getLogger(__name__)
 
 DEFAULT_SIZE_CAP = M_DIM ** 10  # 5 strings at M=4; one more string is refused
-_PAIR = M_DIM * M_DIM  # values of an index pair
+_PAIR = M_DIM * M_DIM  # values of one string's digit M a + b
+# mask of the upper indices in two adjacent digits, each index being two bits (M = 4)
+_UPPERS = (M_DIM - 1) * M_DIM * (_PAIR + 1)
+Index = tuple[int, ...]  # one index per string, string 1 first
 
 
 class SizeCapExceeded(RuntimeError):
@@ -53,11 +56,9 @@ class NonScalarTangleError(RuntimeError):
 
 
 class SparseTangle:
-    """Rank-2n tensor as {composite index: value}; index digits are
-    a_1..a_n (upper, most significant first) then b_1..b_n (lower).
-
-    On two strings the key is row * 16 + col of the 16 x 16 matrix with
-    row = 4 a_1 + a_2 and col = 4 b_1 + b_2."""
+    """Rank-2n tensor as {composite index: value}: string s is the base-M^2
+    digit M a_s + b_s of upper index a_s and lower index b_s, string 1 the
+    most significant.  Other modules go through entry and from_cells."""
 
     def __init__(self, n: int, entries: dict[int, LaurentQP]) -> None:
         self.n = n
@@ -71,11 +72,22 @@ class SparseTangle:
     def __repr__(self) -> str:
         return f"SparseTangle(n={self.n!r}, entries={self.entries!r})"
 
-    def entry(self, upper: tuple[int, ...], lower: tuple[int, ...]) -> LaurentQP:
-        key = 0
-        for digit in upper + lower:
-            key = key * M_DIM + digit
-        return self.entries.get(key, ZERO)
+    @classmethod
+    def from_cells(cls, n: int, cells: dict[tuple[Index, Index], LaurentQP]) -> SparseTangle:
+        """The n-string tangle {(upper, lower): value}, the inverse of entry."""
+        return cls(n, {_key(n, upper, lower): v for (upper, lower), v in cells.items() if v})
+
+    def entry(self, upper: Index, lower: Index) -> LaurentQP:
+        return self.entries.get(_key(self.n, upper, lower), ZERO)
+
+
+def _key(n: int, upper: Index, lower: Index) -> int:
+    if len(upper) != n or len(lower) != n or not all(0 <= i < M_DIM for i in upper + lower):
+        raise ValueError(f"indices {upper}, {lower} are not two {n}-tuples over 0..{M_DIM - 1}")
+    key = 0
+    for a, b in zip(upper, lower):
+        key = key * _PAIR + a * M_DIM + b
+    return key
 
 
 def _guard(n: int, max_size: int) -> None:
@@ -84,11 +96,9 @@ def _guard(n: int, max_size: int) -> None:
 
 
 def identity_tangle(n: int, max_size: int = DEFAULT_SIZE_CAP) -> SparseTangle:
-    if n < 1:
-        raise ValueError("need at least one string")
+    """The identity on n strings; on none it is the scalar 1."""
     _guard(n, max_size)
-    side = M_DIM ** n
-    return SparseTangle(n, {t * side + t: ONE for t in range(side)})
+    return SparseTangle.from_cells(n, {(t, t): ONE for t in product(range(M_DIM), repeat=n)})
 
 
 def accrete(z: SparseTangle, x: SparseTangle, j: int) -> SparseTangle:
@@ -101,14 +111,14 @@ def accrete(z: SparseTangle, x: SparseTangle, j: int) -> SparseTangle:
         raise ValueError(f"position {j} outside 1..{n - 1}")
     if x.n != 2:
         raise ValueError(f"accreted tangle has {x.n} strings, not 2")
-    unit = M_DIM ** (2 * n - j - 1)  # weight of the upper index at j + 1
-    # x's entries grouped by lower pair, the upper pair as an offset into the key
+    unit = _PAIR ** (n - j - 1)  # weight of string j + 1's digit
+    # x by lower pair, shifted to where z holds its upper pair; x's upper pair as an offset
     xmap: dict[int, list[tuple[int, LaurentQP]]] = {}
     for xkey, xv in x.entries.items():
-        xmap.setdefault(xkey % _PAIR, []).append((xkey // _PAIR * unit, xv))
+        xmap.setdefault((xkey & ~_UPPERS) * M_DIM, []).append(((xkey & _UPPERS) * unit, xv))
     out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
-        pair = key // unit % _PAIR
+        pair = key // unit & _UPPERS
         base = key - pair * unit
         for offset, xv in xmap.get(pair, ()):
             nk = base + offset
@@ -128,21 +138,20 @@ def combine(parts: list[tuple[LaurentQP, SparseTangle]]) -> SparseTangle:
 
 
 def _swap_invert(t: SparseTangle) -> SparseTangle:
-    """Index pairs swapped, q and p inverted: (a, b, c, d) -> (b, a, d, c).
-    Both steps respect products (a conjugation and a ring map), and the map
-    takes R to R^-1, so it takes R^e to R^-e.  Inverting q forces p -> 1/p
-    because p is a half-integer power of q times the representation
-    parameter."""
-
-    def swapped(key: int) -> int:
-        a, b = divmod(key // _PAIR, M_DIM)
-        c, d = divmod(key % _PAIR, M_DIM)
-        return (b * M_DIM + a) * _PAIR + d * M_DIM + c
-
-    return SparseTangle(2, {swapped(k): v.invert_qp() for k, v in t.entries.items()})
+    """The two strings swapped, q and p inverted.  Both steps respect
+    products (a conjugation and a ring map), and the map takes R to R^-1,
+    so it takes R^e to R^-e.  Inverting q forces p -> 1/p because p is a
+    half-integer power of q times the representation parameter."""
+    out: dict[int, LaurentQP] = {}
+    for key, v in t.entries.items():
+        first, second = divmod(key, _PAIR)
+        out[second * _PAIR + first] = v.invert_qp()
+    return SparseTangle(2, out)
 
 
-_SIGMA = SparseTangle(2, GAUGED)
+_SIGMA = SparseTangle.from_cells(
+    2, {(divmod(row, M_DIM), divmod(col, M_DIM)): v for (row, col), v in GAUGED.items()}
+)
 _IDENTITY2 = identity_tangle(2)
 # Newton basis of the cubic relation at the eigenvalues taken in the order
 # (-1, q p^-2, q p^2): N1 = R + I and N2 = (R + I)(R - q p^-2 I)
@@ -198,21 +207,15 @@ def generator_power(e: int) -> SparseTangle:
 
 def _open_string(z: SparseTangle, i: int) -> SparseTangle:
     """z with an identity string inserted after its first i strings."""
-    k = z.n
-    side = M_DIM ** k
-    tail = M_DIM ** (k - i)  # values of the digits right of the new string
-    head = tail * M_DIM  # weight of the digits left of it, once it is in
-    wide = side * M_DIM
-    step = tail * wide + tail  # the new string's upper plus lower digit
+    tail = _PAIR ** (z.n - i)  # values of the digits right of the new string
+    step = (M_DIM + 1) * tail  # the new string's digit at a = b = 1
     out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
-        upper, lower = divmod(key, side)
-        uh, ul = divmod(upper, tail)
-        lh, ll = divmod(lower, tail)
-        base = (uh * head + ul) * wide + lh * head + ll
+        head, rest = divmod(key, tail)
+        base = head * tail * _PAIR + rest
         for a in range(M_DIM):
             out[base + a * step] = v
-    return SparseTangle(k + 1, out)
+    return SparseTangle(z.n + 1, out)
 
 
 def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTangle:
@@ -220,23 +223,19 @@ def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTang
     string but the rightmost, which leaves a 1-string tangle) against the
     (diagonal) left handle C+, one string at a time from the right."""
     for j in sorted(range(1, z.n) if strings is None else strings, reverse=True):
-        n = z.n
-        side = M_DIM ** n
-        tail = M_DIM ** (n - j)  # values of the digits right of string j
-        narrow = side // M_DIM
+        tail = _PAIR ** (z.n - j)  # values of the digits right of string j
         out: dict[int, LaurentQP] = {}
         for key, v in z.entries.items():
-            upper, lower = divmod(key, side)
-            uh, ul = divmod(upper, tail)
-            lh, ll = divmod(lower, tail)
-            a = uh % M_DIM
-            if a != lh % M_DIM:
+            head, rest = divmod(key, tail)
+            head, digit = divmod(head, _PAIR)
+            a, b = divmod(digit, M_DIM)
+            if a != b:
                 continue
-            nk = (uh // M_DIM * tail + ul) * narrow + lh // M_DIM * tail + ll
+            nk = head * tail + rest
             term = v * HANDLE_PLUS[a]
             cur = out.get(nk)
             out[nk] = term if cur is None else cur + term
-        z = SparseTangle(n - 1, {k: v for k, v in out.items() if v})
+        z = SparseTangle(z.n - 1, {k: v for k, v in out.items() if v})
     return z
 
 
@@ -244,12 +243,12 @@ def extract_scalar(t: SparseTangle) -> LaurentQP:
     """Check that the 1-string tangle t is a scalar multiple of the
     identity and return the scalar; anything else signals a convention bug
     or invalid input."""
-    diag = t.entries.get(0, ZERO)
+    diag = t.entry((0,), (0,))
     bad = []
     for a in range(M_DIM):
         for b in range(M_DIM):
-            v = t.entries.get(a * M_DIM + b, ZERO)
-            if (a != b and v) or (a == b and v != diag):
+            v = t.entry((a,), (b,))
+            if v != (diag if a == b else ZERO):
                 bad.append((a, b, v))
     if bad:
         detail = ", ".join(f"t[{a}][{b}] = {v}" for a, b, v in bad[:4])
@@ -362,7 +361,7 @@ def execute(schedule: tuple[int, int, list[tuple[str, int, int, int]]]) -> Laure
     letters = sum(op in ("take", "accrete") for op, *_ in steps)
     logger.debug("rotation %d of %d", rotation, letters)
     logger.debug("modelled cost %d", cost)
-    z = SparseTangle(0, {0: ONE})
+    z = identity_tangle(0)
     done = 0
     for op, s, i, e in steps:
         if op == "open":

@@ -9,6 +9,7 @@ machine-format polynomial record.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -47,10 +48,9 @@ def _parse_header(line: str) -> tuple[str, int, bool, BraidWord | None]:
     if len(fields) not in (3, 4):
         raise CorpusFormatError(f"bad header {line!r}")
     name = fields[0]
-    try:
-        components = int(fields[1])
-    except ValueError as exc:
-        raise CorpusFormatError(f"bad component count in {line!r}") from exc
+    if not re.fullmatch("[0-9]+", fields[1]):  # int() would also take "+1_0" and "١"
+        raise CorpusFormatError(f"bad component count in {line!r}")
+    components = int(fields[1])
     if fields[2] not in ("amphichiral", "chiral"):
         raise CorpusFormatError(f"bad chirality flag in {line!r}")
     braid: BraidWord | None = None

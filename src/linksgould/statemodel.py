@@ -72,11 +72,10 @@ _Y2 = LaurentQP({(0, 2): 1, (0, -2): 1, (2, 0): -1, (-2, 0): -1})
 _GAUGE_INDEX = 2  # D = diag(1, 1, 1/Y, 1): the basis index that carries 1/Y
 
 
-def _gauge(cells: dict[tuple[int, int], Cell]) -> dict[int, LaurentQP]:
+def _gauge(cells: dict[tuple[int, int], Cell]) -> dict[tuple[int, int], LaurentQP]:
     """R'[row, col] = R[row, col] * D_row / D_col, where D_row = D_a * D_b
     for row = 4a + b; the Y power left in each cell must be even and is
-    expanded through Y^2.  Keyed row * 16 + col, which is the key of a
-    2-string tangle (upper pair, then lower pair)."""
+    expanded through Y^2.  Keyed by (row, col), as the transcription is."""
 
     def y_count(i: int) -> int:
         return (i // M_DIM == _GAUGE_INDEX) + (i % M_DIM == _GAUGE_INDEX)
@@ -88,7 +87,7 @@ def _gauge(cells: dict[tuple[int, int], Cell]) -> dict[int, LaurentQP]:
             raise ValueError(f"gauge leaves Y^{y} in cell {(row, col)}")
         for _ in range(y // 2):
             coeff = coeff * _Y2
-        out[row * M_DIM * M_DIM + col] = coeff
+        out[row, col] = coeff
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +269,22 @@ def test_dump_rmatrix(capsys):
     assert lines[1].startswith("[1 1]")
     assert "1*q^1*p^-2" in lines[1]  # top-left cell
     assert lines[-1].rstrip().endswith("1*q^1*p^2")  # bottom-right cell
+
+
+def test_dump_rmatrix_is_unchanged(capsys):
+    # the 26 cells of the paper's tensor, each at its own (row, col)
+    code, out, _ = run(capsys, "dump-rmatrix")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / "dump_rmatrix.txt").read_bytes()
+    assert sum(token == "." for line in out.splitlines()[1:] for token in line.split()) == 256 - 26
+
+
+@pytest.mark.parametrize("braids", ["-5", "0"])
+def test_selftest_rejects_braids_below_one(capsys, braids):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--braids", braids])
+    assert exc.value.code == 2
+    assert "--braids: must be at least 1" in capsys.readouterr().err
 
 
 def test_requires_subcommand(capsys):

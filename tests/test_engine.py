@@ -1,5 +1,6 @@
 import logging
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from linksgould.engine import (
     lg_sigma_inverse,
 )
 from linksgould.ring import ONE, ZERO, LaurentQP
+from linksgould.statemodel import HANDLE_PLUS
 
 # reference values in raw (eq2, ep) coordinates, P = p^2
 TREFOIL_RAW = LaurentQP(
@@ -396,3 +398,104 @@ def test_plan_does_no_arithmetic(monkeypatch):
         free = set(range(1, n)) - touched
         assert ops.count("take") == (1 if letters and not free else 0), b
         assert "take" not in ops or ops.index("take") == 2, b
+
+
+# The tangle's key layout is the engine's own.  The tests below check its
+# kernels against contractions written here over index tuples, reading and
+# writing cells only through entry and from_cells.
+
+def cells_of(n):
+    return list(product(range(4), repeat=n))
+
+
+def random_tangle(rng, n, density):
+    """A sparse n-string tangle of small random polynomials, some of which
+    cancel when summed."""
+    cells = {}
+    for upper in cells_of(n):
+        for lower in cells_of(n):
+            if rng.random() < density:
+                terms = {(rng.randint(-1, 1), rng.randint(-1, 1)): rng.choice((-1, 1))}
+                cells[upper, lower] = LaurentQP(terms)
+    return SparseTangle.from_cells(n, cells)
+
+
+def dense_accrete(z, x, j):
+    out = {}
+    for upper in cells_of(z.n):
+        for lower in cells_of(z.n):
+            total = ZERO
+            for inner in cells_of(2):
+                xv = x.entry(upper[j - 1 : j + 1], inner)
+                if xv:
+                    total = total + xv * z.entry(upper[: j - 1] + inner + upper[j + 1 :], lower)
+            out[upper, lower] = total
+    return SparseTangle.from_cells(z.n, out)
+
+
+def dense_open(z, i):
+    out = {}
+    for upper in cells_of(z.n + 1):
+        for lower in cells_of(z.n + 1):
+            if upper[i] == lower[i]:
+                out[upper, lower] = z.entry(upper[:i] + upper[i + 1 :], lower[:i] + lower[i + 1 :])
+    return SparseTangle.from_cells(z.n + 1, out)
+
+
+def dense_close(z, j):
+    out = {}
+    for upper in cells_of(z.n - 1):
+        for lower in cells_of(z.n - 1):
+            total = ZERO
+            for a in range(4):
+                upper_a = upper[: j - 1] + (a,) + upper[j - 1 :]
+                lower_a = lower[: j - 1] + (a,) + lower[j - 1 :]
+                total = total + HANDLE_PLUS[a] * z.entry(upper_a, lower_a)
+            out[upper, lower] = total
+    return SparseTangle.from_cells(z.n - 1, out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernels_match_dense_contractions(n):
+    rng = random.Random(n)
+    for _ in range(2):
+        z = random_tangle(rng, n, 0.3 if n < 3 else 0.02)
+        x = random_tangle(rng, 2, 0.3)
+        assert z.entries and x.entries
+        for j in range(1, n):
+            assert accrete(z, x, j) == dense_accrete(z, x, j), j
+        for i in range(n + 1):
+            assert engine._open_string(z, i) == dense_open(z, i), i
+        for j in range(1, n + 1):
+            assert close(z, (j,)) == dense_close(z, j), j
+
+
+def test_inverse_is_the_generator_swapped_and_inverted():
+    sig, inv = lg_sigma(), lg_sigma_inverse()
+    for upper in cells_of(2):
+        for lower in cells_of(2):
+            assert inv.entry(upper[::-1], lower[::-1]) == sig.entry(upper, lower).invert_qp()
+
+
+def test_identity_on_no_strings_is_the_scalar_one():
+    assert identity_tangle(0).entry((), ()) == ONE
+    # and closing the only string of the identity leaves the handle's trace, 0
+    assert close(identity_tangle(1), (1,)).entry((), ()) == ZERO
+
+
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        ((0, 0), (0,)),
+        ((0,), (0, 0)),
+        ((0, 0, 0), (0, 0, 0)),
+        ((), ()),
+        ((0, 4), (0, 0)),
+        ((0, 0), (-1, 0)),
+    ],
+)
+def test_entry_and_from_cells_refuse_misshapen_indices(upper, lower):
+    with pytest.raises(ValueError, match="not two 2-tuples"):
+        lg_sigma().entry(upper, lower)
+    with pytest.raises(ValueError, match="not two 2-tuples"):
+        SparseTangle.from_cells(2, {(upper, lower): ONE})

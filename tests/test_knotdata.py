@@ -129,6 +129,15 @@ def test_parse_corpus_errors():
         parse_corpus("x; 1; chiral; word=1\n0: [0:1]\n")
 
 
+@pytest.mark.parametrize("count", ["+1_0", "\u0661", "1.0", ""])
+def test_header_count_takes_ascii_digits_only(count):
+    # int() would read "+1_0" as 10 and the Arabic-Indic one as 1
+    with pytest.raises(CorpusFormatError, match="component count"):
+        parse_corpus(f"x; {count}; chiral\n0: [0:1]\n")
+    assert parse_corpus("x; 10; chiral\n0: [0:1]\n")[0].components == 10
+    assert len(load_corpus()) == 267
+
+
 def test_parse_corpus_minimal():
     entries = parse_corpus("# comment\n\nx; 1; chiral; braid=1 1 1\n0: [0:1]\n")
     assert len(entries) == 1

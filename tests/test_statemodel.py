@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from linksgould import engine
@@ -37,7 +39,7 @@ def mono(c, eq2=0, ep=0):
 
 def grid(t):
     """The 16 x 16 matrix of a 2-string tangle (row = upper pair)."""
-    return [[t.entries.get(16 * r + c, ZERO) for c in range(16)] for r in range(16)]
+    return [[t.entry(divmod(r, 4), divmod(c, 4)) for c in range(16)] for r in range(16)]
 
 
 def dense_mul(x, y):
@@ -126,11 +128,12 @@ def test_inverse_bottom_right_entry():
 
 def test_inverse_zero_pattern_is_the_twisted_one():
     sig, inv = lg_sigma(), lg_sigma_inverse()
-    expected = set()
-    for key in sig.entries:
-        a, b, c, d = key // 64, key // 16 % 4, key // 4 % 4, key % 4
-        expected.add(64 * b + 16 * a + 4 * d + c)
-    assert set(inv.entries) == expected
+
+    def nonzero(t):
+        return {abcd for abcd in product(range(4), repeat=4) if t.entry(abcd[:2], abcd[2:])}
+
+    expected = {(b, a, d, c) for a, b, c, d in nonzero(sig)}
+    assert nonzero(inv) == expected
 
 
 def test_caps_cups():
