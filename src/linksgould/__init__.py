@@ -1,11 +1,11 @@
 """Exact state-sum evaluation of the Links-Gould two-variable link invariant.
 
-The invariant of the closure of a braid word is computed by accreting the
-rank-4 crossing tensor letter by letter into a sparse tensor on the strings
-still in use, closing every string but the rightmost against the left handle
-after its last letter, and reading off the scalar.  All arithmetic is
-exact; the result is a Laurent polynomial in q and P, symmetric under
-P -> 1/P.
+The invariant of the closure of a braid word is computed by shortening the
+word with moves that keep its closure, then accreting the rank-4 crossing
+tensor letter by letter into a sparse tensor on the strings still in use,
+closing every string but the rightmost against the left handle after its
+last letter, and reading off the scalar.  All arithmetic is exact; the
+result is a Laurent polynomial in q and P, symmetric under P -> 1/P.
 """
 
 from __future__ import annotations

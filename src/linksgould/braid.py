@@ -1,5 +1,6 @@
 """Braid words: parsing, closure bookkeeping, and the moves that preserve
-the closure's link type (used heavily by the property-test suite).
+the closure's link type: ``reduce_closure``, which the engine runs before
+it plans, and the moves the property-test suite applies.
 
 Grammar: a word is whitespace- or comma-separated tokens, each ``j`` or
 ``j^k``, with j and k in ASCII digits (any other script's digits are a
@@ -194,19 +195,78 @@ def free_insert(word: BraidWord, index: int, pos: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs until stable (test utility only)."""
-    letters: list[tuple[int, int]] = []
-    for pos, exp in word.letters:
-        if letters and letters[-1][0] == pos:
-            total = letters[-1][1] + exp
-            if total == 0:
-                letters.pop()
-            else:
-                letters[-1] = (pos, total)
+def reduce_closure(word: BraidWord) -> BraidWord:
+    """A word with the same closure and no more letters or strings, by
+    moves that do no arithmetic, applied until none applies:
+      - a letter slides left past the letters it commutes with (positions
+        two or more apart) and merges into the first letter at its own
+        position that it meets; a letter whose exponents sum to 0 is dropped;
+      - the same across the seam, since conjugation keeps the closure;
+      - Markov destabilization at either end: string n, touched by one
+        letter only and that of exponent +-1, is dropped with the letter,
+        and so is string 1, with the positions shifted down by one (the
+        flip, a conjugation by the half twist, takes string 1 to string n).
+    An untouched string is a split unknot, not a stabilization: it stays."""
+    n, letters = word.n_strings, list(word.letters)
+    while True:
+        reduced = _destabilize(n, _merge_seam(_slide(letters)))
+        if reduced == (n, letters):
+            return BraidWord(n, tuple(letters))
+        n, letters = reduced
+
+
+def _blocker(
+    letters: list[tuple[int, int]], indices: range, pos: int
+) -> int | None:
+    # the first of the indices whose letter does not commute with a letter
+    # at pos (a letter at pos itself included), or None
+    for k in indices:
+        if abs(letters[k][0] - pos) < 2:
+            return k
+    return None
+
+
+def _slide(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    out: list[tuple[int, int]] = []
+    for pos, exp in letters:
+        k = _blocker(out, range(len(out) - 1, -1, -1), pos)
+        if k is None or out[k][0] != pos:
+            out.append((pos, exp))
+        elif out[k][1] + exp:
+            out[k] = (pos, out[k][1] + exp)
         else:
-            letters.append((pos, exp))
-    return BraidWord(word.n_strings, tuple(letters))
+            del out[k]
+    return out
+
+
+def _merge_seam(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    # a letter that can slide to the front crosses the seam and slides on
+    # from the back, into the first letter at its position that it meets
+    i = 0
+    while i < len(letters):
+        pos, exp = letters[i]
+        if _blocker(letters, range(i - 1, -1, -1), pos) is None:
+            j = _blocker(letters, range(len(letters) - 1, i, -1), pos)
+            if j is not None and letters[j][0] == pos:
+                total = letters[j][1] + exp
+                merged = [(pos, total)] if total else []
+                letters = letters[:i] + letters[i + 1 : j] + merged + letters[j + 1 :]
+                i = 0  # a letter before i may now reach the back
+                continue
+        i += 1
+    return letters
+
+
+def _destabilize(
+    n: int, letters: list[tuple[int, int]]
+) -> tuple[int, list[tuple[int, int]]]:
+    # the letters touching string n, then those touching string 1
+    for end, shift in ((n - 1, 0), (1, 1)):
+        at = [k for k, (pos, _) in enumerate(letters) if pos == end]
+        if len(at) == 1 and abs(letters[at[0]][1]) == 1:
+            rest = letters[: at[0]] + letters[at[0] + 1 :]
+            return n - 1, [(pos - shift, exp) for pos, exp in rest]
+    return n, letters
 
 
 def random_braid(

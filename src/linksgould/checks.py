@@ -2,7 +2,7 @@
 ``engine.accrete``: the generator inverse, the Yang-Baxter relation, the
 cubic relation, the power law of the generator's powers, the handles'
 closed forms and traces, the handle's commuting with the generator, and
-the Markov-move property suite.
+the Markov-move property suite, which also checks reduce_closure.
 """
 
 from __future__ import annotations
@@ -10,16 +10,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .braid import BraidWord, conjugate, free_insert, mirror, random_braid, render, stabilize
+from .braid import (
+    BraidWord,
+    conjugate,
+    free_insert,
+    mirror,
+    random_braid,
+    reduce_closure,
+    render,
+    stabilize,
+)
 from .engine import (
     SparseTangle,
     accrete,
     combine,
-    evaluate_raw,
+    execute,
     generator_power,
     identity_tangle,
     lg_sigma,
     lg_sigma_inverse,
+    plan,
 )
 from .invariant import parity_violations, q_inverted, to_invariant
 from .ring import ONE, ZERO, LaurentQP
@@ -95,8 +105,8 @@ def check_handles() -> bool:
 def check_handle_commutes(handle: Diagonal = HANDLE_PLUS) -> bool:
     """(C+ x C+) R = R (C+ x C+), and the same for R^-1, as accretions on
     two strings: the enhancement condition under which conjugate braids
-    have the same closure, so that evaluate_raw may start the word at any
-    rotation."""
+    have the same closure, so that plan may start the word at any rotation
+    and reduce_closure may merge letters across the seam."""
     indices = range(M_DIM)
     pair = SparseTangle.from_cells(
         2, {((a, b), (a, b)): handle[a] * handle[b] for a in indices for b in indices}
@@ -104,6 +114,9 @@ def check_handle_commutes(handle: Diagonal = HANDLE_PLUS) -> bool:
     return all(
         accrete(r, pair, 1) == accrete(pair, r, 1) for r in (lg_sigma(), lg_sigma_inverse())
     )
+
+
+REDUCTION = "reduction"  # the label of the reduce_closure check
 
 
 @dataclass
@@ -125,8 +138,12 @@ def run_markov_suite(
 ) -> MarkovReport:
     """Random braids through every closure-preserving move: conjugation,
     both stabilizations, free insertion, braid-relation rewriting, plus
-    the mirror relation.  Every value also passes the structural checks
-    (inside to_invariant) and the parity scan."""
+    the mirror relation, and through reduce_closure.  Every word is
+    planned as given, since evaluate_raw would reduce a moved word back to
+    the word itself: the suite tests that the state model's value is
+    invariant, which is what makes the reduction exact.  Every value also
+    passes the structural checks (inside to_invariant) and the parity
+    scan."""
     rng = random.Random(seed)
     report = MarkovReport()
 
@@ -135,29 +152,33 @@ def run_markov_suite(
         if not cond:
             report.failures.append(f"{label} failed on {word!r}")
 
+    def value(w: BraidWord) -> LaurentQP:
+        return execute(plan(w))
+
     for _ in range(braids):
         b = random_braid(rng, max_strings, max_expanded_len)
         word = render(b) or f"(empty, {b.n_strings} strings)"
         report.braids += 1
-        base = evaluate_raw(b)
+        base = value(b)
         poly = to_invariant(base)
         check("parity", word, not parity_violations(poly))
+        check(REDUCTION, word, value(reduce_closure(b)) == base)
 
         g = (rng.randint(1, b.n_strings - 1), rng.choice((1, -1)))
-        check("conjugation", word, evaluate_raw(conjugate(b, g)) == base)
-        check("stabilize+", word, evaluate_raw(stabilize(b, 1)) == base)
-        check("stabilize-", word, evaluate_raw(stabilize(b, -1)) == base)
+        check("conjugation", word, value(conjugate(b, g)) == base)
+        check("stabilize+", word, value(stabilize(b, 1)) == base)
+        check("stabilize-", word, value(stabilize(b, -1)) == base)
         ins = free_insert(
             b, rng.randint(0, len(b.letters)), rng.randint(1, b.n_strings - 1)
         )
-        check("free insertion", word, evaluate_raw(ins) == base)
+        check("free insertion", word, value(ins) == base)
 
         n = max(b.n_strings, 3)
         j = rng.randint(1, n - 2)
         lhs = BraidWord(n, b.letters + ((j, 1), (j + 1, 1), (j, 1)))
         rhs = BraidWord(n, b.letters + ((j + 1, 1), (j, 1), (j + 1, 1)))
-        check("braid relation", word, evaluate_raw(lhs) == evaluate_raw(rhs))
+        check("braid relation", word, value(lhs) == value(rhs))
 
-        mirrored = to_invariant(evaluate_raw(mirror(b)))
+        mirrored = to_invariant(value(mirror(b)))
         check("mirror", word, mirrored == q_inverted(poly))
     return report

@@ -1,6 +1,7 @@
-"""Core evaluation: ``plan`` decides a braid word's schedule with no
-arithmetic, and ``execute`` runs it over sparse tangles and extracts the
-scalar.
+"""Core evaluation: ``evaluate_raw`` reduces a braid word to a shorter one
+with the same closure (``braid.reduce_closure``), ``plan`` decides that
+word's schedule with no arithmetic, and ``execute`` runs it over sparse
+tangles and extracts the scalar.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
@@ -9,7 +10,8 @@ one.  ``accrete`` is the one product.
 A tangle on n strings over the dimension-M basis has at most M^(2n)
 entries.  The size guard is that dense bound on the word's string count:
 the default cap admits 5 strings at M = 4 and refuses 6.  What costs is
-the number of strings open at each letter, which the plan keeps low.
+the letters and the number of strings open at each, which the reduction
+and the plan keep low.
 Tangles are kept as maps from a composite index, which only this module
 reads or builds, to Laurent polynomials, with zero entries never stored.
 """
@@ -20,7 +22,7 @@ import bisect
 import logging
 from itertools import product
 
-from .braid import BraidWord
+from .braid import BraidWord, reduce_closure
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, GAUGED, HANDLE_PLUS, M_DIM
 
@@ -313,6 +315,10 @@ def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
     return costs
 
 
+def _touched(word: BraidWord) -> set[int]:
+    return {s for pos, _ in word.letters for s in (pos, pos + 1)}
+
+
 def plan(word: BraidWord) -> tuple[int, int, list[tuple[str, int, int, int]]]:
     """The schedule of a word, with no arithmetic: its earliest cheapest
     rotation r, r's modelled cost (see _rotation_costs), and the steps
@@ -326,11 +332,12 @@ def plan(word: BraidWord) -> tuple[int, int, list[tuple[str, int, int, int]]]:
     after its last; a free string (s < n, untouched) opens and closes
     before the first letter, an untouched string n opens after the last.
     Exact: the handle on a string commutes with every operator not acting
-    on it, and conjugate braids have the same closure."""
+    on it, and conjugate braids have the same closure.  The word is planned
+    as given; evaluate_raw plans its reduced word."""
     n = word.n_strings
     costs = _rotation_costs(n, word.letters)
     r = costs.index(min(costs))  # the earliest of the cheapest
-    touched = {s for pos, _ in word.letters for s in (pos, pos + 1)}
+    touched = _touched(word)
     # each event is the strings it touches and its exponent, 0 for no letter
     events = [((s,), 0) for s in range(1, n) if s not in touched]
     events += [((pos, pos + 1), exp) for pos, exp in word.letters[r:] + word.letters[:r]]
@@ -387,6 +394,14 @@ def execute(schedule: tuple[int, int, list[tuple[str, int, int, int]]]) -> Laure
 
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
     """The raw value of the word's closure, a Laurent polynomial in
-    q^(1/2), p: the size guard, then the plan executed."""
+    q^(1/2), p: the size guard on the word as given, then the plan of its
+    reduced word executed.  A reduced word on two or more strings that
+    leaves one untouched closes to a split link, whose value is 0, and no
+    power is formed for it."""
     _guard(word.n_strings, max_size)
+    word = reduce_closure(word)
+    n = word.n_strings
+    logger.debug("reduced word '%s': %d letters, %d strings", word, word.expanded_length(), n)
+    if n > 1 and len(_touched(word)) < n:
+        return ZERO
     return execute(plan(word))

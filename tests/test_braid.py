@@ -12,11 +12,11 @@ from linksgould.braid import (
     closure_info,
     conjugate,
     free_insert,
-    free_reduce,
     infer_strings,
     mirror,
     parse,
     random_braid,
+    reduce_closure,
     render,
     stabilize,
     writhe,
@@ -143,7 +143,29 @@ def test_mirror():
 
 def test_conjugate_reduces_to_original():
     b = parse("1^3")
-    assert free_reduce(conjugate(b, (1, 1))) == b
+    assert reduce_closure(conjugate(b, (1, 1))) == b
+
+
+@pytest.mark.parametrize(
+    "word, strings, reduced, reduced_strings",
+    [
+        ("1 -1", 2, "", 2),  # cancelled, and the two strings stay apart
+        ("1 3 -1", 4, "", 3),  # slid past 3 and cancelled; string 4 destabilized
+        ("1 3 1", 4, "1^2", 3),
+        ("1 -2 1 -2", 3, "1 -2 1 -2", 3),  # 2 blocks 1: nothing moves
+        ("2 1^2 -2^3", 3, "1^2 -2^2", 3),  # the first 2 crosses the seam into the last
+        ("1^3 2", 3, "1^3", 2),  # a stabilization at string n
+        ("1 2^3", 3, "1^3", 2),  # and one at string 1, positions shifted down
+        ("1 -2 1 3", 4, "1^2", 2),  # strings 4 and 3 destabilized, then 1 1 merged
+        ("1^200", 3, "1^200", 3),  # string 3 is untouched: a split unknot stays
+        ("2^200", 3, "2^200", 3),
+        ("", 2, "", 2),
+        ("1", 2, "", 1),
+        ("1^2", 2, "1^2", 2),  # string 2 is touched by one letter, but twice
+    ],
+)
+def test_reduce_closure_moves(word, strings, reduced, reduced_strings):
+    assert reduce_closure(parse(word, strings)) == parse(reduced, reduced_strings)
 
 
 def test_stabilize():
@@ -215,3 +237,13 @@ def test_conjugation_preserves_components(b, seed):
     rng = random.Random(seed)
     g = (rng.randint(1, b.n_strings - 1), rng.choice((1, -1)))
     assert closure_info(conjugate(b, g)).components == closure_info(b).components
+
+
+@given(words)
+def test_reduce_closure_properties(b):
+    r = reduce_closure(b)
+    assert reduce_closure(r) == r
+    assert len(r.letters) <= len(b.letters)
+    assert r.expanded_length() <= b.expanded_length()
+    assert r.n_strings <= b.n_strings
+    assert closure_info(r).components == closure_info(b).components

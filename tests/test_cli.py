@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -251,13 +252,14 @@ def test_selftest_small_seeded(capsys):
     code, out, _ = run(capsys, "selftest", "--braids", "3", "--seed", "12345")
     assert code == 0
     assert "seed 12345" in out
+    assert re.search(r"^markov +reduce_closure keeps the value +pass$", out, re.M)
 
 
 def test_selftest_seed_changes_braids_not_outcome():
     a = run_markov_suite(seed=1, braids=3)
     b = run_markov_suite(seed=2, braids=3)
     assert a.ok and b.ok
-    assert a.checks == b.checks == 3 * 7
+    assert a.checks == b.checks == 3 * 8
 
 
 def test_dump_rmatrix(capsys):
@@ -277,6 +279,17 @@ def test_dump_rmatrix_is_unchanged(capsys):
     assert code == 0
     assert out.encode() == (Path(__file__).parent / "data" / "dump_rmatrix.txt").read_bytes()
     assert sum(token == "." for line in out.splitlines()[1:] for token in line.split()) == 256 - 26
+
+
+@pytest.mark.parametrize("command, cap", [("eval", "-1"), ("batch", "0")])
+def test_max_size_below_one_is_refused(capsys, tmp_path, command, cap):
+    words = tmp_path / "words.txt"
+    words.write_text("3_1 1 1 1\n", encoding="utf-8")
+    target = "1 1 1" if command == "eval" else str(words)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--max-size", cap, target])
+    assert exc.value.code == 2
+    assert "--max-size: must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("braids", ["-5", "0"])

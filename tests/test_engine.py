@@ -3,6 +3,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linksgould import engine
 from linksgould.braid import BraidWord, conjugate, parse, random_braid
@@ -14,11 +15,13 @@ from linksgould.engine import (
     accrete,
     close,
     evaluate_raw,
+    execute,
     extract_scalar,
     generator_power,
     identity_tangle,
     lg_sigma,
     lg_sigma_inverse,
+    plan,
 )
 from linksgould.ring import ONE, ZERO, LaurentQP
 from linksgould.statemodel import HANDLE_PLUS
@@ -147,12 +150,13 @@ def test_evaluate_raw_respects_cap():
 
 
 def test_conjugation_invariance_examples():
+    # planned as given: evaluate_raw would reduce the conjugate to the word
     rng = random.Random(99)
     for word in ("1^3", "1 -2 1 -2", "1 2 1"):
         b = parse(word)
-        base = evaluate_raw(b)
+        base = execute(plan(b))
         g = (rng.randint(1, b.n_strings - 1), rng.choice((1, -1)))
-        assert evaluate_raw(conjugate(b, g)) == base
+        assert execute(plan(conjugate(b, g))) == base
 
 
 def test_raw_values_live_in_the_even_subring():
@@ -190,7 +194,7 @@ def test_live_strings_match_the_old_schedule():
     rng = random.Random(2024)
     for _ in range(200):
         b = random_braid(rng, max_strings=4, max_expanded_len=10)
-        assert evaluate_raw(b) == old_schedule(b), b
+        assert execute(plan(b)) == old_schedule(b), b
 
 
 @pytest.mark.parametrize(
@@ -206,7 +210,7 @@ def test_live_strings_match_the_old_schedule():
 )
 def test_schedule_edge_cases(word, strings):
     b = parse(word, strings)
-    assert evaluate_raw(b) == old_schedule(b)
+    assert execute(plan(b)) == old_schedule(b)
 
 
 def test_untouched_and_split_words_vanish():
@@ -217,7 +221,7 @@ def test_untouched_and_split_words_vanish():
 def test_every_rotation_gives_one_value():
     b = parse("1 -2 3 -2 1", 4)
     values = {
-        str(evaluate_raw(BraidWord(4, b.letters[r:] + b.letters[:r])))
+        str(execute(plan(BraidWord(4, b.letters[r:] + b.letters[:r]))))
         for r in range(len(b.letters))
     }
     assert values == {str(old_schedule(b))}
@@ -265,7 +269,7 @@ def test_chosen_rotation(caplog, word, strings, rotation):
     costs = rotation_costs_by_brute_force(b.n_strings, b.letters)
     assert rotation == costs.index(min(costs))
     with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
-        evaluate_raw(b)
+        execute(plan(b))
     assert f"rotation {rotation} of {len(b.letters)}" in caplog.messages
 
 
@@ -279,13 +283,13 @@ def test_first_letter_is_taken_as_the_tangle(monkeypatch, word, strings, calls):
 
     monkeypatch.setattr(engine, "accrete", counting)
     b = parse(word, strings)
-    assert evaluate_raw(b) == old_schedule(b)
+    assert execute(plan(b)) == old_schedule(b)
     assert len(seen) == calls
 
 
 def test_opening_and_closing_are_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
-        evaluate_raw(parse("1 2 -1 3", 4))
+        execute(plan(parse("1 2 -1 3", 4)))
     messages = caplog.messages
     assert "rotation 0 of 4" in messages
     opened = [m for m in messages if m.startswith("opened string")]
@@ -304,7 +308,7 @@ def test_no_power_is_formed_once_the_tangle_is_empty(monkeypatch):
         return generator_power(e)
 
     monkeypatch.setattr(engine, "generator_power", counting)
-    assert evaluate_raw(parse("1 -1 3^200", 4)) == ZERO
+    assert execute(plan(parse("1 -1 3^200", 4))) == ZERO
     assert built == [1, -1]
 
 
@@ -326,8 +330,36 @@ def test_free_strings_close_before_the_first_letter(monkeypatch):
         return generator_power(e)
 
     monkeypatch.setattr(engine, "generator_power", counting)
-    assert evaluate_raw(parse("2^200", 3)) == ZERO
+    assert execute(plan(parse("2^200", 3))) == ZERO
     assert built == []
+
+
+@pytest.mark.parametrize("word, strings", [("1^200", 3), ("2^200", 3), ("1 -1 3^200", 4)])
+def test_untouched_strings_form_no_power(monkeypatch, word, strings):
+    # each reduced word leaves a string untouched, so its closure is split
+    built = []
+
+    def counting(e):
+        built.append(e)
+        return generator_power(e)
+
+    monkeypatch.setattr(engine, "generator_power", counting)
+    assert evaluate_raw(parse(word, strings)) == ZERO
+    assert built == []
+
+
+def test_reduced_word_is_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
+        evaluate_raw(parse("1 3 -1 2 2 1", 4))
+    assert "reduced word '1^2': 2 letters, 2 strings" in caplog.messages
+    assert "rotation 0 of 1" in caplog.messages
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_reduction_keeps_the_value(seed):
+    b = random_braid(random.Random(seed), max_strings=5, max_expanded_len=8)
+    assert evaluate_raw(b) == execute(plan(b)), b
 
 
 def test_plan_step_by_step():
