@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import re
 import sys
 import time
@@ -302,7 +303,16 @@ def main(argv: list[str] | None = None) -> int:
         format="%(name)s: %(message)s",
         stream=sys.stderr,
     )
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is found here, not at exit
+    except BrokenPipeError:
+        # the reader went away: the rest of the output goes to devnull, so
+        # the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

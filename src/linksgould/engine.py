@@ -5,7 +5,10 @@ tangles and extracts the scalar.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
-one.  ``accrete`` is the one product.
+one.  ``accrete`` is the one product.  A close reads only the cells with
+upper == lower on the string it closes, so at a string's last letter
+``accrete`` (or ``generator_power``, for the first letter) forms only
+those cells.
 
 A tangle on n strings over the dimension-M basis has at most M^(2n)
 entries.  The size guard is that dense bound on the word's string count:
@@ -92,6 +95,12 @@ def _key(n: int, upper: Index, lower: Index) -> int:
     return key
 
 
+def _lowers(strings: tuple[int, ...], last: int) -> int:
+    """Mask of the lower indices of the given strings (1-based) in a key
+    whose least significant digit is string last's."""
+    return sum((M_DIM - 1) * _PAIR ** (last - s) for s in strings)
+
+
 def _guard(n: int, max_size: int) -> None:
     if _surely_over(n, max_size) or M_DIM ** (2 * n) > max_size:
         raise SizeCapExceeded(n, max_size)
@@ -103,27 +112,41 @@ def identity_tangle(n: int, max_size: int = DEFAULT_SIZE_CAP) -> SparseTangle:
     return SparseTangle.from_cells(n, {(t, t): ONE for t in product(range(M_DIM), repeat=n)})
 
 
-def accrete(z: SparseTangle, x: SparseTangle, j: int) -> SparseTangle:
+def accrete(
+    z: SparseTangle, x: SparseTangle, j: int, closing: tuple[int, ...] = ()
+) -> SparseTangle:
     """Multiply the 2-string tangle x into strings j, j+1 of z: the upper
     indices at j, j+1 are contracted against x's lower pair and replaced
     by its upper pair.  On two strings, accrete(a, b, 1) is the matrix
-    product b * a."""
+    product b * a.
+
+    closing names strings among j, j+1 that the next step closes: only the
+    cells with upper == lower on each of them are formed, the cells close
+    reads.  x's rows are matched to z's lower index on those strings
+    before any product is taken."""
     n = z.n
     if not 1 <= j <= n - 1:
         raise ValueError(f"position {j} outside 1..{n - 1}")
     if x.n != 2:
         raise ValueError(f"accreted tangle has {x.n} strings, not 2")
+    if not set(closing) <= {j, j + 1}:
+        raise ValueError(f"closing strings {closing} not among {j}, {j + 1}")
     unit = _PAIR ** (n - j - 1)  # weight of string j + 1's digit
-    # x by lower pair, shifted to where z holds its upper pair; x's upper pair as an offset
+    kept = _lowers(closing, j + 1)  # in the two digits at j, j+1
+    # x by lower pair, shifted to where z holds its upper pair, and by its
+    # upper indices on the closing strings, shifted to where z holds the
+    # lower ones; the value is the change to z's key: its upper pair for x's
+    mask = _UPPERS | kept
     xmap: dict[int, list[tuple[int, LaurentQP]]] = {}
     for xkey, xv in x.entries.items():
-        xmap.setdefault((xkey & ~_UPPERS) * M_DIM, []).append(((xkey & _UPPERS) * unit, xv))
+        lower, upper = xkey & ~_UPPERS, xkey & _UPPERS
+        xmap.setdefault(lower * M_DIM | upper // M_DIM & kept, []).append(
+            ((upper - lower * M_DIM) * unit, xv)
+        )
     out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
-        pair = key // unit & _UPPERS
-        base = key - pair * unit
-        for offset, xv in xmap.get(pair, ()):
-            nk = base + offset
+        for shift, xv in xmap.get(key // unit & mask, ()):
+            nk = key + shift
             term = v * xv
             cur = out.get(nk)
             out[nk] = term if cur is None else cur + term
@@ -187,24 +210,41 @@ def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
     return LaurentQP(h1), LaurentQP(h2)
 
 
-def _positive_power(e: int) -> SparseTangle:
+def _diagonal_on(t: SparseTangle, strings: tuple[int, ...]) -> SparseTangle:
+    """The cells of t with upper == lower on each of the given strings
+    (1-based), the ones a close of those strings reads; a copy of t for
+    no strings."""
+    lower = _lowers(strings, t.n)
+    kept = {k: v for k, v in t.entries.items() if k // M_DIM & lower == k & lower}
+    return SparseTangle(t.n, kept)
+
+
+def _positive_power(e: int, closing: tuple[int, ...]) -> SparseTangle:
     """R^e for e >= 1 in Newton form over the eigenvalues: x^e modulo the
     cubic relation is its interpolating polynomial at the three roots, so
     R^e = (-1)^e I + h_{e-1} N1 + h_{e-2} N2.  The coefficients have O(e^2)
-    terms and R^e is one linear combination, so the cost grows as e^2."""
+    terms and R^e is one linear combination, so the cost grows as e^2.
+    Only the cells of the basis kept on the closing strings are combined."""
     if e == 1:  # most letters; the combination costs about 200 times this copy
-        return lg_sigma()
+        return _diagonal_on(_SIGMA, closing)
     h1, h2 = _newton_coefficients(e)
     sign = ONE if e % 2 == 0 else -ONE
-    return combine([(sign, _IDENTITY2), (h1, _NEWTON_1), (h2, _NEWTON_2)])
+    basis = ((sign, _IDENTITY2), (h1, _NEWTON_1), (h2, _NEWTON_2))
+    return combine([(c, _diagonal_on(t, closing)) for c, t in basis])
 
 
-def generator_power(e: int) -> SparseTangle:
+def generator_power(e: int, closing: tuple[int, ...] = ()) -> SparseTangle:
     """Crossing tensor raised to the e-th power (e != 0); R^-e is R^e
-    swapped and inverted."""
+    swapped and inverted.  With closing strings (1, 2 or both) it forms
+    only the cells with upper == lower on them, the cells their close
+    reads; for e < 0 that is R^-e kept on the swapped strings."""
     if e == 0:
         raise ValueError("exponent must be nonzero")
-    return _positive_power(e) if e > 0 else _swap_invert(_positive_power(-e))
+    if not set(closing) <= {1, 2}:
+        raise ValueError(f"closing strings {closing} not among 1, 2")
+    if e > 0:
+        return _positive_power(e, closing)
+    return _swap_invert(_positive_power(-e, tuple(3 - s for s in closing)))
 
 
 def _open_string(z: SparseTangle, i: int) -> SparseTangle:
@@ -362,15 +402,16 @@ def plan(word: BraidWord) -> tuple[int, int, list[tuple[str, int, int, int]]]:
 
 def execute(schedule: tuple[int, int, list[tuple[str, int, int, int]]]) -> LaurentQP:
     """Run the steps of a plan over SparseTangle, one debug line each, and
-    extract the scalar.  A tangle that falls empty stays empty, so no power
-    is formed after that."""
+    extract the scalar.  A letter followed by closes of its strings forms
+    only the cells those closes read.  A tangle that falls empty stays
+    empty, so no power is formed after that."""
     rotation, cost, steps = schedule
     letters = sum(op in ("take", "accrete") for op, *_ in steps)
     logger.debug("rotation %d of %d", rotation, letters)
     logger.debug("modelled cost %d", cost)
     z = identity_tangle(0)
     done = 0
-    for op, s, i, e in steps:
+    for k, (op, s, i, e) in enumerate(steps):
         if op == "open":
             z = _open_string(z, i)
             logger.debug("opened string %d: %d live strings, %d entries", s, z.n, len(z.entries))
@@ -380,10 +421,16 @@ def execute(schedule: tuple[int, int, list[tuple[str, int, int, int]]]) -> Laure
                 "closed one string (%d): %d live strings, %d entries", s, z.n, len(z.entries)
             )
         else:
+            # the live strings (1-based) of this letter that the next steps close
+            closing: tuple[int, ...] = ()
+            for next_op, _, next_i, _ in steps[k + 1 : k + 3]:
+                if next_op != "close":
+                    break
+                closing += (next_i + 1,)
             if op == "take":
-                z = generator_power(e)
+                z = generator_power(e, closing)
             elif z.entries:  # else a closing emptied it, and no later step refills it
-                z = accrete(z, generator_power(e), i + 1)
+                z = accrete(z, generator_power(e), i + 1, closing)
             done += 1
             logger.debug(
                 "accreted letter %d/%d (pos %d, exp %+d): %d entries",

@@ -190,6 +190,41 @@ def old_schedule(word):
     return extract_scalar(close(z))
 
 
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(2, 4))
+    letter = st.tuples(st.integers(1, n - 1), st.integers(-5, 5).filter(bool))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=4))))
+
+
+@settings(deadline=None, max_examples=30)  # old_schedule on 4 strings is dense
+@given(braid_words())
+def test_pruned_schedule_matches_the_old_schedule(b):
+    # the last letter of each closing string forms only the cells its close
+    # reads; old_schedule forms every cell and closes at the end
+    assert execute(plan(b)) == old_schedule(b), b
+
+
+def terms(t):
+    return sum(len(v.terms) for v in t.entries.values())
+
+
+@pytest.mark.parametrize("e", [64, -64])
+def test_take_forms_only_the_terms_its_close_reads(monkeypatch, e):
+    b = parse(f"1^{e}")
+    expected = old_schedule(b)
+    handed = []
+
+    def recording(z, strings=None):
+        handed.append(z)
+        return close(z, strings)
+
+    monkeypatch.setattr(engine, "close", recording)
+    assert execute(plan(b)) == expected
+    assert terms(generator_power(e)) == 34_818
+    assert [terms(z) for z in handed] == [8_964]
+
+
 def test_live_strings_match_the_old_schedule():
     rng = random.Random(2024)
     for _ in range(200):
@@ -303,9 +338,9 @@ def test_no_power_is_formed_once_the_tangle_is_empty(monkeypatch):
     # strings 1 and 2 close off after "1 -1", so R^200 would be multiplied into 0
     built = []
 
-    def counting(e):
+    def counting(e, closing=()):
         built.append(e)
-        return generator_power(e)
+        return generator_power(e, closing)
 
     monkeypatch.setattr(engine, "generator_power", counting)
     assert execute(plan(parse("1 -1 3^200", 4))) == ZERO
@@ -325,9 +360,9 @@ def test_free_strings_close_before_the_first_letter(monkeypatch):
     # R^200 is never formed
     built = []
 
-    def counting(e):
+    def counting(e, closing=()):
         built.append(e)
-        return generator_power(e)
+        return generator_power(e, closing)
 
     monkeypatch.setattr(engine, "generator_power", counting)
     assert execute(plan(parse("2^200", 3))) == ZERO
@@ -339,9 +374,9 @@ def test_untouched_strings_form_no_power(monkeypatch, word, strings):
     # each reduced word leaves a string untouched, so its closure is split
     built = []
 
-    def counting(e):
+    def counting(e, closing=()):
         built.append(e)
-        return generator_power(e)
+        return generator_power(e, closing)
 
     monkeypatch.setattr(engine, "generator_power", counting)
     assert evaluate_raw(parse(word, strings)) == ZERO
@@ -487,6 +522,19 @@ def dense_close(z, j):
     return SparseTangle.from_cells(z.n - 1, out)
 
 
+def dense_keep(t, strings):
+    """The cells of t with upper == lower on each of the given strings."""
+    return SparseTangle.from_cells(
+        t.n,
+        {
+            (upper, lower): t.entry(upper, lower)
+            for upper in cells_of(t.n)
+            for lower in cells_of(t.n)
+            if all(upper[s - 1] == lower[s - 1] for s in strings)
+        },
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernels_match_dense_contractions(n):
     rng = random.Random(n)
@@ -495,11 +543,28 @@ def test_kernels_match_dense_contractions(n):
         x = random_tangle(rng, 2, 0.3)
         assert z.entries and x.entries
         for j in range(1, n):
-            assert accrete(z, x, j) == dense_accrete(z, x, j), j
+            full = accrete(z, x, j)
+            assert full == dense_accrete(z, x, j), j
+            for closing in ((j,), (j + 1,), (j, j + 1)):
+                kept = accrete(z, x, j, closing)
+                assert kept == dense_keep(full, closing), (j, closing)
+                assert close(kept, closing) == close(full, closing), (j, closing)
         for i in range(n + 1):
             assert engine._open_string(z, i) == dense_open(z, i), i
         for j in range(1, n + 1):
             assert close(z, (j,)) == dense_close(z, j), j
+            assert engine._diagonal_on(z, (j,)) == dense_keep(z, (j,)), j
+        every = tuple(range(1, n + 1))
+        assert engine._diagonal_on(z, every) == dense_keep(z, every)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 7, 12, -1, -2, -3, -7, -12])
+def test_closing_power_is_the_power_restricted(e):
+    full = generator_power(e)
+    for closing in ((1,), (2,), (1, 2)):
+        kept = generator_power(e, closing)
+        assert kept == dense_keep(full, closing), closing
+        assert 0 < len(kept.entries) < len(full.entries), closing
 
 
 def test_inverse_is_the_generator_swapped_and_inverted():

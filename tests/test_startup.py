@@ -77,3 +77,24 @@ def test_every_subcommand_runs_in_a_fresh_process(tmp_path, argv, line):
     result = python("-m", "linksgould", *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert line in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["eval", "--", "-1^64"], ["batch", "words.txt"]])
+def test_a_closed_stdout_pipe_ends_without_a_traceback(tmp_path, argv):
+    (tmp_path / "words.txt").write_text("trefoil 1 1 1\nhopf 1^2\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linksgould", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            cwd=tmp_path,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
