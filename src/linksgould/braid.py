@@ -87,8 +87,11 @@ def parse(text: str, n_strings: int | None = None) -> BraidWord:
     """Parse braid-word text into canonical run-length form.
 
     ``n_strings`` overrides the inferred string count (it must not be
-    smaller); this is how free strands are represented.
+    smaller); this is how free strands are represented.  A token ``j^0``
+    adds no letter, but its generator counts toward the inferred count:
+    the word names strings j and j+1.
     """
+    tokens: list[tuple[int, int]] = []  # every (position, exponent) given
     letters: list[tuple[int, int]] = []
     for idx, token in enumerate(re.split(r"[,\s]+", text.strip())):
         if not token:
@@ -105,10 +108,10 @@ def parse(text: str, n_strings: int | None = None) -> BraidWord:
             ) from None
         if j == 0:
             raise BraidSyntaxError(f"generator index 0 at position {idx + 1}")
-        if k == 0:
-            continue
-        _merge_push(letters, abs(j), (1 if j > 0 else -1) * k)
-    inferred = infer_strings(letters)
+        tokens.append((abs(j), k))
+        if k:
+            _merge_push(letters, abs(j), (1 if j > 0 else -1) * k)
+    inferred = infer_strings(tokens)
     if n_strings is None:
         n_strings = inferred
     elif n_strings < inferred:

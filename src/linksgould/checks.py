@@ -2,7 +2,8 @@
 ``engine.accrete``: the generator inverse, the Yang-Baxter relation, the
 cubic relation, the power law of the generator's powers, the handles'
 closed forms and traces, the handle's commuting with the generator, and
-the Markov-move property suite, which also checks reduce_closure.
+the Markov-move property suite, which also checks reduce_closure and the
+columns evaluate_raw forms.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from .braid import (
     stabilize,
 )
 from .engine import (
+    ALL_COLUMNS,
     SparseTangle,
     accrete,
     combine,
+    evaluate_raw,
     execute,
     generator_power,
     identity_tangle,
@@ -117,6 +120,7 @@ def check_handle_commutes(handle: Diagonal = HANDLE_PLUS) -> bool:
 
 
 REDUCTION = "reduction"  # the label of the reduce_closure check
+COLUMNS_CHECK = "columns"  # the label of the check of evaluate_raw's columns
 
 
 @dataclass
@@ -141,9 +145,11 @@ def run_markov_suite(
     the mirror relation, and through reduce_closure.  Every word is
     planned as given, since evaluate_raw would reduce a moved word back to
     the word itself: the suite tests that the state model's value is
-    invariant, which is what makes the reduction exact.  Every value also
-    passes the structural checks (inside to_invariant) and the parity
-    scan."""
+    invariant, which is what makes the reduction exact.  Values are formed
+    in all four columns, so each passes the 16-cell scalar check, and
+    evaluate_raw, which forms the columns COLUMNS of the reduced word, must
+    give the same value.  Every value also passes the structural checks
+    (inside to_invariant) and the parity scan."""
     rng = random.Random(seed)
     report = MarkovReport()
 
@@ -153,7 +159,7 @@ def run_markov_suite(
             report.failures.append(f"{label} failed on {word!r}")
 
     def value(w: BraidWord) -> LaurentQP:
-        return execute(plan(w))
+        return execute(plan(w, ALL_COLUMNS))
 
     for _ in range(braids):
         b = random_braid(rng, max_strings, max_expanded_len)
@@ -163,6 +169,7 @@ def run_markov_suite(
         poly = to_invariant(base)
         check("parity", word, not parity_violations(poly))
         check(REDUCTION, word, value(reduce_closure(b)) == base)
+        check(COLUMNS_CHECK, word, evaluate_raw(b) == base)
 
         g = (rng.randint(1, b.n_strings - 1), rng.choice((1, -1)))
         check("conjugation", word, value(conjugate(b, g)) == base)

@@ -19,6 +19,7 @@ import time
 
 from .braid import BraidSyntaxError, closure_info, parse, render, writhe
 from .engine import (
+    COLUMNS,
     DEFAULT_SIZE_CAP,
     NonScalarTangleError,
     SizeCapExceeded,
@@ -165,6 +166,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .checks import (
+        COLUMNS_CHECK,
         REDUCTION,
         check_cubic_relation,
         check_handle_commutes,
@@ -221,12 +223,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     if not args.quick:
         markov = run_markov_suite(seed=args.seed, braids=args.braids)
         reduction = [f for f in markov.failures if f.startswith(REDUCTION)]
+        columns = [f for f in markov.failures if f.startswith(COLUMNS_CHECK)]
         report(
             "markov",
             f"{markov.braids} braids, {markov.checks} checks (seed {args.seed})",
-            len(reduction) == len(markov.failures),
+            len(reduction) + len(columns) == len(markov.failures),
         )
         report("markov", "reduce_closure keeps the value", not reduction)
+        report(
+            "markov",
+            f"columns {', '.join(map(str, COLUMNS))} give the 4-column value",
+            not columns,
+        )
         for failure in markov.failures[:5]:
             print(f"    {failure}")
 

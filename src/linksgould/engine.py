@@ -5,10 +5,16 @@ tangles and extracts the scalar.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
-one.  ``accrete`` is the one product.  A close reads only the cells with
-upper == lower on the string it closes, so at a string's last letter
-``accrete`` (or ``generator_power``, for the first letter) forms only
-those cells.
+one.  ``accrete`` is the one product.  A plan step may restrict the
+cells it forms on each of its strings to a set of (upper, lower) index
+pairs, and the kernels (``_open_string``, ``generator_power``,
+``accrete``) form no cell outside it.  Two restrictions are used:
+  - DIAGONAL, upper == lower, at a string's last letter: the cells its
+    close reads;
+  - lower index in COLUMNS on string n, where it opens.  No step changes
+    a lower index, so each column of the closed (1,1)-tangle, which is
+    lambda times the identity, is summed on its own; two columns are
+    formed so that extract_scalar can compare two diagonal cells.
 
 A tangle on n strings over the dimension-M basis has at most M^(2n)
 entries.  The size guard is that dense bound on the word's string count:
@@ -95,10 +101,38 @@ def _key(n: int, upper: Index, lower: Index) -> int:
     return key
 
 
-def _lowers(strings: tuple[int, ...], last: int) -> int:
-    """Mask of the lower indices of the given strings (1-based) in a key
-    whose least significant digit is string last's."""
-    return sum((M_DIM - 1) * _PAIR ** (last - s) for s in strings)
+def _digits(cells: list[tuple[int, int]]) -> int:
+    """The restriction of one string to the given (upper, lower) index
+    pairs: bit M a + b is set for each pair (a, b)."""
+    return sum(1 << a * M_DIM + b for a, b in set(cells))
+
+
+ANY = (1 << _PAIR) - 1  # every pair: no restriction
+DIAGONAL = _digits([(a, a) for a in range(M_DIM)])  # the cells a close reads
+ALL_COLUMNS = tuple(range(M_DIM))
+# the lower indices of string n that evaluate_raw forms: two, so that the
+# closed tangle still has two diagonal cells to compare
+COLUMNS = (0, M_DIM - 1)
+
+
+def lower_in(columns: tuple[int, ...]) -> int:
+    """The restriction of one string to the given lower indices."""
+    return _digits([(a, c) for a in range(M_DIM) for c in columns])
+
+
+def _allows(keep: tuple[int, ...], key: int) -> bool:
+    """Whether the restriction keep, one per string, admits the key whose
+    least significant digit is keep[-1]'s string."""
+    for digits in reversed(keep):
+        key, digit = divmod(key, _PAIR)
+        if not digits >> digit & 1:
+            return False
+    return True
+
+
+def _restrict(t: SparseTangle, keep: tuple[int, ...]) -> SparseTangle:
+    """The cells of t that keep, one restriction per string, admits."""
+    return SparseTangle(t.n, {k: v for k, v in t.entries.items() if _allows(keep, k)})
 
 
 def _guard(n: int, max_size: int) -> None:
@@ -113,36 +147,40 @@ def identity_tangle(n: int, max_size: int = DEFAULT_SIZE_CAP) -> SparseTangle:
 
 
 def accrete(
-    z: SparseTangle, x: SparseTangle, j: int, closing: tuple[int, ...] = ()
+    z: SparseTangle, x: SparseTangle, j: int, keep: tuple[int, int] = (ANY, ANY)
 ) -> SparseTangle:
     """Multiply the 2-string tangle x into strings j, j+1 of z: the upper
     indices at j, j+1 are contracted against x's lower pair and replaced
     by its upper pair.  On two strings, accrete(a, b, 1) is the matrix
     product b * a.
 
-    closing names strings among j, j+1 that the next step closes: only the
-    cells with upper == lower on each of them are formed, the cells close
-    reads.  x's rows are matched to z's lower index on those strings
-    before any product is taken."""
+    keep restricts the cells formed on strings j and j+1.  x's rows are
+    matched to z's lower indices on the restricted strings before any
+    product is taken, so a cell keep excludes costs nothing."""
     n = z.n
     if not 1 <= j <= n - 1:
         raise ValueError(f"position {j} outside 1..{n - 1}")
     if x.n != 2:
         raise ValueError(f"accreted tangle has {x.n} strings, not 2")
-    if not set(closing) <= {j, j + 1}:
-        raise ValueError(f"closing strings {closing} not among {j}, {j + 1}")
     unit = _PAIR ** (n - j - 1)  # weight of string j + 1's digit
-    kept = _lowers(closing, j + 1)  # in the two digits at j, j+1
-    # x by lower pair, shifted to where z holds its upper pair, and by its
-    # upper indices on the closing strings, shifted to where z holds the
-    # lower ones; the value is the change to z's key: its upper pair for x's
-    mask = _UPPERS | kept
+    # z's lower indices on the restricted strings, in the two digits at
+    # j, j+1: every value they can take
+    lows, mask = [0], _UPPERS
+    for weight, digits in zip((_PAIR, 1), keep):
+        if digits != ANY:
+            lows = [low + b * weight for low in lows for b in range(M_DIM)]
+            mask |= (M_DIM - 1) * weight
+    # x by lower pair, shifted to where z holds its upper pair, and by the
+    # lower indices of z that keep admits under x's upper pair; the value
+    # is the change to z's key: its upper pair for x's
     xmap: dict[int, list[tuple[int, LaurentQP]]] = {}
     for xkey, xv in x.entries.items():
         lower, upper = xkey & ~_UPPERS, xkey & _UPPERS
-        xmap.setdefault(lower * M_DIM | upper // M_DIM & kept, []).append(
-            ((upper - lower * M_DIM) * unit, xv)
-        )
+        for low in lows:
+            if _allows(keep, upper | low):
+                xmap.setdefault(lower * M_DIM | low, []).append(
+                    ((upper - lower * M_DIM) * unit, xv)
+                )
     out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
         for shift, xv in xmap.get(key // unit & mask, ()):
@@ -174,14 +212,23 @@ def _swap_invert(t: SparseTangle) -> SparseTangle:
     return SparseTangle(2, out)
 
 
-_SIGMA = SparseTangle.from_cells(
-    2, {(divmod(row, M_DIM), divmod(col, M_DIM)): v for (row, col), v in GAUGED.items()}
-)
 _IDENTITY2 = identity_tangle(2)
-# Newton basis of the cubic relation at the eigenvalues taken in the order
-# (-1, q p^-2, q p^2): N1 = R + I and N2 = (R + I)(R - q p^-2 I)
-_NEWTON_1 = combine([(ONE, _SIGMA), (ONE, _IDENTITY2)])
-_NEWTON_2 = accrete(_NEWTON_1, combine([(ONE, _SIGMA), (-EIGENVALUES[0], _IDENTITY2)]), 1)
+
+
+def _crossing(
+    gauged: dict[tuple[int, int], LaurentQP],
+) -> tuple[SparseTangle, SparseTangle, SparseTangle]:
+    """The crossing tensor R from its gauged (row, col) cells, and the
+    Newton basis of the cubic relation at the eigenvalues taken in the
+    order (-1, q p^-2, q p^2): N1 = R + I and N2 = (R + I)(R - q p^-2 I)."""
+    sigma = SparseTangle.from_cells(
+        2, {(divmod(row, M_DIM), divmod(col, M_DIM)): v for (row, col), v in gauged.items()}
+    )
+    n1 = combine([(ONE, sigma), (ONE, _IDENTITY2)])
+    return sigma, n1, accrete(n1, combine([(ONE, sigma), (-EIGENVALUES[0], _IDENTITY2)]), 1)
+
+
+_SIGMA, _NEWTON_1, _NEWTON_2 = _crossing(GAUGED)
 
 
 def lg_sigma() -> SparseTangle:
@@ -210,53 +257,44 @@ def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
     return LaurentQP(h1), LaurentQP(h2)
 
 
-def _diagonal_on(t: SparseTangle, strings: tuple[int, ...]) -> SparseTangle:
-    """The cells of t with upper == lower on each of the given strings
-    (1-based), the ones a close of those strings reads; a copy of t for
-    no strings."""
-    lower = _lowers(strings, t.n)
-    kept = {k: v for k, v in t.entries.items() if k // M_DIM & lower == k & lower}
-    return SparseTangle(t.n, kept)
-
-
-def _positive_power(e: int, closing: tuple[int, ...]) -> SparseTangle:
+def _positive_power(e: int, keep: tuple[int, int]) -> SparseTangle:
     """R^e for e >= 1 in Newton form over the eigenvalues: x^e modulo the
     cubic relation is its interpolating polynomial at the three roots, so
     R^e = (-1)^e I + h_{e-1} N1 + h_{e-2} N2.  The coefficients have O(e^2)
     terms and R^e is one linear combination, so the cost grows as e^2.
-    Only the cells of the basis kept on the closing strings are combined."""
+    Only the cells of the basis that keep admits are combined."""
     if e == 1:  # most letters; the combination costs about 200 times this copy
-        return _diagonal_on(_SIGMA, closing)
+        return _restrict(_SIGMA, keep)
     h1, h2 = _newton_coefficients(e)
     sign = ONE if e % 2 == 0 else -ONE
     basis = ((sign, _IDENTITY2), (h1, _NEWTON_1), (h2, _NEWTON_2))
-    return combine([(c, _diagonal_on(t, closing)) for c, t in basis])
+    return combine([(c, _restrict(t, keep)) for c, t in basis])
 
 
-def generator_power(e: int, closing: tuple[int, ...] = ()) -> SparseTangle:
+def generator_power(e: int, keep: tuple[int, int] = (ANY, ANY)) -> SparseTangle:
     """Crossing tensor raised to the e-th power (e != 0); R^-e is R^e
-    swapped and inverted.  With closing strings (1, 2 or both) it forms
-    only the cells with upper == lower on them, the cells their close
-    reads; for e < 0 that is R^-e kept on the swapped strings."""
+    swapped and inverted.  It forms only the cells that keep, one
+    restriction per string, admits; for e < 0 that is R^-e kept on the
+    swapped strings."""
     if e == 0:
         raise ValueError("exponent must be nonzero")
-    if not set(closing) <= {1, 2}:
-        raise ValueError(f"closing strings {closing} not among 1, 2")
     if e > 0:
-        return _positive_power(e, closing)
-    return _swap_invert(_positive_power(-e, tuple(3 - s for s in closing)))
+        return _positive_power(e, keep)
+    return _swap_invert(_positive_power(-e, keep[::-1]))
 
 
-def _open_string(z: SparseTangle, i: int) -> SparseTangle:
-    """z with an identity string inserted after its first i strings."""
+def _open_string(z: SparseTangle, i: int, keep: int = ANY) -> SparseTangle:
+    """z with an identity string inserted after its first i strings, its
+    cells restricted by keep."""
     tail = _PAIR ** (z.n - i)  # values of the digits right of the new string
     step = (M_DIM + 1) * tail  # the new string's digit at a = b = 1
+    shifts = [a * step for a in range(M_DIM) if keep >> (M_DIM + 1) * a & 1]
     out: dict[int, LaurentQP] = {}
     for key, v in z.entries.items():
         head, rest = divmod(key, tail)
         base = head * tail * _PAIR + rest
-        for a in range(M_DIM):
-            out[base + a * step] = v
+        for shift in shifts:
+            out[base + shift] = v
     return SparseTangle(z.n + 1, out)
 
 
@@ -281,16 +319,18 @@ def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTang
     return z
 
 
-def extract_scalar(t: SparseTangle) -> LaurentQP:
-    """Check that the 1-string tangle t is a scalar multiple of the
-    identity and return the scalar; anything else signals a convention bug
-    or invalid input."""
-    diag = t.entry((0,), (0,))
+def extract_scalar(t: SparseTangle, columns: tuple[int, ...] = ALL_COLUMNS) -> LaurentQP:
+    """Check that the 1-string tangle t, formed only in the given columns
+    (lower indices), is those columns of a scalar multiple of the identity,
+    and return the scalar: every cell of t is read, each diagonal cell in
+    the columns must equal the others and every other cell must be 0.
+    Anything else signals a convention bug or invalid input."""
+    diag = t.entry((columns[0],), (columns[0],))
     bad = []
     for a in range(M_DIM):
         for b in range(M_DIM):
             v = t.entry((a,), (b,))
-            if v != (diag if a == b else ZERO):
+            if v != (diag if a == b and b in columns else ZERO):
                 bad.append((a, b, v))
     if bad:
         detail = ", ".join(f"t[{a}][{b}] = {v}" for a, b, v in bad[:4])
@@ -359,21 +399,35 @@ def _touched(word: BraidWord) -> set[int]:
     return {s for pos, _ in word.letters for s in (pos, pos + 1)}
 
 
-def plan(word: BraidWord) -> tuple[int, int, list[tuple[str, int, int, int]]]:
+Step = tuple[str, int, int, int, tuple[int, ...]]
+
+
+def plan(
+    word: BraidWord, columns: tuple[int, ...] = COLUMNS
+) -> tuple[int, int, tuple[int, ...], list[Step]]:
     """The schedule of a word, with no arithmetic: its earliest cheapest
-    rotation r, r's modelled cost (see _rotation_costs), and the steps
-    (op, braid string s, live index i, exponent e) that evaluate it:
-        ("open", s, i, 0)     open string s at live index i;
-        ("accrete", s, i, e)  accrete R^e on live strings i, i + 1 (s, s + 1);
-        ("take", s, 0, e)     the first letter: it opens both its strings on
-                              the scalar ONE, so R^e is the tangle;
-        ("close", s, i, 0)    close live string i against the left handle.
+    rotation r, r's modelled cost (see _rotation_costs), the columns (lower
+    indices of string n) it forms, and the steps (op, braid string s, live
+    index i, exponent e, keep) that evaluate it:
+        ("open", s, i, 0, keep)     open string s at live index i;
+        ("accrete", s, i, e, keep)  accrete R^e on live strings i, i + 1
+                                    (s, s + 1);
+        ("take", s, 0, e, keep)     the first letter: it opens both its
+                                    strings on the scalar ONE, so R^e is
+                                    the tangle;
+        ("close", s, i, 0, ())      close live string i against the left
+                                    handle.
+    keep restricts the cells a step forms, one restriction per string it
+    opens or accretes on: DIAGONAL on a string the next steps close,
+    lower_in(columns) where string n opens (its open step, or the take
+    that opens it), ANY elsewhere.
     A string opens at its first letter and, unless it is string n, closes
     after its last; a free string (s < n, untouched) opens and closes
     before the first letter, an untouched string n opens after the last.
     Exact: the handle on a string commutes with every operator not acting
-    on it, and conjugate braids have the same closure.  The word is planned
-    as given; evaluate_raw plans its reduced word."""
+    on it, conjugate braids have the same closure, and no step changes a
+    lower index.  The word is planned as given; evaluate_raw plans its
+    reduced word."""
     n = word.n_strings
     costs = _rotation_costs(n, word.letters)
     r = costs.index(min(costs))  # the earliest of the cheapest
@@ -383,37 +437,45 @@ def plan(word: BraidWord) -> tuple[int, int, list[tuple[str, int, int, int]]]:
     events += [((pos, pos + 1), exp) for pos, exp in word.letters[r:] + word.letters[:r]]
     events.append(((n,), 0))  # a no-op if string n is live already
     last = {s: t for t, (span, _) in enumerate(events) for s in span}
+    opening = lower_in(columns)
     live: list[int] = []
-    steps: list[tuple[str, int, int, int]] = []
+    steps: list[Step] = []
     for t, (span, exp) in enumerate(events):
         op = "accrete" if steps else "take"
         for s in span:
             if s not in live:
                 bisect.insort(live, s)
-                steps.append(("open", s, live.index(s), 0))
+                steps.append(("open", s, live.index(s), 0, (opening if s == n else ANY,)))
         if exp:
-            steps.append((op, span[0], live.index(span[0]), exp))
+            keep = tuple(
+                DIAGONAL if s < n and last[s] == t
+                else opening if s == n and op == "take"
+                else ANY
+                for s in span
+            )
+            steps.append((op, span[0], live.index(span[0]), exp, keep))
         for s in reversed(span):
             if s < n and last[s] == t:
-                steps.append(("close", s, live.index(s), 0))
+                steps.append(("close", s, live.index(s), 0, ()))
                 live.remove(s)
-    return r, costs[r], steps
+    return r, costs[r], tuple(columns), steps
 
 
-def execute(schedule: tuple[int, int, list[tuple[str, int, int, int]]]) -> LaurentQP:
+def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP:
     """Run the steps of a plan over SparseTangle, one debug line each, and
-    extract the scalar.  A letter followed by closes of its strings forms
-    only the cells those closes read.  A tangle that falls empty stays
+    extract the scalar from the columns the plan formed.  Each kernel forms
+    only the cells its step's keep admits.  A tangle that falls empty stays
     empty, so no power is formed after that."""
-    rotation, cost, steps = schedule
+    rotation, cost, columns, steps = schedule
     letters = sum(op in ("take", "accrete") for op, *_ in steps)
     logger.debug("rotation %d of %d", rotation, letters)
     logger.debug("modelled cost %d", cost)
+    logger.debug("columns %s of the open string", ", ".join(map(str, columns)))
     z = identity_tangle(0)
     done = 0
-    for k, (op, s, i, e) in enumerate(steps):
+    for op, s, i, e, keep in steps:
         if op == "open":
-            z = _open_string(z, i)
+            z = _open_string(z, i, *keep)
             logger.debug("opened string %d: %d live strings, %d entries", s, z.n, len(z.entries))
         elif op == "close":
             z = close(z, (i + 1,))
@@ -421,22 +483,16 @@ def execute(schedule: tuple[int, int, list[tuple[str, int, int, int]]]) -> Laure
                 "closed one string (%d): %d live strings, %d entries", s, z.n, len(z.entries)
             )
         else:
-            # the live strings (1-based) of this letter that the next steps close
-            closing: tuple[int, ...] = ()
-            for next_op, _, next_i, _ in steps[k + 1 : k + 3]:
-                if next_op != "close":
-                    break
-                closing += (next_i + 1,)
             if op == "take":
-                z = generator_power(e, closing)
+                z = generator_power(e, keep)
             elif z.entries:  # else a closing emptied it, and no later step refills it
-                z = accrete(z, generator_power(e), i + 1, closing)
+                z = accrete(z, generator_power(e), i + 1, keep)
             done += 1
             logger.debug(
                 "accreted letter %d/%d (pos %d, exp %+d): %d entries",
                 done, letters, s, e, len(z.entries),
             )
-    return extract_scalar(z)
+    return extract_scalar(z, columns)
 
 
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:

@@ -49,6 +49,14 @@ def test_caret_notation_equals_expanded():
     assert parse("1^0 2") == parse("2")
 
 
+def test_zero_exponent_counts_toward_the_strings():
+    assert parse("2^0") == BraidWord(3, ())
+    assert parse("1 3^0") == BraidWord(4, ((1, 1),))
+    assert parse("-3^0", 4).n_strings == 4
+    with pytest.raises(BraidSyntaxError, match="--strings 2 below inferred minimum 4"):
+        parse("3^0 1 1 1", 2)
+
+
 def test_commas_accepted():
     assert parse("1, -2, 1, -2") == parse("1 -2 1 -2")
 

@@ -38,6 +38,17 @@ def test_eval_split_link_notes_zero(capsys):
     assert "split" in out
 
 
+def test_eval_zero_exponent_keeps_its_strings(capsys):
+    # 2^0 names strings 2 and 3: the closure is a 3-component unlink
+    code, out, _ = run(capsys, "eval", "2^0")
+    assert code == 0
+    assert out.splitlines()[0] == "0"
+    assert "strings:      3" in out
+    code, _, err = run(capsys, "eval", "--strings", "2", "--", "3^0 1 1 1")
+    assert code == 2
+    assert "--strings 2 below inferred minimum 4" in err
+
+
 def test_eval_size_cap_refusal(capsys):
     code, _, err = run(capsys, "eval", "1 1 1 1 1 1", "--strings", "6")
     assert code == 1
@@ -253,13 +264,14 @@ def test_selftest_small_seeded(capsys):
     assert code == 0
     assert "seed 12345" in out
     assert re.search(r"^markov +reduce_closure keeps the value +pass$", out, re.M)
+    assert re.search(r"^markov +columns 0, 3 give the 4-column value +pass$", out, re.M)
 
 
 def test_selftest_seed_changes_braids_not_outcome():
     a = run_markov_suite(seed=1, braids=3)
     b = run_markov_suite(seed=2, braids=3)
     assert a.ok and b.ok
-    assert a.checks == b.checks == 3 * 8
+    assert a.checks == b.checks == 3 * 9
 
 
 def test_dump_rmatrix(capsys):

@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linksgould import engine
-from linksgould.braid import BraidWord, conjugate, parse, random_braid
+from linksgould.braid import BraidWord, conjugate, parse, random_braid, reduce_closure
 from linksgould.engine import (
+    ALL_COLUMNS,
+    ANY,
+    COLUMNS,
     DEFAULT_SIZE_CAP,
+    DIAGONAL,
     NonScalarTangleError,
     SizeCapExceeded,
     SparseTangle,
@@ -21,10 +25,11 @@ from linksgould.engine import (
     identity_tangle,
     lg_sigma,
     lg_sigma_inverse,
+    lower_in,
     plan,
 )
 from linksgould.ring import ONE, ZERO, LaurentQP
-from linksgould.statemodel import HANDLE_PLUS
+from linksgould.statemodel import GAUGED, HANDLE_PLUS
 
 # reference values in raw (eq2, ep) coordinates, P = p^2
 TREFOIL_RAW = LaurentQP(
@@ -134,6 +139,45 @@ def test_extract_scalar_cases():
     lopsided = SparseTangle(1, {0: ONE})  # t[0][0] only
     with pytest.raises(NonScalarTangleError):
         extract_scalar(lopsided)
+    # formed in columns 0 and 3 only: those columns of ONE * I are ONE
+    two = SparseTangle.from_cells(1, {((0,), (0,)): ONE, ((3,), (3,)): ONE})
+    assert extract_scalar(two, (0, 3)) == ONE
+    with pytest.raises(NonScalarTangleError, match=r"t\[3\]\[3\]"):
+        extract_scalar(lopsided, (0, 3))
+    with pytest.raises(NonScalarTangleError, match=r"t\[1\]\[1\]"):
+        extract_scalar(identity_tangle(1), (0, 3))  # a cell outside the columns
+    off = SparseTangle.from_cells(1, {((0,), (0,)): ONE, ((3,), (3,)): ONE, ((0,), (3,)): ONE})
+    with pytest.raises(NonScalarTangleError, match=r"t\[0\]\[3\]"):
+        extract_scalar(off, (0, 3))
+
+
+def seeded_four_string_braids(seed):
+    """15 random 10-letter 4-string braids whose reduced words still touch
+    all 4 strings."""
+    rng = random.Random(seed)
+    braids = []
+    while len(braids) < 15:
+        b = BraidWord(4, tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(10)))
+        if engine._touched(reduce_closure(b)) == {1, 2, 3, 4}:
+            braids.append(b)
+    return braids
+
+
+@pytest.mark.parametrize("cell", sorted(GAUGED))
+def test_a_negated_crossing_cell_is_not_scalar(monkeypatch, cell):
+    # evaluate_raw forms columns 0 and 3 only; one column's off-diagonal
+    # cells vanish even for a wrong R, so only comparing the two diagonal
+    # cells catches these
+    gauged = dict(GAUGED)
+    gauged[cell] = -gauged[cell]
+    for name, t in zip(("_SIGMA", "_NEWTON_1", "_NEWTON_2"), engine._crossing(gauged)):
+        monkeypatch.setattr(engine, name, t)
+    for b in seeded_four_string_braids(2):
+        try:
+            evaluate_raw(b)
+        except NonScalarTangleError:
+            return
+    pytest.fail(f"negating R cell {cell} went unnoticed")
 
 
 def test_evaluate_raw_base_cases():
@@ -205,6 +249,16 @@ def test_pruned_schedule_matches_the_old_schedule(b):
     assert execute(plan(b)) == old_schedule(b), b
 
 
+@settings(deadline=None)
+@given(braid_words())
+def test_every_column_gives_the_four_column_value(b):
+    # no step changes a lower index, so each column of string n is summed
+    # on its own and closes to the same scalar
+    value = execute(plan(b, ALL_COLUMNS))
+    for columns in ((0,), (1,), (2,), (3,), COLUMNS):
+        assert execute(plan(b, columns)) == value, (b, columns)
+
+
 def terms(t):
     return sum(len(v.terms) for v in t.entries.values())
 
@@ -222,7 +276,8 @@ def test_take_forms_only_the_terms_its_close_reads(monkeypatch, e):
     monkeypatch.setattr(engine, "close", recording)
     assert execute(plan(b)) == expected
     assert terms(generator_power(e)) == 34_818
-    assert [terms(z) for z in handed] == [8_964]
+    # upper == lower on string 1, and lower in COLUMNS on string 2
+    assert [terms(z) for z in handed] == [4_545]
 
 
 def test_live_strings_match_the_old_schedule():
@@ -327,6 +382,7 @@ def test_opening_and_closing_are_logged(caplog):
         execute(plan(parse("1 2 -1 3", 4)))
     messages = caplog.messages
     assert "rotation 0 of 4" in messages
+    assert messages.count("columns 0, 3 of the open string") == 1
     opened = [m for m in messages if m.startswith("opened string")]
     closed = [m for m in messages if m.startswith("closed one string")]
     assert len(opened) == 4 and len(closed) == 3
@@ -338,9 +394,9 @@ def test_no_power_is_formed_once_the_tangle_is_empty(monkeypatch):
     # strings 1 and 2 close off after "1 -1", so R^200 would be multiplied into 0
     built = []
 
-    def counting(e, closing=()):
+    def counting(e, keep=(ANY, ANY)):
         built.append(e)
-        return generator_power(e, closing)
+        return generator_power(e, keep)
 
     monkeypatch.setattr(engine, "generator_power", counting)
     assert execute(plan(parse("1 -1 3^200", 4))) == ZERO
@@ -360,9 +416,9 @@ def test_free_strings_close_before_the_first_letter(monkeypatch):
     # R^200 is never formed
     built = []
 
-    def counting(e, closing=()):
+    def counting(e, keep=(ANY, ANY)):
         built.append(e)
-        return generator_power(e, closing)
+        return generator_power(e, keep)
 
     monkeypatch.setattr(engine, "generator_power", counting)
     assert execute(plan(parse("2^200", 3))) == ZERO
@@ -374,9 +430,9 @@ def test_untouched_strings_form_no_power(monkeypatch, word, strings):
     # each reduced word leaves a string untouched, so its closure is split
     built = []
 
-    def counting(e, closing=()):
+    def counting(e, keep=(ANY, ANY)):
         built.append(e)
-        return generator_power(e, closing)
+        return generator_power(e, keep)
 
     monkeypatch.setattr(engine, "generator_power", counting)
     assert evaluate_raw(parse(word, strings)) == ZERO
@@ -398,22 +454,34 @@ def test_reduction_keeps_the_value(seed):
 
 
 def test_plan_step_by_step():
-    rotation, cost, steps = engine.plan(parse("1 2 -1 3", 4))
+    rotation, cost, columns, steps = engine.plan(parse("1 2 -1 3", 4))
     assert rotation == 0
     assert cost == 16**2 + 16**3 + 16**3 + 16**2  # live strings at each letter
+    assert columns == COLUMNS == (0, 3)
+    opening = lower_in(COLUMNS)
     assert steps == [
-        ("open", 1, 0, 0),
-        ("open", 2, 1, 0),
-        ("take", 1, 0, 1),  # opened on the scalar ONE: R is the tangle
-        ("open", 3, 2, 0),
-        ("accrete", 2, 1, 1),
-        ("accrete", 1, 0, -1),
-        ("close", 2, 1, 0),
-        ("close", 1, 0, 0),
-        ("open", 4, 1, 0),
-        ("accrete", 3, 0, 1),
-        ("close", 3, 0, 0),
+        ("open", 1, 0, 0, (ANY,)),
+        ("open", 2, 1, 0, (ANY,)),
+        ("take", 1, 0, 1, (ANY, ANY)),  # opened on the scalar ONE: R is the tangle
+        ("open", 3, 2, 0, (ANY,)),
+        ("accrete", 2, 1, 1, (ANY, ANY)),
+        ("accrete", 1, 0, -1, (DIAGONAL, DIAGONAL)),  # both strings close next
+        ("close", 2, 1, 0, ()),
+        ("close", 1, 0, 0, ()),
+        ("open", 4, 1, 0, (opening,)),  # string n opens in two columns
+        ("accrete", 3, 0, 1, (DIAGONAL, ANY)),
+        ("close", 3, 0, 0, ()),
     ]
+    # a take that opens string n restricts it there, with every column too
+    _, _, columns, steps = engine.plan(parse("1^3"), ALL_COLUMNS)
+    assert columns == ALL_COLUMNS
+    assert steps == [
+        ("open", 1, 0, 0, (ANY,)),
+        ("open", 2, 1, 0, (lower_in(ALL_COLUMNS),)),
+        ("take", 1, 0, 3, (DIAGONAL, lower_in(ALL_COLUMNS))),
+        ("close", 1, 0, 0, ()),
+    ]
+    assert lower_in(ALL_COLUMNS) == ANY
 
 
 def test_plan_does_no_arithmetic(monkeypatch):
@@ -427,32 +495,49 @@ def test_plan_does_no_arithmetic(monkeypatch):
         b = random_braid(rng, max_strings=6, max_expanded_len=14)
         n = b.n_strings
         costs = engine._rotation_costs(n, b.letters)
-        rotation, cost, steps = engine.plan(b)
+        rotation, cost, columns, steps = engine.plan(b)
+        assert columns == COLUMNS, b
         assert (rotation, cost) == (costs.index(min(costs)), min(costs)), b
         letters = b.letters[rotation:] + b.letters[:rotation]
         touched = {s for pos, _ in letters for s in (pos, pos + 1)}
         live: list[int] = []  # the open braid strings, in order
         opened, closed, accreted, modelled = [], [], [], 0
         previous = None  # the latest step that is not a closing
-        for step in steps:
-            op, s, i, e = step
+        for k, step in enumerate(steps):
+            op, s, i, e, keep = step
             if op == "open":
                 assert s not in opened and live[:i] == [t for t in live if t < s], b
                 live.insert(i, s)
                 opened.append(s)
+                assert keep == (lower_in(COLUMNS) if s == n else ANY,), b
             elif op == "close":
                 assert s < n and live[i] == s, b
                 if s in touched:  # right after its last letter
                     assert previous[0] in ("take", "accrete"), b
                     assert s in (previous[1], previous[1] + 1), b
+                    # which that letter formed on the diagonal only
+                    assert previous[4][s - previous[1]] == DIAGONAL, b
                 else:  # a free string closes right after it opens
-                    assert previous == ("open", s, i, 0), b
+                    assert previous == ("open", s, i, 0, (ANY,)), b
+                assert keep == (), b
                 del live[i]
                 closed.append(s)
             else:
                 assert live[i : i + 2] == [s, s + 1], b
                 accreted.append((s, e))
                 modelled += 16 ** len(live)
+                closing = set()  # the strings the next steps close
+                for later in steps[k + 1 :]:
+                    if later[0] != "close":
+                        break
+                    closing.add(later[1])
+                for t, restriction in zip((s, s + 1), keep):
+                    if t in closing:
+                        assert restriction == DIAGONAL, b
+                    elif op == "take" and t == n:
+                        assert restriction == lower_in(COLUMNS), b
+                    else:
+                        assert restriction == ANY, b
             assert len(live) <= n, b
             if op != "close":
                 previous = step
@@ -501,12 +586,16 @@ def dense_accrete(z, x, j):
 
 
 def dense_open(z, i):
+    """The nonzero cells of z with an identity string inserted after its
+    first i strings."""
     out = {}
     for upper in cells_of(z.n + 1):
         for lower in cells_of(z.n + 1):
             if upper[i] == lower[i]:
-                out[upper, lower] = z.entry(upper[:i] + upper[i + 1 :], lower[:i] + lower[i + 1 :])
-    return SparseTangle.from_cells(z.n + 1, out)
+                v = z.entry(upper[:i] + upper[i + 1 :], lower[:i] + lower[i + 1 :])
+                if v:
+                    out[upper, lower] = v
+    return out
 
 
 def dense_close(z, j):
@@ -524,15 +613,41 @@ def dense_close(z, j):
 
 def dense_keep(t, strings):
     """The cells of t with upper == lower on each of the given strings."""
+    return restricted(t.n, dense_cells(t), {s: lambda a, b: a == b for s in strings})
+
+
+def dense_cells(t):
+    """The nonzero cells of t, {(upper, lower): value}, read one by one."""
+    out = {}
+    for upper in cells_of(t.n):
+        for lower in cells_of(t.n):
+            v = t.entry(upper, lower)
+            if v:
+                out[upper, lower] = v
+    return out
+
+
+def restricted(n, cells, admits):
+    """The n-string tangle of the cells whose (upper, lower) pair on each
+    string s in admits satisfies admits[s]."""
     return SparseTangle.from_cells(
-        t.n,
+        n,
         {
-            (upper, lower): t.entry(upper, lower)
-            for upper in cells_of(t.n)
-            for lower in cells_of(t.n)
-            if all(upper[s - 1] == lower[s - 1] for s in strings)
+            (upper, lower): v
+            for (upper, lower), v in cells.items()
+            if all(test(upper[s - 1], lower[s - 1]) for s, test in admits.items())
         },
     )
+
+
+# each restriction of one string's cells, with what it admits written here
+RESTRICTIONS = [
+    (ANY, lambda a, b: True),
+    (DIAGONAL, lambda a, b: a == b),
+    (lower_in(COLUMNS), lambda a, b: b in (0, 3)),
+    (lower_in((2,)), lambda a, b: b == 2),
+    (lower_in((1, 2)), lambda a, b: b in (1, 2)),
+]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -545,26 +660,45 @@ def test_kernels_match_dense_contractions(n):
         for j in range(1, n):
             full = accrete(z, x, j)
             assert full == dense_accrete(z, x, j), j
+            cells = dense_cells(full)
+            for (first, admits_first), (second, admits_second) in product(RESTRICTIONS, repeat=2):
+                kept = accrete(z, x, j, (first, second))
+                expected = restricted(n, cells, {j: admits_first, j + 1: admits_second})
+                assert kept == expected, (j, first, second)
             for closing in ((j,), (j + 1,), (j, j + 1)):
-                kept = accrete(z, x, j, closing)
+                keep = tuple(DIAGONAL if s in closing else ANY for s in (j, j + 1))
+                kept = accrete(z, x, j, keep)
                 assert kept == dense_keep(full, closing), (j, closing)
                 assert close(kept, closing) == close(full, closing), (j, closing)
         for i in range(n + 1):
-            assert engine._open_string(z, i) == dense_open(z, i), i
+            cells = dense_open(z, i)
+            assert engine._open_string(z, i) == restricted(n + 1, cells, {}), i
+            for keep, admits in RESTRICTIONS:
+                expected = restricted(n + 1, cells, {i + 1: admits})
+                assert engine._open_string(z, i, keep) == expected, (i, keep)
+        cells = dense_cells(z)
         for j in range(1, n + 1):
             assert close(z, (j,)) == dense_close(z, j), j
-            assert engine._diagonal_on(z, (j,)) == dense_keep(z, (j,)), j
+            for keep, admits in RESTRICTIONS:
+                kept = engine._restrict(z, (ANY,) * (j - 1) + (keep,) + (ANY,) * (n - j))
+                assert kept == restricted(n, cells, {j: admits}), (j, keep)
         every = tuple(range(1, n + 1))
-        assert engine._diagonal_on(z, every) == dense_keep(z, every)
+        assert engine._restrict(z, (DIAGONAL,) * n) == dense_keep(z, every)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 7, 12, -1, -2, -3, -7, -12])
 def test_closing_power_is_the_power_restricted(e):
     full = generator_power(e)
     for closing in ((1,), (2,), (1, 2)):
-        kept = generator_power(e, closing)
+        kept = generator_power(e, tuple(DIAGONAL if s in closing else ANY for s in (1, 2)))
         assert kept == dense_keep(full, closing), closing
         assert 0 < len(kept.entries) < len(full.entries), closing
+    # every pair of restrictions, the columns of string n among them
+    for (first, admits_first), (second, admits_second) in product(RESTRICTIONS, repeat=2):
+        kept = generator_power(e, (first, second))
+        expected = restricted(2, dense_cells(full), {1: admits_first, 2: admits_second})
+        assert kept == expected, (first, second)
+        assert 0 < len(kept.entries) <= len(full.entries), (first, second)
 
 
 def test_inverse_is_the_generator_swapped_and_inverted():
