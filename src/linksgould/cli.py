@@ -17,7 +17,7 @@ import re
 import sys
 import time
 
-from .braid import BraidSyntaxError, closure_info, parse, render, writhe
+from .braid import BraidSyntaxError, BraidWord, closure_info, parse, render, writhe
 from .engine import (
     COLUMNS,
     DEFAULT_SIZE_CAP,
@@ -38,12 +38,11 @@ from .invariant import (
     to_compact,
     to_invariant,
 )
+from .ring import LaurentQP
 
-# concurrent.futures (batch --jobs above 1), json (--format json), and checks
-# and knotdata (selftest) are imported only where they are used: each eval is
-# a fresh process, and on a small word start-up is most of its cost.
-
-logger = logging.getLogger(__name__)
+# batch (the batch subcommand), json (--format json), and checks and
+# knotdata (selftest) are imported only where they are used: each eval is a
+# fresh process, and on a small word start-up is most of its cost.
 
 FORMATS = ("compact-text", "compact-machine", "laurent", "json")
 EVAL_ERRORS = (
@@ -58,20 +57,49 @@ _DASH_LED_WORD = re.compile(r"-\d+[,^][-\d,^]*")
 
 
 def _evaluate(
-    word: str, strings: int | None, fmt: str, max_size: int, name: str | None = None
-) -> tuple[str, list[str]]:
-    """Returns (stdout record, human metadata lines)."""
+    word: str, strings: int | None, max_size: int
+) -> tuple[BraidWord, LaurentQP, float]:
+    """The parsed word, its (q, P) polynomial, and the seconds spent on
+    evaluating it (parsing aside)."""
     braid = parse(word, strings)
     start = time.perf_counter()
     poly = to_invariant(evaluate_raw(braid, max_size=max_size))
-    elapsed = time.perf_counter() - start
+    return braid, poly, time.perf_counter() - start
+
+
+def _render(braid: BraidWord, poly: LaurentQP, fmt: str, name: str | None = None) -> str:
+    """The stdout record of one evaluated word in the given format."""
     compact = to_compact(poly)
-    info = closure_info(braid)
+    if fmt == "compact-text":
+        return render_compact_text(compact)
+    if fmt == "compact-machine":
+        return render_machine(compact, name)
+    if fmt == "laurent":
+        return render_laurent(poly)
+    import json
+
+    return json.dumps(
+        {
+            "name": name,
+            "word": render(braid),
+            "strings": braid.n_strings,
+            "letters": braid.expanded_length(),
+            "writhe": writhe(braid),
+            "components": closure_info(braid).components,
+            "palindromic_q": is_palindromic_q(poly),
+            "compact": [sorted(block.items()) for block in compact],
+        },
+        sort_keys=True,
+    )
+
+
+def _metadata(braid: BraidWord, poly: LaurentQP, elapsed: float) -> list[str]:
+    """The human metadata lines that eval prints after its record."""
     meta = [
         f"strings:      {braid.n_strings}",
         f"letters:      {braid.expanded_length()}",
         f"writhe:       {writhe(braid)}",
-        f"components:   {info.components}",
+        f"components:   {closure_info(braid).components}",
         f"palindromic:  {'yes' if is_palindromic_q(poly) else 'no'}",
         f"elapsed:      {elapsed:.3f}s",
     ]
@@ -80,88 +108,27 @@ def _evaluate(
         meta.append(f"parity violations: {violations}")
     if not poly:
         meta.append("note: value is 0 (the closure has a split component)")
-    if fmt == "compact-text":
-        record = render_compact_text(compact)
-    elif fmt == "compact-machine":
-        record = render_machine(compact, name)
-    elif fmt == "laurent":
-        record = render_laurent(poly)
-    else:
-        import json
-
-        record = json.dumps(
-            {
-                "name": name,
-                "word": render(braid),
-                "strings": braid.n_strings,
-                "letters": braid.expanded_length(),
-                "writhe": writhe(braid),
-                "components": info.components,
-                "palindromic_q": is_palindromic_q(poly),
-                "compact": [sorted(block.items()) for block in compact],
-            },
-            sort_keys=True,
-        )
-    return record, meta
+    return meta
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        record, meta = _evaluate(args.word, args.strings, args.format, args.max_size)
+        braid, poly, elapsed = _evaluate(args.word, args.strings, args.max_size)
+        record = _render(braid, poly, args.format)
     except EVAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BraidSyntaxError) else 1
     print(record)
     stream = sys.stdout if args.format == "compact-text" else sys.stderr
-    for line in meta:
+    for line in _metadata(braid, poly, elapsed):
         print(line, file=stream)
     return 0
 
 
-def _batch_worker(task: tuple[str, str, int]) -> tuple[str, bool, str]:
-    name, word, max_size = task
-    if not word:
-        return name, False, "no braid word after the name"
-    try:
-        return name, True, _evaluate(word, None, "compact-machine", max_size, name)[0]
-    except EVAL_ERRORS as exc:
-        return name, False, str(exc)
-    except Exception as exc:  # a defect: report it on this record, keep the others
-        logger.debug("batch record %r failed", name, exc_info=True)
-        return name, False, f"internal error: {type(exc).__name__}: {exc}"
-
-
 def cmd_batch(args: argparse.Namespace) -> int:
-    tasks: list[tuple[str, str, int]] = []
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            for raw_line in fh:
-                line = raw_line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                name, *word = line.split(maxsplit=1)
-                tasks.append((name, "".join(word), args.max_size))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 1
-    if args.jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    from .batch import cmd_batch
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_batch_worker, tasks))
-    else:
-        results = [_batch_worker(t) for t in tasks]
-    failed = 0
-    for name, ok, payload in results:
-        if ok:
-            print(payload)
-        else:
-            failed += 1
-            print(f"error: {name}: {payload}", file=sys.stderr)
-    return 1 if failed else 0
+    return cmd_batch(args)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:

@@ -412,8 +412,9 @@ def plan(
         ("open", s, i, 0, keep)     open string s at live index i;
         ("accrete", s, i, e, keep)  accrete R^e on live strings i, i + 1
                                     (s, s + 1);
-        ("take", s, 0, e, keep)     the first letter: it opens both its
-                                    strings on the scalar ONE, so R^e is
+        ("take", s, 0, e, keep)     the first letter, when no step comes
+                                    before it: it opens both its strings
+                                    itself, on the scalar ONE, so R^e is
                                     the tangle;
         ("close", s, i, 0, ())      close live string i against the left
                                     handle.
@@ -441,19 +442,20 @@ def plan(
     live: list[int] = []
     steps: list[Step] = []
     for t, (span, exp) in enumerate(events):
-        op = "accrete" if steps else "take"
+        take = exp != 0 and not steps
         for s in span:
             if s not in live:
                 bisect.insort(live, s)
-                steps.append(("open", s, live.index(s), 0, (opening if s == n else ANY,)))
+                if not take:
+                    steps.append(("open", s, live.index(s), 0, (opening if s == n else ANY,)))
         if exp:
             keep = tuple(
                 DIAGONAL if s < n and last[s] == t
-                else opening if s == n and op == "take"
+                else opening if s == n and take
                 else ANY
                 for s in span
             )
-            steps.append((op, span[0], live.index(span[0]), exp, keep))
+            steps.append(("take" if take else "accrete", span[0], live.index(span[0]), exp, keep))
         for s in reversed(span):
             if s < n and last[s] == t:
                 steps.append(("close", s, live.index(s), 0, ()))
@@ -495,6 +497,13 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
     return extract_scalar(z, columns)
 
 
+def _is_split(word: BraidWord) -> bool:
+    """Whether the word, on two or more strings, leaves one untouched: its
+    closure is then a split link, whose value is 0."""
+    n = word.n_strings
+    return n > 1 and len(_touched(word)) < n
+
+
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
     """The raw value of the word's closure, a Laurent polynomial in
     q^(1/2), p: the size guard on the word as given, then the plan of its
@@ -505,6 +514,16 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     word = reduce_closure(word)
     n = word.n_strings
     logger.debug("reduced word '%s': %d letters, %d strings", word, word.expanded_length(), n)
-    if n > 1 and len(_touched(word)) < n:
+    if _is_split(word):
         return ZERO
     return execute(plan(word))
+
+
+def modelled_cost(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> int:
+    """The cost that plan gives the schedule evaluate_raw runs for the word
+    (see _rotation_costs), found with no arithmetic and no steps: that of
+    its reduced word, 0 for a split link.  It raises what evaluate_raw
+    raises before it plans."""
+    _guard(word.n_strings, max_size)
+    word = reduce_closure(word)
+    return 0 if _is_split(word) else min(_rotation_costs(word.n_strings, word.letters))

@@ -193,6 +193,19 @@ def test_evaluate_raw_respects_cap():
     assert evaluate_raw(parse("1", 6), max_size=4**12) == ZERO
 
 
+def test_modelled_cost_is_the_plan_cost_of_the_reduced_word():
+    rng = random.Random(17)
+    for _ in range(100):
+        b = random_braid(rng, max_strings=5, max_expanded_len=12)
+        reduced = reduce_closure(b)
+        split = reduced.n_strings > 1 and len(engine._touched(reduced)) < reduced.n_strings
+        assert engine.modelled_cost(b) == (0 if split else plan(reduced)[1]), b
+    assert engine.modelled_cost(parse("1 1 1")) == 16**2  # one letter on two live strings
+    assert engine.modelled_cost(parse("1 -1 3", 4)) == 0  # split: no plan
+    with pytest.raises(SizeCapExceeded):
+        engine.modelled_cost(parse("1", 6))
+
+
 def test_conjugation_invariance_examples():
     # planned as given: evaluate_raw would reduce the conjugate to the word
     rng = random.Random(99)
@@ -385,7 +398,7 @@ def test_opening_and_closing_are_logged(caplog):
     assert messages.count("columns 0, 3 of the open string") == 1
     opened = [m for m in messages if m.startswith("opened string")]
     closed = [m for m in messages if m.startswith("closed one string")]
-    assert len(opened) == 4 and len(closed) == 3
+    assert len(opened) == 2 and len(closed) == 3  # the take opens strings 1 and 2
     assert "opened string 4: 2 live strings" in opened[-1]
     assert all("live strings" in m and "entries" in m for m in opened + closed)
 
@@ -460,9 +473,7 @@ def test_plan_step_by_step():
     assert columns == COLUMNS == (0, 3)
     opening = lower_in(COLUMNS)
     assert steps == [
-        ("open", 1, 0, 0, (ANY,)),
-        ("open", 2, 1, 0, (ANY,)),
-        ("take", 1, 0, 1, (ANY, ANY)),  # opened on the scalar ONE: R is the tangle
+        ("take", 1, 0, 1, (ANY, ANY)),  # opens strings 1, 2 on the scalar ONE: R is the tangle
         ("open", 3, 2, 0, (ANY,)),
         ("accrete", 2, 1, 1, (ANY, ANY)),
         ("accrete", 1, 0, -1, (DIAGONAL, DIAGONAL)),  # both strings close next
@@ -476,8 +487,6 @@ def test_plan_step_by_step():
     _, _, columns, steps = engine.plan(parse("1^3"), ALL_COLUMNS)
     assert columns == ALL_COLUMNS
     assert steps == [
-        ("open", 1, 0, 0, (ANY,)),
-        ("open", 2, 1, 0, (lower_in(ALL_COLUMNS),)),
         ("take", 1, 0, 3, (DIAGONAL, lower_in(ALL_COLUMNS))),
         ("close", 1, 0, 0, ()),
     ]
@@ -523,6 +532,10 @@ def test_plan_does_no_arithmetic(monkeypatch):
                 del live[i]
                 closed.append(s)
             else:
+                if op == "take":  # the first step: it opens its own two strings
+                    assert k == 0 and i == 0, b
+                    live[:] = [s, s + 1]
+                    opened += [s, s + 1]
                 assert live[i : i + 2] == [s, s + 1], b
                 accreted.append((s, e))
                 modelled += 16 ** len(live)
@@ -549,7 +562,7 @@ def test_plan_does_no_arithmetic(monkeypatch):
         ops = [op for op, *_ in steps]
         free = set(range(1, n)) - touched
         assert ops.count("take") == (1 if letters and not free else 0), b
-        assert "take" not in ops or ops.index("take") == 2, b
+        assert "take" not in ops or ops.index("take") == 0, b
 
 
 # The tangle's key layout is the engine's own.  The tests below check its

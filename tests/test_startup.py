@@ -21,6 +21,7 @@ UNUSED_BY_EVAL = (
     "multiprocessing",
     "dataclasses",
     "json",
+    "linksgould.batch",
     "linksgould.checks",
     "linksgould.knotdata",
 )
@@ -52,6 +53,25 @@ def test_eval_imports_only_what_it_uses():
     lines = result.stdout.splitlines()
     assert lines[0] == "1 + 2 q^{2}, - q^{1} - q^{3}, q^{2}"
     assert lines[-1] == "0 []"
+
+
+def test_batch_jobs_imports_no_process_pool(tmp_path):
+    (tmp_path / "words.txt").write_text("trefoil 1 1 1\nhopf 1^2\n")
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from linksgould.cli import main\n"
+        "code = main(['batch', '--jobs', '2', 'words.txt'])\n"
+        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules and m not in before))\n"
+    )
+    result = python("-c", script, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "trefoil; 0: [0:1, 2:2]; 1: [1:-1, 3:-1]; 2: [2:1]",
+        "hopf; 0: [0:-1, 2:-1]; 1: [1:1]",
+        "0 []",
+    ]
 
 
 def test_json_format_in_a_fresh_process():
