@@ -1,5 +1,6 @@
-import sys
+"""``python -m linksgould``: the ``lgpoly`` command, through the same
+``cli.launch`` as the installed script."""
 
-from .cli import main
+from .cli import launch
 
-sys.exit(main())
+launch()

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import gc
 import heapq
-import logging
 import marshal
 import os
 import select
@@ -31,9 +30,7 @@ import sys
 
 from .braid import parse
 from .cli import EVAL_ERRORS, _evaluate, _render
-from .engine import modelled_cost
-
-logger = logging.getLogger(__name__)
+from .engine import debug_logger, modelled_cost
 
 Task = tuple[str, str, int]  # name, word, size cap
 Result = tuple[str, bool, str]  # name, whether it evaluated, record or error
@@ -50,7 +47,9 @@ def _batch_worker(task: Task) -> Result:
     except EVAL_ERRORS as exc:
         return name, False, str(exc)
     except Exception as exc:  # a defect: report it on this record, keep the others
-        logger.debug("batch record %r failed", name, exc_info=True)
+        logger = debug_logger(__name__)
+        if logger:
+            logger.debug("batch record %r failed", name, exc_info=True)
         return name, False, f"internal error: {type(exc).__name__}: {exc}"
 
 
@@ -97,7 +96,11 @@ def run(tasks: list[Task], jobs: int) -> list[Result]:
             try:
                 pid, read_end = _start(tasks, share, list(children))
             except OSError as exc:  # no process or pipe to spare: do it here
-                logger.debug("no worker for %d records (%s): run in process", len(share), exc)
+                logger = debug_logger(__name__)
+                if logger:
+                    logger.debug(
+                        "no worker for %d records (%s): run in process", len(share), exc
+                    )
                 unforked += share
             else:
                 children[read_end] = (pid, share)

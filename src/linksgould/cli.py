@@ -6,12 +6,21 @@ Subcommands: ``eval`` (one braid word), ``batch`` (file of named words),
 
 Machine-format output on stdout is byte-identical across runs; human
 metadata and timing go to stderr for the machine formats.
+
+``main`` parses the arguments, runs the subcommand and returns its exit
+code, so in-process callers get it back as from any function.  ``launch``,
+the entry point of ``python -m linksgould`` and of the ``lgpoly`` script,
+runs ``main``, flushes stdout and stderr and ends the process with
+``os._exit``: interpreter teardown, the final collection and ``atexit``
+handlers are skipped.  The program registers no exit handler and holds no
+buffered output past those flushes, so nothing is lost; an exception,
+argparse's ``SystemExit`` among them, takes the normal exit path.
+``logging`` is imported only under ``-v``.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import re
 import sys
@@ -273,11 +282,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     argv = [" " + a if _DASH_LED_WORD.fullmatch(a) else a for a in argv]
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    if getattr(args, "verbose", False):
+        # nothing in the package logs above DEBUG, so without -v there is
+        # nothing to configure; the stderr handler flushes every record it
+        # writes, so the exit in launch loses none
+        import logging
+
+        logging.basicConfig(level=logging.DEBUG, format="%(name)s: %(message)s", stream=sys.stderr)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe is found here, not at exit
@@ -290,5 +301,14 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def launch() -> None:
+    """Run main and end the process with its code, skipping interpreter
+    teardown (see the module docstring)."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    launch()

@@ -28,20 +28,31 @@ reads or builds, to Laurent polynomials, with zero entries never stored.
 from __future__ import annotations
 
 import bisect
-import logging
+import sys
 from itertools import product
 
 from .braid import BraidWord, reduce_closure
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, GAUGED, HANDLE_PLUS, M_DIM
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_SIZE_CAP = M_DIM ** 10  # 5 strings at M=4; one more string is refused
 _PAIR = M_DIM * M_DIM  # values of one string's digit M a + b
 # mask of the upper indices in two adjacent digits, each index being two bits (M = 4)
 _UPPERS = (M_DIM - 1) * M_DIM * (_PAIR + 1)
 Index = tuple[int, ...]  # one index per string, string 1 first
+
+
+def debug_logger(name: str):
+    """The named logger if it is enabled for DEBUG, else None.  ``logging``
+    is not imported for it: until something imports it (``lgpoly -v``
+    does) there is no logger, level or handler, so no record could be
+    emitted.  A caller fetches it once per call and builds its debug
+    values only when it gets one."""
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    logger = logging.getLogger(name)
+    return logger if logger.isEnabledFor(logging.DEBUG) else None
 
 
 class SizeCapExceeded(RuntimeError):
@@ -469,31 +480,38 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
     only the cells its step's keep admits.  A tangle that falls empty stays
     empty, so no power is formed after that."""
     rotation, cost, columns, steps = schedule
-    letters = sum(op in ("take", "accrete") for op, *_ in steps)
-    logger.debug("rotation %d of %d", rotation, letters)
-    logger.debug("modelled cost %d", cost)
-    logger.debug("columns %s of the open string", ", ".join(map(str, columns)))
+    logger = debug_logger(__name__)
+    if logger:
+        letters = sum(op in ("take", "accrete") for op, *_ in steps)
+        logger.debug("rotation %d of %d", rotation, letters)
+        logger.debug("modelled cost %d", cost)
+        logger.debug("columns %s of the open string", ", ".join(map(str, columns)))
     z = identity_tangle(0)
     done = 0
     for op, s, i, e, keep in steps:
         if op == "open":
             z = _open_string(z, i, *keep)
-            logger.debug("opened string %d: %d live strings, %d entries", s, z.n, len(z.entries))
+            if logger:
+                logger.debug(
+                    "opened string %d: %d live strings, %d entries", s, z.n, len(z.entries)
+                )
         elif op == "close":
             z = close(z, (i + 1,))
-            logger.debug(
-                "closed one string (%d): %d live strings, %d entries", s, z.n, len(z.entries)
-            )
+            if logger:
+                logger.debug(
+                    "closed one string (%d): %d live strings, %d entries", s, z.n, len(z.entries)
+                )
         else:
             if op == "take":
                 z = generator_power(e, keep)
             elif z.entries:  # else a closing emptied it, and no later step refills it
                 z = accrete(z, generator_power(e), i + 1, keep)
             done += 1
-            logger.debug(
-                "accreted letter %d/%d (pos %d, exp %+d): %d entries",
-                done, letters, s, e, len(z.entries),
-            )
+            if logger:
+                logger.debug(
+                    "accreted letter %d/%d (pos %d, exp %+d): %d entries",
+                    done, letters, s, e, len(z.entries),
+                )
     return extract_scalar(z, columns)
 
 
@@ -512,8 +530,12 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     power is formed for it."""
     _guard(word.n_strings, max_size)
     word = reduce_closure(word)
-    n = word.n_strings
-    logger.debug("reduced word '%s': %d letters, %d strings", word, word.expanded_length(), n)
+    logger = debug_logger(__name__)
+    if logger:
+        logger.debug(
+            "reduced word '%s': %d letters, %d strings",
+            word, word.expanded_length(), word.n_strings,
+        )
     if _is_split(word):
         return ZERO
     return execute(plan(word))

@@ -1,10 +1,12 @@
 """Fresh-process tests of the command line.
 
 In-process tests cannot see what ``lgpoly`` imports, nor an import that
-fails only in a clean interpreter or a forked pool worker: pytest has
-already imported the whole package.  These run ``python`` afresh.
+fails only in a clean interpreter or a forked worker: pytest has already
+imported the whole package.  Nor can they see what a process that ends
+through ``os._exit`` has written by then.  These run ``python`` afresh.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -13,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from linksgould import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # modules that evaluating one word does not use, and so must not import
 UNUSED_BY_EVAL = (
@@ -21,6 +26,7 @@ UNUSED_BY_EVAL = (
     "multiprocessing",
     "dataclasses",
     "json",
+    "logging",
     "linksgould.batch",
     "linksgould.checks",
     "linksgould.knotdata",
@@ -28,9 +34,12 @@ UNUSED_BY_EVAL = (
 
 
 def python(*argv: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    # without PYTHONUNBUFFERED the child's stdout, a pipe, is block-buffered
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *argv],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=env,
         cwd=cwd,
         capture_output=True,
         text=True,
@@ -62,7 +71,7 @@ def test_batch_jobs_imports_no_process_pool(tmp_path):
         "before = set(sys.modules)\n"
         "from linksgould.cli import main\n"
         "code = main(['batch', '--jobs', '2', 'words.txt'])\n"
-        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging') "
         "if m in sys.modules and m not in before))\n"
     )
     result = python("-c", script, cwd=tmp_path)
@@ -118,3 +127,62 @@ def test_a_closed_stdout_pipe_ends_without_a_traceback(tmp_path, argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["eval", "-v", "1 2 1"], "reduced word '1^2': 2 letters, 2 strings"),
+        (["batch", "-v", "words.txt"], "reduced word '1^3': 3 letters, 2 strings"),
+        (["batch", "-v", "--jobs", "2", "words.txt"],
+         "reduced word '1 -2 1 -2': 4 letters, 3 strings"),
+    ],
+)
+def test_verbose_prints_the_engine_debug_lines(tmp_path, argv, line):
+    (tmp_path / "words.txt").write_text("trefoil 1 1 1\nfig8 1 -2 1 -2\n")
+    result = python("-m", "linksgould", *argv, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    assert "linksgould.engine: " + line in lines
+    assert "linksgould.engine: columns 0, 3 of the open string" in lines
+
+
+def test_a_piped_record_is_whole_at_exit(capsys):
+    argv = ["eval", "--format", "compact-machine", "--", "-1^64"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert len(expected) > 8192  # more than one stdout buffer holds
+    result = python("-m", "linksgould", *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["eval", "1 x 1"], 2, "error: bad token 'x' at position 2"),
+        (["eval", "--max-size", "1", "1 1 1"], 1,
+         "error: tangle on 2 strings needs M^(2n) = 4^4 entries, over the size cap 1"),
+    ],
+)
+def test_a_refused_word_exits_with_its_code_and_error(argv, code, error):
+    result = python("-m", "linksgould", *argv)
+    assert (result.returncode, result.stdout) == (code, "")
+    assert result.stderr.splitlines() == [error]
+
+
+def test_the_script_and_python_m_go_through_one_launcher():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["lgpoly"]
+    module, _, name = target.partition(":")
+    assert (module, getattr(cli, name)) == ("linksgould.cli", cli.launch)
+    # __main__.py imports launch from .cli and calls it (importing it here
+    # would end the test process)
+    tree = ast.parse((SRC / "linksgould" / "__main__.py").read_text())
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom)]
+    calls = [n.value for n in tree.body if isinstance(getattr(n, "value", None), ast.Call)]
+    assert [(i.module, i.level, [a.name for a in i.names]) for i in imports] == [
+        ("cli", 1, [name])
+    ]
+    assert [ast.unparse(c) for c in calls] == [f"{name}()"]
