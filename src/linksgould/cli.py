@@ -30,6 +30,7 @@ from .braid import BraidSyntaxError, BraidWord, closure_info, parse, render, wri
 from .engine import (
     COLUMNS,
     DEFAULT_SIZE_CAP,
+    ExponentRangeError,
     NonScalarTangleError,
     SizeCapExceeded,
     evaluate_raw,
@@ -57,6 +58,7 @@ FORMATS = ("compact-text", "compact-machine", "laurent", "json")
 EVAL_ERRORS = (
     BraidSyntaxError,
     SizeCapExceeded,
+    ExponentRangeError,
     NonScalarTangleError,
     StructureError,
     MachineFormatError,

@@ -21,8 +21,19 @@ entries.  The size guard is that dense bound on the word's string count:
 the default cap admits 5 strings at M = 4 and refuses 6.  What costs is
 the letters and the number of strings open at each, which the reduction
 and the plan keep low.
-Tangles are kept as maps from a composite index, which only this module
-reads or builds, to Laurent polynomials, with zero entries never stored.
+
+A tangle holds its terms, not its cells: one dict from a packed integer
+key to an integer coefficient, zero coefficients never stored.  The key
+is the term's cell (one digit per string) shifted above two offset
+fields, its doubled q-exponent and its p-exponent (see ``_pack``), so
+multiplying a term by a monomial adds one integer to its key (Kronecker
+substitution).  Only this module reads or builds the keys: the crossing
+tensor's cells, the Newton coefficients and the extracted scalar are
+``LaurentQP`` values, and ``SparseTangle(n, cells)``, ``from_cells``,
+``entries`` and ``entry`` convert at that boundary.  A field holds an
+exponent of at most ``_LIMIT`` in absolute value, and ``execute`` refuses
+a word whose terms could outgrow it (``_check_reach``) before any
+arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 import bisect
 import sys
 from itertools import product
+from types import MappingProxyType
 
 from .braid import BraidWord, reduce_closure
 from .ring import ONE, ZERO, LaurentQP
@@ -37,9 +49,21 @@ from .statemodel import EIGENVALUES, GAUGED, HANDLE_PLUS, M_DIM
 
 DEFAULT_SIZE_CAP = M_DIM ** 10  # 5 strings at M=4; one more string is refused
 _PAIR = M_DIM * M_DIM  # values of one string's digit M a + b
+_DIGIT = 4  # bits of one string's digit (M = 4)
 # mask of the upper indices in two adjacent digits, each index being two bits (M = 4)
 _UPPERS = (M_DIM - 1) * M_DIM * (_PAIR + 1)
 Index = tuple[int, ...]  # one index per string, string 1 first
+
+# The packed key of a term: bits 0..19 hold ep + _OFFSET, bits 20..39
+# eq2 + _OFFSET, and the bits from _CELL up the cell, string 1's digit the
+# most significant.
+_FIELD = 20  # bits of one exponent field
+_OFFSET = 1 << (_FIELD - 1)
+_LIMIT = _OFFSET - 1  # the largest |eq2| or |ep| a field holds
+_FIELD_MASK = (1 << _FIELD) - 1
+_CELL = 2 * _FIELD  # the bit where the cell starts
+_FIELDS = (1 << _CELL) - 1  # mask of both exponent fields
+_ORIGIN = _OFFSET << _FIELD | _OFFSET  # both fields of the exponent 0
 
 
 def debug_logger(name: str):
@@ -77,22 +101,68 @@ class NonScalarTangleError(RuntimeError):
     """The closed (1,1)-tangle is not a scalar multiple of the identity."""
 
 
+class ExponentRangeError(RuntimeError):
+    """Evaluation refused because a term's exponent could outgrow the
+    packed key's field."""
+
+
+def _pack(cell: int, eq2: int, ep: int) -> int:
+    """The packed key of the term q^(eq2/2) p^ep in the given cell."""
+    if abs(eq2) > _LIMIT or abs(ep) > _LIMIT:
+        raise ExponentRangeError(
+            f"exponents (eq2, ep) = ({eq2}, {ep}) do not fit a {_FIELD}-bit field"
+        )
+    return cell << _CELL | (eq2 + _OFFSET) << _FIELD | ep + _OFFSET
+
+
+def _deltas(v: LaurentQP) -> list[tuple[int, int]]:
+    """v's terms as (change to a packed key, coefficient): a term times
+    one of them has its key plus the change.  Exact while the product's
+    exponents fit their fields."""
+    return [((eq2 << _FIELD) + ep, c) for (eq2, ep), c in v.terms.items()]
+
+
 class SparseTangle:
-    """Rank-2n tensor as {composite index: value}: string s is the base-M^2
-    digit M a_s + b_s of upper index a_s and lower index b_s, string 1 the
-    most significant.  Other modules go through entry and from_cells."""
+    """Rank-2n tensor as terms = {packed key: integer coefficient} (see
+    _pack).  A key's cell has one base-M^2 digit M a_s + b_s per string s,
+    of upper index a_s and lower index b_s, string 1 the most significant.
+    The constructor takes {cell: LaurentQP}, as entries gives it back;
+    other modules go through entry and from_cells."""
 
     def __init__(self, n: int, entries: dict[int, LaurentQP]) -> None:
         self.n = n
-        self.entries = entries
+        self.terms = {
+            _pack(cell, eq2, ep): c
+            for cell, v in entries.items()
+            for (eq2, ep), c in v.terms.items()
+        }
+        self._view: MappingProxyType | None = None
+        self._prepared: dict | None = None
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[int, int]) -> SparseTangle:
+        # internal: terms packed already, with no zero coefficient
+        t = object.__new__(cls)
+        t.n, t.terms, t._view, t._prepared = n, terms, None, None
+        return t
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not SparseTangle:
             return NotImplemented
-        return (self.n, self.entries) == (other.n, other.entries)
+        return (self.n, self.terms) == (other.n, other.terms)
 
     def __repr__(self) -> str:
-        return f"SparseTangle(n={self.n!r}, entries={self.entries!r})"
+        return f"SparseTangle(n={self.n!r}, entries={dict(self.entries)!r})"
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """{cell: value}, read-only, built when first read: by entry, the
+        tests and the bench's tracer.  No kernel reads it."""
+        if self._view is None:
+            self._view = MappingProxyType(
+                {cell: _value(fields) for cell, fields in _by_cell(self).items()}
+            )
+        return self._view
 
     @classmethod
     def from_cells(cls, n: int, cells: dict[tuple[Index, Index], LaurentQP]) -> SparseTangle:
@@ -101,6 +171,29 @@ class SparseTangle:
 
     def entry(self, upper: Index, lower: Index) -> LaurentQP:
         return self.entries.get(_key(self.n, upper, lower), ZERO)
+
+
+def _by_cell(t: SparseTangle) -> dict[int, dict[int, int]]:
+    """t's terms gathered by cell, {cell: {exponent fields: coefficient}}."""
+    cells: dict[int, dict[int, int]] = {}
+    get = cells.get
+    for key, c in t.terms.items():
+        fields = get(key >> _CELL)
+        if fields is None:
+            fields = cells[key >> _CELL] = {}
+        fields[key & _FIELDS] = c
+    return cells
+
+
+def _value(fields: dict[int, int]) -> LaurentQP:
+    """The Laurent polynomial of one cell's {exponent fields: coefficient}."""
+    return LaurentQP(
+        {((f >> _FIELD) - _OFFSET, (f & _FIELD_MASK) - _OFFSET): c for f, c in fields.items()}
+    )
+
+
+def _cell_count(t: SparseTangle) -> int:
+    return len({key >> _CELL for key in t.terms})
 
 
 def _key(n: int, upper: Index, lower: Index) -> int:
@@ -131,19 +224,19 @@ def lower_in(columns: tuple[int, ...]) -> int:
     return _digits([(a, c) for a in range(M_DIM) for c in columns])
 
 
-def _allows(keep: tuple[int, ...], key: int) -> bool:
-    """Whether the restriction keep, one per string, admits the key whose
+def _allows(keep: tuple[int, ...], cell: int) -> bool:
+    """Whether the restriction keep, one per string, admits the cell whose
     least significant digit is keep[-1]'s string."""
     for digits in reversed(keep):
-        key, digit = divmod(key, _PAIR)
-        if not digits >> digit & 1:
+        if not digits >> (cell & _PAIR - 1) & 1:
             return False
+        cell >>= _DIGIT
     return True
 
 
 def _restrict(t: SparseTangle, keep: tuple[int, ...]) -> SparseTangle:
-    """The cells of t that keep, one restriction per string, admits."""
-    return SparseTangle(t.n, {k: v for k, v in t.entries.items() if _allows(keep, k)})
+    """The terms of t whose cells keep, one restriction per string, admits."""
+    return SparseTangle._of(t.n, {k: c for k, c in t.terms.items() if _allows(keep, k >> _CELL)})
 
 
 def _guard(n: int, max_size: int) -> None:
@@ -157,6 +250,39 @@ def identity_tangle(n: int, max_size: int = DEFAULT_SIZE_CAP) -> SparseTangle:
     return SparseTangle.from_cells(n, {(t, t): ONE for t in product(range(M_DIM), repeat=n)})
 
 
+def _prepare(x: SparseTangle, low: int, keep: tuple[int, int]):
+    """x's terms ready to accrete into keys whose second accreted string's
+    digit starts at bit low, under keep: the mask of the digits a term of
+    z is matched by, and {match: [(change to z's key, coefficient)]}.
+    Kept on x, so a power that execute accretes again at the same place is
+    prepared once."""
+    if x._prepared is None:
+        x._prepared = {}
+    found = x._prepared.get((low, keep))
+    if found is not None:
+        return found
+    # z's lower indices on the restricted strings, in the two digits at
+    # j, j+1: every value they can take
+    lows, mask = [0], _UPPERS
+    for weight, digits in zip((_PAIR, 1), keep):
+        if digits != ANY:
+            lows = [lo + b * weight for lo in lows for b in range(M_DIM)]
+            mask |= (M_DIM - 1) * weight
+    # x by lower pair, shifted to where z holds its upper pair, and by the
+    # lower indices of z that keep admits under x's upper pair; the change
+    # puts x's upper pair for z's and adds the term's exponents
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for xkey, c in x.terms.items():
+        cell = xkey >> _CELL
+        lower, upper = cell & ~_UPPERS, cell & _UPPERS
+        change = ((upper - lower * M_DIM) << low) + (xkey & _FIELDS) - _ORIGIN
+        for lo in lows:
+            if _allows(keep, upper | lo):
+                rows.setdefault(lower * M_DIM | lo, []).append((change, c))
+    found = x._prepared[low, keep] = mask, rows
+    return found
+
+
 def accrete(
     z: SparseTangle, x: SparseTangle, j: int, keep: tuple[int, int] = (ANY, ANY)
 ) -> SparseTangle:
@@ -167,48 +293,37 @@ def accrete(
 
     keep restricts the cells formed on strings j and j+1.  x's rows are
     matched to z's lower indices on the restricted strings before any
-    product is taken, so a cell keep excludes costs nothing."""
+    product is taken, so a cell keep excludes costs nothing.  Each pair
+    of a term of z and a matching term of x costs one integer add."""
     n = z.n
     if not 1 <= j <= n - 1:
         raise ValueError(f"position {j} outside 1..{n - 1}")
     if x.n != 2:
         raise ValueError(f"accreted tangle has {x.n} strings, not 2")
-    unit = _PAIR ** (n - j - 1)  # weight of string j + 1's digit
-    # z's lower indices on the restricted strings, in the two digits at
-    # j, j+1: every value they can take
-    lows, mask = [0], _UPPERS
-    for weight, digits in zip((_PAIR, 1), keep):
-        if digits != ANY:
-            lows = [low + b * weight for low in lows for b in range(M_DIM)]
-            mask |= (M_DIM - 1) * weight
-    # x by lower pair, shifted to where z holds its upper pair, and by the
-    # lower indices of z that keep admits under x's upper pair; the value
-    # is the change to z's key: its upper pair for x's
-    xmap: dict[int, list[tuple[int, LaurentQP]]] = {}
-    for xkey, xv in x.entries.items():
-        lower, upper = xkey & ~_UPPERS, xkey & _UPPERS
-        for low in lows:
-            if _allows(keep, upper | low):
-                xmap.setdefault(lower * M_DIM | low, []).append(
-                    ((upper - lower * M_DIM) * unit, xv)
-                )
-    out: dict[int, LaurentQP] = {}
-    for key, v in z.entries.items():
-        for shift, xv in xmap.get(key // unit & mask, ()):
-            nk = key + shift
-            term = v * xv
-            cur = out.get(nk)
-            out[nk] = term if cur is None else cur + term
-    return SparseTangle(n, {k: v for k, v in out.items() if v})
+    low = _CELL + _DIGIT * (n - j - 1)  # where string j + 1's digit starts
+    mask, rows = _prepare(x, low, keep)
+    out: dict[int, int] = {}
+    get, matching = out.get, rows.get
+    for key, c in z.terms.items():
+        row = matching(key >> low & mask)
+        if row:
+            for change, xc in row:
+                nk = key + change
+                out[nk] = get(nk, 0) + c * xc
+    return SparseTangle._of(n, {k: c for k, c in out.items() if c})
 
 
 def combine(parts: list[tuple[LaurentQP, SparseTangle]]) -> SparseTangle:
     """Sum of coeff * tangle over parts, all on the same number of strings."""
-    out: dict[int, LaurentQP] = {}
+    out: dict[int, int] = {}
+    get = out.get
     for coeff, t in parts:
-        for k, v in t.entries.items():
-            out[k] = out.get(k, ZERO) + coeff * v
-    return SparseTangle(parts[0][1].n, {k: v for k, v in out.items() if v})
+        changes = _deltas(coeff)
+        for key, c in t.terms.items():
+            for change, cc in changes:
+                nk = key + change
+                out[nk] = get(nk, 0) + c * cc
+    return SparseTangle._of(parts[0][1].n, {k: c for k, c in out.items() if c})
 
 
 def _swap_invert(t: SparseTangle) -> SparseTangle:
@@ -216,11 +331,12 @@ def _swap_invert(t: SparseTangle) -> SparseTangle:
     products (a conjugation and a ring map), and the map takes R to R^-1,
     so it takes R^e to R^-e.  Inverting q forces p -> 1/p because p is a
     half-integer power of q times the representation parameter."""
-    out: dict[int, LaurentQP] = {}
-    for key, v in t.entries.items():
-        first, second = divmod(key, _PAIR)
-        out[second * _PAIR + first] = v.invert_qp()
-    return SparseTangle(2, out)
+    out: dict[int, int] = {}
+    for key, c in t.terms.items():
+        first, second = divmod(key >> _CELL, _PAIR)
+        # each field f = x + _OFFSET turns into 2 _OFFSET - f = -x + _OFFSET
+        out[(second * _PAIR + first) << _CELL | 2 * _ORIGIN - (key & _FIELDS)] = c
+    return SparseTangle._of(2, out)
 
 
 _IDENTITY2 = identity_tangle(2)
@@ -242,9 +358,35 @@ def _crossing(
 _SIGMA, _NEWTON_1, _NEWTON_2 = _crossing(GAUGED)
 
 
+# Each letter R^e or R^-e adds at most 5 |e| to |eq2| and 2 |e| to |ep|
+# of every term formed for it: R reaches |eq2| = 5, |ep| = 2; beyond
+# e = 1, R^e is (-1)^e I + h_{e-1} N1 + h_{e-2} N2, where N1 reaches
+# (5, 2), N2 (7, 4) and a term of h_k (2 k, 2 k); and R^-e negates R^e's
+# exponents.  A close multiplies by a handle term, which reaches (2, 2).
+_LETTER_REACH = (5, 2)
+_HANDLE_REACH = (2, 2)
+
+
+def _check_reach(letters: int, closes: int) -> None:
+    """Refuse, before any arithmetic, a word of the given expanded letter
+    count whose plan closes the given number of strings (all but one of
+    its strings), if its terms could outgrow a packed field.  The exponents
+    of a product are the sums of its factors', so every term formed has
+    |eq2| <= 5 letters + 2 closes and |ep| <= 2 letters + 2 closes: with
+    20-bit fields, words of up to about 100,000 letters."""
+    q, p = (
+        r * letters + h * closes for r, h in zip(_LETTER_REACH, _HANDLE_REACH)
+    )
+    if max(q, p) > _LIMIT:
+        raise ExponentRangeError(
+            f"{letters} letters and {closes} closed strings may form exponents up to "
+            f"|eq2| = {q}, |ep| = {p}, over the packed field's limit {_LIMIT}"
+        )
+
+
 def lg_sigma() -> SparseTangle:
     """Tensor of the positive braid generator (gauged, so Y-free)."""
-    return SparseTangle(2, dict(_SIGMA.entries))
+    return SparseTangle._of(2, dict(_SIGMA.terms))
 
 
 def lg_sigma_inverse() -> SparseTangle:
@@ -259,54 +401,74 @@ def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
         h_{e-2}(-1, qp^-2, qp^2)  = sum_{i+k <= e-2} (-1)^(e-2-i-k) q^(i+k) p^(2k-2i).
     Each term is +-1 on a monomial of its own, so both are written down
     without a ring product."""
-    h1 = {(2 * i, -2 * i): (-1) ** (e - 1 - i) for i in range(e)}
+    sign = (1, -1)  # (-1)^n by the parity of n
+    h1 = {(2 * i, -2 * i): sign[(e - 1 - i) & 1] for i in range(e)}
     h2 = {
-        (2 * (i + k), 2 * (k - i)): (-1) ** (e - i - k)
+        (2 * (i + k), 2 * (k - i)): sign[(e - i - k) & 1]
         for i in range(e - 1)
         for k in range(e - 1 - i)
     }
     return LaurentQP(h1), LaurentQP(h2)
 
 
-def _positive_power(e: int, keep: tuple[int, int]) -> SparseTangle:
-    """R^e for e >= 1 in Newton form over the eigenvalues: x^e modulo the
-    cubic relation is its interpolating polynomial at the three roots, so
+def generator_power(e: int, keep: tuple[int, int] = (ANY, ANY)) -> SparseTangle:
+    """Crossing tensor raised to the e-th power (e != 0), in Newton form
+    over the eigenvalues: x^e modulo the cubic relation is its
+    interpolating polynomial at the three roots, so
     R^e = (-1)^e I + h_{e-1} N1 + h_{e-2} N2.  The coefficients have O(e^2)
     terms and R^e is one linear combination, so the cost grows as e^2.
-    Only the cells of the basis that keep admits are combined."""
-    if e == 1:  # most letters; the combination costs about 200 times this copy
-        return _restrict(_SIGMA, keep)
-    h1, h2 = _newton_coefficients(e)
-    sign = ONE if e % 2 == 0 else -ONE
-    basis = ((sign, _IDENTITY2), (h1, _NEWTON_1), (h2, _NEWTON_2))
-    return combine([(c, _restrict(t, keep)) for c, t in basis])
-
-
-def generator_power(e: int, keep: tuple[int, int] = (ANY, ANY)) -> SparseTangle:
-    """Crossing tensor raised to the e-th power (e != 0); R^-e is R^e
-    swapped and inverted.  It forms only the cells that keep, one
-    restriction per string, admits; for e < 0 that is R^-e kept on the
-    swapped strings."""
+    R^-e is the same combination with the coefficients inverted and N1, N2
+    swapped and inverted (see _swap_invert), so only the small basis is
+    swapped.  It forms only the cells that keep, one restriction per
+    string, admits: only those cells of the basis are combined."""
     if e == 0:
         raise ValueError("exponent must be nonzero")
-    if e > 0:
-        return _positive_power(e, keep)
-    return _swap_invert(_positive_power(-e, keep[::-1]))
+    _check_reach(abs(e), 0)
+    inverse = e < 0
+    e = abs(e)
+
+    def basis(t: SparseTangle) -> SparseTangle:
+        return _restrict(_swap_invert(t) if inverse else t, keep)
+
+    if e == 1:  # most letters; the combination costs about 200 times this copy
+        return basis(_SIGMA)
+    h1, h2 = _newton_coefficients(e)
+    if inverse:
+        h1, h2 = h1.invert_qp(), h2.invert_qp()
+    sign = ONE if e % 2 == 0 else -ONE
+    return combine(
+        [(sign, _restrict(_IDENTITY2, keep)), (h1, basis(_NEWTON_1)), (h2, basis(_NEWTON_2))]
+    )
 
 
 def _open_string(z: SparseTangle, i: int, keep: int = ANY) -> SparseTangle:
     """z with an identity string inserted after its first i strings, its
     cells restricted by keep."""
-    tail = _PAIR ** (z.n - i)  # values of the digits right of the new string
-    step = (M_DIM + 1) * tail  # the new string's digit at a = b = 1
-    shifts = [a * step for a in range(M_DIM) if keep >> (M_DIM + 1) * a & 1]
-    out: dict[int, LaurentQP] = {}
-    for key, v in z.entries.items():
-        head, rest = divmod(key, tail)
-        base = head * tail * _PAIR + rest
+    low = _CELL + _DIGIT * (z.n - i)  # where the new string's digit starts
+    rest = (1 << low) - 1
+    # the new string's digit at a = b
+    shifts = [a * (M_DIM + 1) << low for a in range(M_DIM) if keep >> (M_DIM + 1) * a & 1]
+    out: dict[int, int] = {}
+    for key, c in z.terms.items():
+        base = (key >> low) << (low + _DIGIT) | key & rest
         for shift in shifts:
-            out[base + shift] = v
-    return SparseTangle(z.n + 1, out)
+            out[base + shift] = c
+    return SparseTangle._of(z.n + 1, out)
+
+
+def _monomial(v: LaurentQP) -> tuple[int, int]:
+    """The one term of a monomial v, as _deltas gives it."""
+    (term,) = _deltas(v)
+    return term
+
+
+# by a string's digit M a + b: if a == b, the handle's term (its cells
+# are monomials) as a change to a key and a coefficient, else None, as a
+# close reads only the diagonal
+_CLOSING = tuple(
+    _monomial(HANDLE_PLUS[d // M_DIM]) if d // M_DIM == d % M_DIM else None
+    for d in range(_PAIR)
+)
 
 
 def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTangle:
@@ -314,19 +476,16 @@ def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTang
     string but the rightmost, which leaves a 1-string tangle) against the
     (diagonal) left handle C+, one string at a time from the right."""
     for j in sorted(range(1, z.n) if strings is None else strings, reverse=True):
-        tail = _PAIR ** (z.n - j)  # values of the digits right of string j
-        out: dict[int, LaurentQP] = {}
-        for key, v in z.entries.items():
-            head, rest = divmod(key, tail)
-            head, digit = divmod(head, _PAIR)
-            a, b = divmod(digit, M_DIM)
-            if a != b:
-                continue
-            nk = head * tail + rest
-            term = v * HANDLE_PLUS[a]
-            cur = out.get(nk)
-            out[nk] = term if cur is None else cur + term
-        z = SparseTangle(z.n - 1, {k: v for k, v in out.items() if v})
+        low = _CELL + _DIGIT * (z.n - j)  # where string j's digit starts
+        high, rest, digit, closing = low + _DIGIT, (1 << low) - 1, _PAIR - 1, _CLOSING
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in z.terms.items():
+            term = closing[key >> low & digit]
+            if term:
+                nk = ((key >> high) << low | key & rest) + term[0]
+                out[nk] = get(nk, 0) + c * term[1]
+        z = SparseTangle._of(z.n - 1, {k: c for k, c in out.items() if c})
     return z
 
 
@@ -335,20 +494,22 @@ def extract_scalar(t: SparseTangle, columns: tuple[int, ...] = ALL_COLUMNS) -> L
     (lower indices), is those columns of a scalar multiple of the identity,
     and return the scalar: every cell of t is read, each diagonal cell in
     the columns must equal the others and every other cell must be 0.
-    Anything else signals a convention bug or invalid input."""
-    diag = t.entry((columns[0],), (columns[0],))
+    Anything else signals a convention bug or invalid input.  The cells
+    are compared packed, and only the scalar is converted."""
+    cells = _by_cell(t)
+    diag = cells.get(_key(1, (columns[0],), (columns[0],)), {})
     bad = []
     for a in range(M_DIM):
         for b in range(M_DIM):
-            v = t.entry((a,), (b,))
-            if v != (diag if a == b and b in columns else ZERO):
-                bad.append((a, b, v))
+            v = cells.get(_key(1, (a,), (b,)), {})
+            if v != (diag if a == b and b in columns else {}):
+                bad.append((a, b, _value(v)))
     if bad:
         detail = ", ".join(f"t[{a}][{b}] = {v}" for a, b, v in bad[:4])
         raise NonScalarTangleError(
             f"closed tangle is not scalar * identity: {detail}"
         )
-    return diag
+    return _value(diag)
 
 
 def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
@@ -477,9 +638,13 @@ def plan(
 def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP:
     """Run the steps of a plan over SparseTangle, one debug line each, and
     extract the scalar from the columns the plan formed.  Each kernel forms
-    only the cells its step's keep admits.  A tangle that falls empty stays
-    empty, so no power is formed after that."""
+    only the cells its step's keep admits.  A word whose terms could
+    outgrow a packed field is refused first (_check_reach).  Each power
+    is formed once per call and prepared once per place it is accreted
+    at.  A tangle that falls empty stays empty, so no power is formed
+    after that."""
     rotation, cost, columns, steps = schedule
+    _check_reach(sum(abs(e) for _, _, _, e, _ in steps), sum(op == "close" for op, *_ in steps))
     logger = debug_logger(__name__)
     if logger:
         letters = sum(op in ("take", "accrete") for op, *_ in steps)
@@ -487,30 +652,33 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
         logger.debug("modelled cost %d", cost)
         logger.debug("columns %s of the open string", ", ".join(map(str, columns)))
     z = identity_tangle(0)
+    powers: dict[int, SparseTangle] = {}
     done = 0
     for op, s, i, e, keep in steps:
         if op == "open":
             z = _open_string(z, i, *keep)
             if logger:
                 logger.debug(
-                    "opened string %d: %d live strings, %d entries", s, z.n, len(z.entries)
+                    "opened string %d: %d live strings, %d entries", s, z.n, _cell_count(z)
                 )
         elif op == "close":
             z = close(z, (i + 1,))
             if logger:
                 logger.debug(
-                    "closed one string (%d): %d live strings, %d entries", s, z.n, len(z.entries)
+                    "closed one string (%d): %d live strings, %d entries", s, z.n, _cell_count(z)
                 )
         else:
             if op == "take":
                 z = generator_power(e, keep)
-            elif z.entries:  # else a closing emptied it, and no later step refills it
-                z = accrete(z, generator_power(e), i + 1, keep)
+            elif z.terms:  # else a closing emptied it, and no later step refills it
+                if e not in powers:
+                    powers[e] = generator_power(e)
+                z = accrete(z, powers[e], i + 1, keep)
             done += 1
             if logger:
                 logger.debug(
                     "accreted letter %d/%d (pos %d, exp %+d): %d entries",
-                    done, letters, s, e, len(z.entries),
+                    done, letters, s, e, _cell_count(z),
                 )
     return extract_scalar(z, columns)
 

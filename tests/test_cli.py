@@ -315,3 +315,20 @@ def test_selftest_rejects_braids_below_one(capsys, braids):
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_a_word_past_the_exponent_field_is_one_error_line(tmp_path, capsys, monkeypatch):
+    from linksgould import engine
+
+    monkeypatch.setattr(engine, "_LIMIT", 16)  # three letters on two strings reach 17
+    code, out, err = run(capsys, "eval", "1 1 1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 3 letters and 1 closed strings may form exponents")
+    assert err.count("\n") == 1
+    batch = tmp_path / "words.txt"
+    batch.write_text("a 1\nb 1 1 1\nc -1\n")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "batch", str(batch), "--jobs", jobs)
+        assert code == 1
+        assert [record.split(";")[0] for record in out.splitlines()] == ["a", "c"]
+        assert err.startswith("error: b: 3 letters and 1 closed strings") and err.count("\n") == 1

@@ -743,3 +743,73 @@ def test_entry_and_from_cells_refuse_misshapen_indices(upper, lower):
         lg_sigma().entry(upper, lower)
     with pytest.raises(ValueError, match="not two 2-tuples"):
         SparseTangle.from_cells(2, {(upper, lower): ONE})
+
+
+# The packed key: a term's cell above its two offset exponent fields.
+
+FIELD_EDGES = st.sampled_from(
+    [-engine._LIMIT, -engine._LIMIT + 1, -1, 0, 1, engine._LIMIT - 1, engine._LIMIT]
+)
+EXPONENTS = st.one_of(FIELD_EDGES, st.integers(-engine._LIMIT, engine._LIMIT))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4**10 - 1), EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS)
+def test_pack_round_trips_at_the_field_edges(cell, eq2, ep, dq, dp):
+    key = engine._pack(cell, eq2, ep)
+    assert key >= 0 and key >> engine._CELL == cell
+    assert engine._value({key & engine._FIELDS: 7}) == LaurentQP.monomial(7, eq2, ep)
+    # a monomial's change to a key adds its exponents while they fit
+    change = engine._deltas(LaurentQP.monomial(1, dq, dp))[0][0]
+    if abs(eq2 + dq) <= engine._LIMIT and abs(ep + dp) <= engine._LIMIT:
+        assert key + change == engine._pack(cell, eq2 + dq, ep + dp)
+    for q, p in ((eq2, engine._LIMIT + 1), (-engine._LIMIT - 1, ep)):
+        with pytest.raises(engine.ExponentRangeError):
+            engine._pack(cell, q, p)
+
+
+def test_cells_round_trip_through_the_packed_terms():
+    value = LaurentQP({(-engine._LIMIT, engine._LIMIT): 3, (engine._LIMIT, -engine._LIMIT): -2})
+    t = SparseTangle(2, {0: value, 255: ONE})
+    assert dict(t.entries) == {0: value, 255: ONE}
+    assert t.entry((3, 3), (3, 3)) == ONE and t.entry((0, 0), (0, 0)) == value
+    with pytest.raises(TypeError):
+        t.entries[1] = ONE  # a read-only view
+    with pytest.raises(engine.ExponentRangeError):
+        SparseTangle(1, {0: LaurentQP.monomial(1, engine._LIMIT + 1)})
+
+
+def reach(t):
+    """The largest |eq2| and |ep| among t's cells."""
+    exponents = [k for v in t.entries.values() for k in v.terms]
+    return max(abs(q) for q, _ in exponents), max(abs(p) for _, p in exponents)
+
+
+def test_the_reach_of_a_letter_bounds_every_power():
+    # the data behind _check_reach's bound: |eq2| <= 5 and |ep| <= 2 per
+    # letter, 2 of each per closed string
+    assert engine._LETTER_REACH == (5, 2) and engine._HANDLE_REACH == (2, 2)
+    assert reach(lg_sigma()) == reach(engine._NEWTON_1) == (5, 2)
+    assert reach(engine._NEWTON_2) == (7, 4)  # its h_{e-2} starts a power later
+    handle = [k for h in HANDLE_PLUS for k in h.terms]
+    assert max(abs(q) for q, _ in handle) == max(abs(p) for _, p in handle) == 2
+    for e in (*range(1, 13), 31, 64):
+        for sign in (1, -1):
+            q, p = reach(generator_power(sign * e))
+            assert q <= 5 * e and p <= 2 * e, sign * e
+
+
+def test_a_word_past_the_exponent_field_is_refused_before_any_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tensor was formed")
+
+    # a field of |exponent| <= 16: one letter on two strings reaches 5 + 2,
+    # three reach 3 * 5 + 2 = 17
+    monkeypatch.setattr(engine, "_LIMIT", 16)
+    assert evaluate_raw(parse("1")) == evaluate_raw(parse("1 -1 1"))
+    monkeypatch.setattr(engine, "accrete", refuse)
+    monkeypatch.setattr(engine, "generator_power", refuse)
+    with pytest.raises(engine.ExponentRangeError, match=r"3 letters and 1 closed strings"):
+        evaluate_raw(parse("1 1 1"))
+    with pytest.raises(engine.ExponentRangeError, match=r"\|eq2\| = 17, \|ep\| = 8"):
+        execute(plan(parse("1 -1 1")))  # planned as given, not reduced
