@@ -1,16 +1,24 @@
-"""Exact checks of the state model and of the evaluator, all written over
-``engine.accrete``: the generator inverse, the Yang-Baxter relation, the
-cubic relation, the power law of the generator's powers, the handles'
-closed forms and traces, the handle's commuting with the generator, and
-the Markov-move property suite, which also checks reduce_closure and the
-columns evaluate_raw forms.
+"""``lgpoly selftest``: every self-check of the state model and of the
+evaluator, and the report that prints them.
+
+The identity checks are written over ``engine.accrete``: the generator
+inverse, the Yang-Baxter relation, the cubic relation, the power law of the
+generator's powers, the handles' closed forms and traces, and the handle's
+commuting with the generator.  The regression evaluates every corpus entry
+that carries a braid word through ``linksgould.evaluate`` and compares it
+bit-exactly with the stored value.  The Markov-move property suite also
+checks reduce_closure and the columns evaluate_raw forms.  ``cmd_selftest``
+prints one row per check and returns the exit code.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
+import time
 from dataclasses import dataclass, field
 
+from . import evaluate
 from .braid import (
     BraidWord,
     conjugate,
@@ -23,6 +31,7 @@ from .braid import (
 )
 from .engine import (
     ALL_COLUMNS,
+    COLUMNS,
     SparseTangle,
     accrete,
     combine,
@@ -34,7 +43,8 @@ from .engine import (
     lg_sigma_inverse,
     plan,
 )
-from .invariant import parity_violations, q_inverted, to_invariant
+from .invariant import parity_violations, q_inverted, render_machine, to_compact, to_invariant
+from .knotdata import CorpusEntry, load_corpus, validate_entry
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS, M_DIM, Diagonal
 
@@ -189,3 +199,91 @@ def run_markov_suite(
         mirrored = to_invariant(value(mirror(b)))
         check("mirror", word, mirrored == q_inverted(poly))
     return report
+
+
+def regression(entries: list[CorpusEntry]) -> list[tuple[CorpusEntry, str, float]]:
+    """Evaluate every entry that carries a braid word and compare it
+    bit-exactly with its stored compact form: one (entry, mismatch detail or
+    "", seconds) row per evaluated entry; value-only entries get no row."""
+    rows = []
+    for entry in entries:
+        if entry.braid is None:
+            continue
+        start = time.perf_counter()
+        got = to_compact(evaluate(entry.braid))
+        seconds = time.perf_counter() - start
+        detail = ""
+        if got != entry.compact:
+            detail = f"got {render_machine(got)} expected {render_machine(entry.compact)}"
+        rows.append((entry, detail, seconds))
+    return rows
+
+
+IDENTITIES = (
+    ("sigma * sigma^-1 = I", lambda: check_inverse(lg_sigma(), lg_sigma_inverse())),
+    ("sigma^-1 * sigma = I", lambda: check_inverse(lg_sigma_inverse(), lg_sigma())),
+    ("Yang-Baxter relation", check_yang_baxter),
+    ("(R - qp^-2)(R + 1)(R - qp^2) = 0", check_cubic_relation),
+    ("R^a R^b = R^(a+b)", check_power_law),
+    ("handles: composition, trace(C+/-) = 0", check_handles),
+    ("(C+ x C+) R = R (C+ x C+), also R^-1", check_handle_commutes),
+)
+
+
+def cmd_selftest(args: argparse.Namespace) -> int:
+    """Print one row per check, then the result line; 1 if any row failed."""
+    failures = 0
+
+    def report(section: str, label: str, ok: bool, extra: str = "") -> None:
+        nonlocal failures
+        status = "pass" if ok else "FAIL"
+        if not ok:
+            failures += 1
+        print(f"{section:<9} {label:<42} {status}{'  ' + extra if extra else ''}")
+
+    for label, check in IDENTITIES:
+        report("identity", label, check())
+
+    entries = load_corpus()
+    bad = [(e.name, p) for e in entries for p in validate_entry(e)]
+    report(
+        "corpus",
+        f"{len(entries)} entries internally consistent",
+        not bad,
+        "; ".join(f"{n}: {p}" for n, p in bad[:3]),
+    )
+    rows = regression(entries)
+    if args.verbose:
+        for entry, detail, seconds in rows:
+            word = render(entry.braid) or "(empty)"
+            mark = "FAIL" if detail else "pass"
+            print(f"    {entry.name:<14} braid={word:<22} {seconds:6.2f}s  {mark}")
+    mismatches = [(entry.name, detail) for entry, detail, _ in rows if detail]
+    report(
+        "corpus",
+        f"regression ({len(rows)} evaluated, {len(entries) - len(rows)} value-only)",
+        not mismatches,
+    )
+    for name, detail in mismatches:
+        print(f"    {name}: {detail}")
+
+    if not args.quick:
+        markov = run_markov_suite(seed=args.seed, braids=args.braids)
+        reduction = [f for f in markov.failures if f.startswith(REDUCTION)]
+        columns = [f for f in markov.failures if f.startswith(COLUMNS_CHECK)]
+        report(
+            "markov",
+            f"{markov.braids} braids, {markov.checks} checks (seed {args.seed})",
+            len(reduction) + len(columns) == len(markov.failures),
+        )
+        report("markov", "reduce_closure keeps the value", not reduction)
+        report(
+            "markov",
+            f"columns {', '.join(map(str, COLUMNS))} give the 4-column value",
+            not columns,
+        )
+        for failure in markov.failures[:5]:
+            print(f"    {failure}")
+
+    print("result: " + ("all passed" if not failures else f"{failures} FAILED"))
+    return 1 if failures else 0

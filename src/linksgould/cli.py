@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: ``eval`` (one braid word), ``batch`` (file of named words),
-``selftest`` (model identities, regression corpus, Markov property suite),
-``dump-rmatrix`` (the crossing tensor as a 16x16 grid).
+Subcommands: ``eval`` (one braid word), ``batch`` (file of named words,
+run by the ``batch`` module), ``selftest`` (model identities, corpus
+regression, Markov property suite, all run and printed by the ``checks``
+module), ``dump-rmatrix`` (the crossing tensor as a 16x16 grid).
 
 Machine-format output on stdout is byte-identical across runs; human
 metadata and timing go to stderr for the machine formats.
@@ -28,14 +29,12 @@ import time
 
 from .braid import BraidSyntaxError, BraidWord, closure_info, parse, render, writhe
 from .engine import (
-    COLUMNS,
     DEFAULT_SIZE_CAP,
     ExponentRangeError,
     NonScalarTangleError,
     SizeCapExceeded,
     evaluate_raw,
     lg_sigma,
-    lg_sigma_inverse,
 )
 from .invariant import (
     MachineFormatError,
@@ -50,9 +49,9 @@ from .invariant import (
 )
 from .ring import LaurentQP
 
-# batch (the batch subcommand), json (--format json), and checks and
-# knotdata (selftest) are imported only where they are used: each eval is a
-# fresh process, and on a small word start-up is most of its cost.
+# batch (the batch subcommand), json (--format json) and checks (selftest,
+# which loads the corpus) are imported only where they are used: each eval
+# is a fresh process, and on a small word start-up is most of its cost.
 
 FORMATS = ("compact-text", "compact-machine", "laurent", "json")
 EVAL_ERRORS = (
@@ -143,81 +142,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .checks import (
-        COLUMNS_CHECK,
-        REDUCTION,
-        check_cubic_relation,
-        check_handle_commutes,
-        check_handles,
-        check_inverse,
-        check_power_law,
-        check_yang_baxter,
-        run_markov_suite,
-    )
-    from .knotdata import load_corpus, run_regression, validate_entry
+    from .checks import cmd_selftest
 
-    failures = 0
-
-    def report(section: str, label: str, ok: bool, extra: str = "") -> None:
-        nonlocal failures
-        status = "pass" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{section:<9} {label:<42} {status}{'  ' + extra if extra else ''}")
-
-    sig, inv = lg_sigma(), lg_sigma_inverse()
-    report("identity", "sigma * sigma^-1 = I", check_inverse(sig, inv))
-    report("identity", "sigma^-1 * sigma = I", check_inverse(inv, sig))
-    report("identity", "Yang-Baxter relation", check_yang_baxter())
-    report("identity", "(R - qp^-2)(R + 1)(R - qp^2) = 0", check_cubic_relation())
-    report("identity", "R^a R^b = R^(a+b)", check_power_law())
-    report("identity", "handles: composition, trace(C+/-) = 0", check_handles())
-    report("identity", "(C+ x C+) R = R (C+ x C+), also R^-1", check_handle_commutes())
-
-    entries = load_corpus()
-    bad = [(e.name, p) for e in entries for p in validate_entry(e)]
-    report(
-        "corpus",
-        f"{len(entries)} entries internally consistent",
-        not bad,
-        "; ".join(f"{n}: {p}" for n, p in bad[:3]),
-    )
-    regression = run_regression(entries)
-    for entry, (name, status, _) in zip(entries, regression.results):
-        if args.verbose and entry.braid is not None:
-            word = render(entry.braid) or "(empty)"
-            mark = "pass" if status == "pass" else "FAIL"
-            print(f"    {name:<14} braid={word:<22} {regression.seconds[name]:6.2f}s  {mark}")
-    counts = regression.counts()
-    report(
-        "corpus",
-        f"regression ({counts.get('pass', 0)} evaluated, "
-        f"{counts.get('value-only', 0)} value-only)",
-        regression.ok,
-    )
-    for name, _, detail in regression.failures:
-        print(f"    {name}: {detail}")
-
-    if not args.quick:
-        markov = run_markov_suite(seed=args.seed, braids=args.braids)
-        reduction = [f for f in markov.failures if f.startswith(REDUCTION)]
-        columns = [f for f in markov.failures if f.startswith(COLUMNS_CHECK)]
-        report(
-            "markov",
-            f"{markov.braids} braids, {markov.checks} checks (seed {args.seed})",
-            len(reduction) + len(columns) == len(markov.failures),
-        )
-        report("markov", "reduce_closure keeps the value", not reduction)
-        report(
-            "markov",
-            f"columns {', '.join(map(str, COLUMNS))} give the 4-column value",
-            not columns,
-        )
-        for failure in markov.failures[:5]:
-            print(f"    {failure}")
-
-    print("result: " + ("all passed" if not failures else f"{failures} FAILED"))
-    return 1 if failures else 0
+    return cmd_selftest(args)
 
 
 def cmd_dump_rmatrix(_: argparse.Namespace) -> int:

@@ -1,31 +1,21 @@
-"""Embedded regression corpus: exact reference polynomials keyed by
+"""Embedded reference corpus: exact reference polynomials keyed by
 knot/link name, with braid words attached where the closure is standard or
 was verified against the stored value.
 
 The corpus ships as ``data/lg_table.txt``; each entry is a header line
 ``name; components; amphichiral|chiral[; braid=<word>]`` followed by one
-machine-format polynomial record.
+machine-format polynomial record.  This module parses and checks the
+corpus only; ``checks.regression`` evaluates the entries that carry a braid.
 """
 
 from __future__ import annotations
 
 import re
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
-import linksgould
-
 from .braid import BraidWord, closure_info, parse as parse_braid
-from .engine import DEFAULT_SIZE_CAP
-from .invariant import (
-    CompactForm,
-    from_compact,
-    is_palindromic_q,
-    parse_machine,
-    render_machine,
-    to_compact,
-)
+from .invariant import CompactForm, from_compact, is_palindromic_q, parse_machine
 
 CORPUS_RESOURCE = "lg_table.txt"
 
@@ -123,59 +113,3 @@ def validate_entry(entry: CorpusEntry) -> list[str]:
                 f"braid closure has {got} components, flag says {entry.components}"
             )
     return problems
-
-
-@dataclass
-class RegressionReport:
-    results: list[tuple[str, str, str]] = field(default_factory=list)
-    seconds: dict[str, float] = field(default_factory=dict, init=False)  # evaluated
-
-    def add(self, name: str, status: str, detail: str = "") -> None:
-        self.results.append((name, status, detail))
-
-    @property
-    def failures(self) -> list[tuple[str, str, str]]:
-        return [r for r in self.results if r[1] == "fail"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, status, _ in self.results:
-            out[status] = out.get(status, 0) + 1
-        return out
-
-    def summary(self) -> str:
-        counts = self.counts()
-        parts = [f"{counts.get(s, 0)} {s}" for s in ("pass", "fail", "value-only")]
-        lines = [", ".join(parts)]
-        for name, _, detail in self.failures:
-            lines.append(f"  FAIL {name}: {detail}")
-        return "\n".join(lines)
-
-
-def run_regression(
-    entries: list[CorpusEntry] | None = None, max_size: int = DEFAULT_SIZE_CAP
-) -> RegressionReport:
-    """Evaluate every entry that has a braid word and compare bit-exactly
-    with its stored compact form, timing each; entries without a braid are
-    skipped as value-only."""
-    report = RegressionReport()
-    for entry in entries if entries is not None else load_corpus():
-        if entry.braid is None:
-            report.add(entry.name, "value-only")
-            continue
-        start = time.perf_counter()
-        got = to_compact(linksgould.evaluate(entry.braid, max_size=max_size))
-        report.seconds[entry.name] = time.perf_counter() - start
-        if got == entry.compact:
-            report.add(entry.name, "pass")
-        else:
-            report.add(
-                entry.name,
-                "fail",
-                f"got {render_machine(got)} expected {render_machine(entry.compact)}",
-            )
-    return report

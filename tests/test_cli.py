@@ -1,13 +1,16 @@
+import copy
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from linksgould import cli
+from linksgould import checks, cli, knotdata
+from linksgould.braid import BraidWord
 from linksgould.checks import run_markov_suite
 from linksgould.cli import main
 from linksgould.invariant import parse_machine
+from linksgould.ring import ONE
 
 
 def run(capsys, *argv):
@@ -272,6 +275,44 @@ def test_selftest_seed_changes_braids_not_outcome():
     b = run_markov_suite(seed=2, braids=3)
     assert a.ok and b.ok
     assert a.checks == b.checks == 3 * 9
+
+
+def failed_rows(out):
+    return [line for line in out.splitlines() if line.endswith("  FAIL")]
+
+
+def test_selftest_fails_the_regression_row_on_a_wrong_stored_value(capsys, monkeypatch):
+    corpus = copy.deepcopy(knotdata.load_corpus())
+    next(e for e in corpus if e.name == "3_1").compact[0][0] += 1
+    monkeypatch.setattr(knotdata, "_cache", corpus)
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert failed_rows(out) == [
+        "corpus    regression (14 evaluated, 253 value-only)  FAIL"
+    ]
+    lines = out.splitlines()
+    after = lines[lines.index(failed_rows(out)[0]) + 1 :]
+    assert re.fullmatch(r"    3_1: got .+ expected .+", after[0])
+    assert after[1:] == ["result: 1 FAILED"]
+
+
+@pytest.mark.parametrize(
+    "name, defect, row",
+    [
+        ("reduce_closure", lambda real: lambda b: BraidWord(1, ()),
+         "markov    reduce_closure keeps the value             FAIL"),
+        ("evaluate_raw", lambda real: lambda *a, **k: real(*a, **k) + ONE,
+         "markov    columns 0, 3 give the 4-column value       FAIL"),
+    ],
+)
+def test_selftest_fails_only_the_row_of_a_planted_defect(capsys, monkeypatch, name, defect, row):
+    # each defect changes every value it touches; the regression evaluates
+    # through the package root, so it does not see the checks' names
+    monkeypatch.setattr(checks, name, defect(getattr(checks, name)))
+    code, out, _ = run(capsys, "selftest", "--braids", "3", "--seed", "5")
+    assert code == 1
+    assert failed_rows(out) == [row]
+    assert out.splitlines()[-1] == "result: 1 FAILED"
 
 
 def test_dump_rmatrix(capsys):

@@ -3,13 +3,13 @@ import copy
 import pytest
 
 from linksgould.braid import closure_info, render
+from linksgould.checks import regression
 from linksgould.invariant import from_compact, is_palindromic_q, parity_violations
 from linksgould.knotdata import (
     CorpusFormatError,
     corpus_entry,
     load_corpus,
     parse_corpus,
-    run_regression,
     validate_entry,
 )
 
@@ -88,32 +88,29 @@ def test_values_normalize_at_q_P_one():
 
 
 def test_regression_all_pass():
-    report = run_regression()
-    assert report.ok, report.summary()
-    counts = report.counts()
-    assert counts["pass"] == 14
-    assert counts["value-only"] == 253
-    assert counts.get("fail", 0) == 0
+    entries = load_corpus()
+    rows = regression(entries)
+    assert [(e.name, detail) for e, detail, _ in rows if detail] == []
+    assert len(rows) == 14
+    assert len(entries) - len(rows) == 253
 
 
 def test_regression_mandatory_subset():
-    entries = [corpus_entry(n) for n in MANDATORY]
-    report = run_regression(entries)
-    assert report.ok and report.counts()["pass"] == len(MANDATORY)
+    rows = regression([corpus_entry(n) for n in MANDATORY])
+    assert [e.name for e, detail, _ in rows if not detail] == list(MANDATORY)
 
 
 def test_fault_injection_reports_exactly_one_failure():
     entries = [copy.deepcopy(corpus_entry(n)) for n in ("3_1", "4_1")]
     entries[0].compact[0][0] += 1
-    report = run_regression(entries)
-    assert len(report.failures) == 1
-    assert report.failures[0][0] == "3_1"
-    assert "expected" in report.failures[0][2]
+    failures = [(e.name, detail) for e, detail, _ in regression(entries) if detail]
+    assert len(failures) == 1
+    assert failures[0][0] == "3_1"
+    assert "expected" in failures[0][1]
 
 
 def test_value_only_entries_are_skipped():
-    report = run_regression([corpus_entry("8_1")])
-    assert report.results == [("8_1", "value-only", "")]
+    assert regression([corpus_entry("8_1")]) == []
 
 
 def test_parse_corpus_errors():
