@@ -218,7 +218,8 @@ def _lost(status: int) -> str:
 def cmd_batch(args: argparse.Namespace) -> int:
     tasks: list[Task] = []
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the first name
+        with open(args.file, encoding="utf-8-sig") as fh:
             for raw_line in fh:
                 line = raw_line.strip()
                 if not line or line.startswith("#"):

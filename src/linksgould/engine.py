@@ -27,13 +27,15 @@ key to an integer coefficient, zero coefficients never stored.  The key
 is the term's cell (one digit per string) shifted above two offset
 fields, its doubled q-exponent and its p-exponent (see ``_pack``), so
 multiplying a term by a monomial adds one integer to its key (Kronecker
-substitution).  Only this module reads or builds the keys: the crossing
-tensor's cells, the Newton coefficients and the extracted scalar are
-``LaurentQP`` values, and ``SparseTangle(n, cells)``, ``from_cells``,
-``entries`` and ``entry`` convert at that boundary.  A field holds an
-exponent of at most ``_LIMIT`` in absolute value, and ``execute`` refuses
-a word whose terms could outgrow it (``_check_reach``) before any
-arithmetic.
+substitution).  Only this module reads or builds the keys, so their
+layout can change here alone: the crossing tensor's cells, the Newton
+coefficients and the extracted scalar are ``LaurentQP`` values, and a
+tangle's cells cross the boundary as {(upper, lower): value}, index tuples
+one index per string, in through ``SparseTangle.from_cells`` and out
+through ``entries`` and ``entry``.  ``SparseTangle(n, terms)`` takes
+packed terms and is this module's own.  A field holds an exponent of at
+most ``_LIMIT`` in absolute value, and ``execute`` refuses a word whose
+terms could outgrow it (``_check_reach``) before any arithmetic.
 """
 
 from __future__ import annotations
@@ -124,27 +126,18 @@ def _deltas(v: LaurentQP) -> list[tuple[int, int]]:
 
 class SparseTangle:
     """Rank-2n tensor as terms = {packed key: integer coefficient} (see
-    _pack).  A key's cell has one base-M^2 digit M a_s + b_s per string s,
-    of upper index a_s and lower index b_s, string 1 the most significant.
-    The constructor takes {cell: LaurentQP}, as entries gives it back;
-    other modules go through entry and from_cells."""
+    _pack), with no zero coefficient.  A key's cell has one base-M^2 digit
+    M a_s + b_s per string s, of upper index a_s and lower index b_s,
+    string 1 the most significant.  The constructor takes the terms as
+    they are and is this module's own; other modules build a tangle with
+    from_cells and read it through entries and entry, by (upper, lower)
+    index tuples, so SparseTangle.from_cells(t.n, t.entries) == t."""
 
-    def __init__(self, n: int, entries: dict[int, LaurentQP]) -> None:
+    def __init__(self, n: int, terms: dict[int, int]) -> None:
         self.n = n
-        self.terms = {
-            _pack(cell, eq2, ep): c
-            for cell, v in entries.items()
-            for (eq2, ep), c in v.terms.items()
-        }
+        self.terms = terms
         self._view: MappingProxyType | None = None
         self._prepared: dict | None = None
-
-    @classmethod
-    def _of(cls, n: int, terms: dict[int, int]) -> SparseTangle:
-        # internal: terms packed already, with no zero coefficient
-        t = object.__new__(cls)
-        t.n, t.terms, t._view, t._prepared = n, terms, None, None
-        return t
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not SparseTangle:
@@ -152,25 +145,34 @@ class SparseTangle:
         return (self.n, self.terms) == (other.n, other.terms)
 
     def __repr__(self) -> str:
-        return f"SparseTangle(n={self.n!r}, entries={dict(self.entries)!r})"
-
-    @property
-    def entries(self) -> MappingProxyType:
-        """{cell: value}, read-only, built when first read: by entry, the
-        tests and the bench's tracer.  No kernel reads it."""
-        if self._view is None:
-            self._view = MappingProxyType(
-                {cell: _value(fields) for cell, fields in _by_cell(self).items()}
-            )
-        return self._view
+        return f"SparseTangle.from_cells({self.n!r}, {dict(self.entries)!r})"
 
     @classmethod
     def from_cells(cls, n: int, cells: dict[tuple[Index, Index], LaurentQP]) -> SparseTangle:
-        """The n-string tangle {(upper, lower): value}, the inverse of entry."""
-        return cls(n, {_key(n, upper, lower): v for (upper, lower), v in cells.items() if v})
+        """The n-string tangle {(upper, lower): value}, the inverse of entries."""
+        terms = {}
+        for (upper, lower), v in cells.items():
+            cell = _key(n, upper, lower)
+            terms.update((_pack(cell, eq2, ep), c) for (eq2, ep), c in v.terms.items())
+        return cls(n, terms)
+
+    @property
+    def entries(self) -> MappingProxyType:
+        """{(upper, lower): value} over the nonzero cells, read-only, built
+        when first read: by entry, the tests and the bench's tracer.  No
+        kernel reads it."""
+        if self._view is None:
+            self._view = MappingProxyType(
+                {_indices(self.n, cell): _value(f) for cell, f in _by_cell(self).items()}
+            )
+        return self._view
 
     def entry(self, upper: Index, lower: Index) -> LaurentQP:
-        return self.entries.get(_key(self.n, upper, lower), ZERO)
+        v = self.entries.get((upper, lower))
+        if v is None:
+            _key(self.n, upper, lower)  # refuses misshapen indices
+            return ZERO
+        return v
 
 
 def _by_cell(t: SparseTangle) -> dict[int, dict[int, int]]:
@@ -205,6 +207,12 @@ def _key(n: int, upper: Index, lower: Index) -> int:
     return key
 
 
+def _indices(n: int, cell: int) -> tuple[Index, Index]:
+    """The (upper, lower) indices of an n-string cell, the inverse of _key."""
+    digits = [cell >> _DIGIT * (n - 1 - s) & _PAIR - 1 for s in range(n)]
+    return tuple(d // M_DIM for d in digits), tuple(d % M_DIM for d in digits)
+
+
 def _digits(cells: list[tuple[int, int]]) -> int:
     """The restriction of one string to the given (upper, lower) index
     pairs: bit M a + b is set for each pair (a, b)."""
@@ -236,7 +244,7 @@ def _allows(keep: tuple[int, ...], cell: int) -> bool:
 
 def _restrict(t: SparseTangle, keep: tuple[int, ...]) -> SparseTangle:
     """The terms of t whose cells keep, one restriction per string, admits."""
-    return SparseTangle._of(t.n, {k: c for k, c in t.terms.items() if _allows(keep, k >> _CELL)})
+    return SparseTangle(t.n, {k: c for k, c in t.terms.items() if _allows(keep, k >> _CELL)})
 
 
 def _guard(n: int, max_size: int) -> None:
@@ -310,7 +318,7 @@ def accrete(
             for change, xc in row:
                 nk = key + change
                 out[nk] = get(nk, 0) + c * xc
-    return SparseTangle._of(n, {k: c for k, c in out.items() if c})
+    return SparseTangle(n, {k: c for k, c in out.items() if c})
 
 
 def combine(parts: list[tuple[LaurentQP, SparseTangle]]) -> SparseTangle:
@@ -323,7 +331,7 @@ def combine(parts: list[tuple[LaurentQP, SparseTangle]]) -> SparseTangle:
             for change, cc in changes:
                 nk = key + change
                 out[nk] = get(nk, 0) + c * cc
-    return SparseTangle._of(parts[0][1].n, {k: c for k, c in out.items() if c})
+    return SparseTangle(parts[0][1].n, {k: c for k, c in out.items() if c})
 
 
 def _swap_invert(t: SparseTangle) -> SparseTangle:
@@ -336,7 +344,7 @@ def _swap_invert(t: SparseTangle) -> SparseTangle:
         first, second = divmod(key >> _CELL, _PAIR)
         # each field f = x + _OFFSET turns into 2 _OFFSET - f = -x + _OFFSET
         out[(second * _PAIR + first) << _CELL | 2 * _ORIGIN - (key & _FIELDS)] = c
-    return SparseTangle._of(2, out)
+    return SparseTangle(2, out)
 
 
 _IDENTITY2 = identity_tangle(2)
@@ -386,7 +394,7 @@ def _check_reach(letters: int, closes: int) -> None:
 
 def lg_sigma() -> SparseTangle:
     """Tensor of the positive braid generator (gauged, so Y-free)."""
-    return SparseTangle._of(2, dict(_SIGMA.terms))
+    return SparseTangle(2, dict(_SIGMA.terms))
 
 
 def lg_sigma_inverse() -> SparseTangle:
@@ -453,7 +461,7 @@ def _open_string(z: SparseTangle, i: int, keep: int = ANY) -> SparseTangle:
         base = (key >> low) << (low + _DIGIT) | key & rest
         for shift in shifts:
             out[base + shift] = c
-    return SparseTangle._of(z.n + 1, out)
+    return SparseTangle(z.n + 1, out)
 
 
 def _monomial(v: LaurentQP) -> tuple[int, int]:
@@ -485,7 +493,7 @@ def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTang
             if term:
                 nk = ((key >> high) << low | key & rest) + term[0]
                 out[nk] = get(nk, 0) + c * term[1]
-        z = SparseTangle._of(z.n - 1, {k: c for k, c in out.items() if c})
+        z = SparseTangle(z.n - 1, {k: c for k, c in out.items() if c})
     return z
 
 

@@ -36,8 +36,6 @@ class LaurentQP:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentQP):
             return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({(0, 0): other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -73,14 +71,6 @@ class LaurentQP:
                 elif k in out:
                     del out[k]
         return LaurentQP._raw(out)
-
-    def invert_q(self) -> LaurentQP:
-        """Negate every q-exponent (p fixed)."""
-        return LaurentQP._raw({(-e, p): c for (e, p), c in self.terms.items()})
-
-    def invert_p(self) -> LaurentQP:
-        """Negate every p-exponent (q fixed)."""
-        return LaurentQP._raw({(e, -p): c for (e, p), c in self.terms.items()})
 
     def invert_qp(self) -> LaurentQP:
         """Negate q- and p-exponents together (mirror substitution)."""

@@ -159,6 +159,15 @@ def test_batch_file_not_utf8(tmp_path, capsys):
     assert "utf-8" in err
 
 
+def test_batch_file_byte_order_mark_is_not_part_of_the_first_name(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"a 1 1 1\nb 1 1\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run(capsys, "batch", str(plain))
+    assert expected[0] == 0 and expected[1].startswith("a; ")
+    assert run(capsys, "batch", str(marked)) == expected
+
+
 @pytest.mark.parametrize(
     "jobs, message",
     [("0", "must be at least 1"), ("-4", "must be at least 1"), ("x", "not an integer")],

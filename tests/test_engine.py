@@ -18,6 +18,7 @@ from linksgould.engine import (
     SparseTangle,
     accrete,
     close,
+    combine,
     evaluate_raw,
     execute,
     extract_scalar,
@@ -44,7 +45,7 @@ HOPF_RAW = LaurentQP({(0, 0): -1, (4, 0): -1, (2, 2): 1, (2, -2): 1})
 
 def test_identity_tangle_sizes():
     t = identity_tangle(1)
-    assert len(t.entries) == 4 and all(v == 1 for v in t.entries.values())
+    assert len(t.entries) == 4 and all(v == ONE for v in t.entries.values())
     assert len(identity_tangle(2).entries) == 16
     assert len(identity_tangle(3).entries) == 64
 
@@ -132,11 +133,11 @@ def test_trefoil_closure_is_scalar():
 
 def test_extract_scalar_cases():
     assert extract_scalar(identity_tangle(1)) == ONE
-    assert extract_scalar(SparseTangle(1, {})) == ZERO
-    skew = SparseTangle(1, {1: ONE})  # t[0][1]
+    assert extract_scalar(SparseTangle.from_cells(1, {})) == ZERO
+    skew = SparseTangle.from_cells(1, {((0,), (1,)): ONE})
     with pytest.raises(NonScalarTangleError, match=r"t\[0\]\[1\]"):
         extract_scalar(skew)
-    lopsided = SparseTangle(1, {0: ONE})  # t[0][0] only
+    lopsided = SparseTangle.from_cells(1, {((0,), (0,)): ONE})  # t[0][0] only
     with pytest.raises(NonScalarTangleError):
         extract_scalar(lopsided)
     # formed in columns 0 and 3 only: those columns of ONE * I are ONE
@@ -224,7 +225,7 @@ def test_raw_values_live_in_the_even_subring():
 
 
 def test_sparse_tangle_entry_lookup():
-    z = SparseTangle(1, {5: ONE})  # upper digit 1, lower digit 1
+    z = SparseTangle.from_cells(1, {((1,), (1,)): ONE})
     assert z.entry((1,), (1,)) == ONE
     assert z.entry((0,), (1,)) == ZERO
 
@@ -417,9 +418,10 @@ def test_no_power_is_formed_once_the_tangle_is_empty(monkeypatch):
 
 
 def test_sparse_tangle_equality():
-    t = SparseTangle(1, {0: ONE})
-    assert t == SparseTangle(1, {0: ONE})
-    assert t != SparseTangle(2, {0: ONE}) and t != SparseTangle(1, {})
+    t = SparseTangle.from_cells(1, {((0,), (0,)): ONE})
+    assert t == SparseTangle.from_cells(1, {((0,), (0,)): ONE})
+    assert t != SparseTangle.from_cells(2, {((0, 0), (0, 0)): ONE})
+    assert t != SparseTangle.from_cells(1, {})
     with pytest.raises(TypeError):
         hash(t)
 
@@ -745,38 +747,52 @@ def test_entry_and_from_cells_refuse_misshapen_indices(upper, lower):
         SparseTangle.from_cells(2, {(upper, lower): ONE})
 
 
-# The packed key: a term's cell above its two offset exponent fields.
+# The packed terms: a term's cell above its two offset exponent fields,
+# reached here only through from_cells, entries and combine.
 
 FIELD_EDGES = st.sampled_from(
     [-engine._LIMIT, -engine._LIMIT + 1, -1, 0, 1, engine._LIMIT - 1, engine._LIMIT]
 )
 EXPONENTS = st.one_of(FIELD_EDGES, st.integers(-engine._LIMIT, engine._LIMIT))
+FIVE_INDICES = st.tuples(*[st.integers(0, 3)] * 5)
 
 
 @settings(deadline=None)
-@given(st.integers(0, 4**10 - 1), EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS)
-def test_pack_round_trips_at_the_field_edges(cell, eq2, ep, dq, dp):
-    key = engine._pack(cell, eq2, ep)
-    assert key >= 0 and key >> engine._CELL == cell
-    assert engine._value({key & engine._FIELDS: 7}) == LaurentQP.monomial(7, eq2, ep)
-    # a monomial's change to a key adds its exponents while they fit
-    change = engine._deltas(LaurentQP.monomial(1, dq, dp))[0][0]
+@given(FIVE_INDICES, FIVE_INDICES, EXPONENTS, EXPONENTS, EXPONENTS, EXPONENTS)
+def test_pack_round_trips_at_the_field_edges(upper, lower, eq2, ep, dq, dp):
+    cell = (upper, lower)
+    t = SparseTangle.from_cells(5, {cell: LaurentQP.monomial(7, eq2, ep)})
+    assert dict(t.entries) == {cell: LaurentQP.monomial(7, eq2, ep)}
+    # a product with a monomial adds its exponents while they fit
     if abs(eq2 + dq) <= engine._LIMIT and abs(ep + dp) <= engine._LIMIT:
-        assert key + change == engine._pack(cell, eq2 + dq, ep + dp)
+        moved = combine([(LaurentQP.monomial(1, dq, dp), t)])
+        assert dict(moved.entries) == {cell: LaurentQP.monomial(7, eq2 + dq, ep + dp)}
     for q, p in ((eq2, engine._LIMIT + 1), (-engine._LIMIT - 1, ep)):
         with pytest.raises(engine.ExponentRangeError):
-            engine._pack(cell, q, p)
+            SparseTangle.from_cells(5, {cell: LaurentQP.monomial(1, q, p)})
 
 
 def test_cells_round_trip_through_the_packed_terms():
     value = LaurentQP({(-engine._LIMIT, engine._LIMIT): 3, (engine._LIMIT, -engine._LIMIT): -2})
-    t = SparseTangle(2, {0: value, 255: ONE})
-    assert dict(t.entries) == {0: value, 255: ONE}
-    assert t.entry((3, 3), (3, 3)) == ONE and t.entry((0, 0), (0, 0)) == value
+    cells = {((0, 0), (0, 0)): value, ((3, 3), (3, 3)): ONE}
+    t = SparseTangle.from_cells(2, cells)
+    assert dict(t.entries) == cells
     with pytest.raises(TypeError):
-        t.entries[1] = ONE  # a read-only view
+        t.entries[(0, 0), (0, 1)] = ONE  # a read-only view
     with pytest.raises(engine.ExponentRangeError):
-        SparseTangle(1, {0: LaurentQP.monomial(1, engine._LIMIT + 1)})
+        SparseTangle.from_cells(1, {((0,), (0,)): LaurentQP.monomial(1, engine._LIMIT + 1)})
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_from_cells_inverts_entries(n, seed):
+    # the boundary: cells in by from_cells and out by entries and entry,
+    # all keyed by (upper, lower) index tuples
+    t = random_tangle(random.Random(seed), n, 0.3 if n < 3 else 0.02)
+    assert SparseTangle.from_cells(t.n, t.entries) == t
+    for upper in cells_of(n):
+        for lower in cells_of(n):
+            assert t.entry(upper, lower) == t.entries.get((upper, lower), ZERO)
 
 
 def reach(t):

@@ -1,10 +1,11 @@
 import copy
+import math
 
 import pytest
 
 from linksgould.braid import closure_info, render
 from linksgould.checks import regression
-from linksgould.invariant import from_compact, is_palindromic_q, parity_violations
+from linksgould.invariant import from_compact, is_palindromic_q, parity_violations, q_inverted
 from linksgould.knotdata import (
     CorpusFormatError,
     corpus_entry,
@@ -85,6 +86,81 @@ def test_values_normalize_at_q_P_one():
     for e in load_corpus():
         total = sum(from_compact(e.compact).values())
         assert total == (1 if e.components == 1 else 0), e.name
+
+
+def test_values_tell_the_entries_apart_up_to_mirrors():
+    # the paper's "distinguishes between these links", with its exceptions:
+    # each value is grouped with its q-inverse (the mirror's value), and
+    # only three groups hold more than one name.  ROADMAP flags
+    # 4^2_1b = JE_1_1 for a human to review.
+    groups = {}
+    for e in load_corpus():
+        poly = from_compact(e.compact)
+        value = min(sorted(poly.items()), sorted(q_inverted(poly).items()))
+        groups.setdefault(tuple(value), set()).add(e.name)
+    shared = sorted(sorted(names) for names in groups.values() if len(names) > 1)
+    assert shared == [["4^2_1b", "JE_1_1"], ["C", "KT"], ["JE_2_1", "JE_2_2"]]
+    assert len(groups) == 264
+
+
+def times(f, g):
+    """The product of two Laurent polynomials {exponent: coefficient}."""
+    out = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            out[a + b] = out.get(a + b, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def square_root(f):
+    """The integer Laurent polynomial g with g * g == f and a positive top
+    coefficient, or None if f is no such square; both are {exponent:
+    coefficient}.  g's terms are found from the top down: the next is the
+    top term left of f - g * g over twice g's top coefficient."""
+    if not f:
+        return {}
+    top = max(f)
+    lead = math.isqrt(f[top]) if f[top] > 0 else 0
+    if top % 2 or lead * lead != f[top]:
+        return None
+    g = {top // 2: lead}
+    for e in range(top // 2 - 1, min(f) // 2 - 1, -1):
+        square = times(g, g)
+        c, r = divmod(f.get(top // 2 + e, 0) - square.get(top // 2 + e, 0), 2 * lead)
+        if r:
+            return None
+        if c:
+            g[e] = c
+    return g if times(g, g) == f else None
+
+
+def test_square_root_examples():
+    assert square_root({4: 1, 2: -2, 0: 3, -2: -2, -4: 1}) == {2: 1, 0: -1, -2: 1}
+    assert square_root({2: 1, 0: -2, -2: 1}) == {1: 1, -1: -1}
+    assert square_root({4: 1, 2: -2, 0: 4, -2: -2, -4: 1}) is None  # one coefficient off
+    assert square_root({0: 2}) is None and square_root({1: 1}) is None
+    assert square_root({0: -1}) is None and square_root({}) == {}
+
+
+def test_lg_at_q_one_is_the_square_of_the_alexander_polynomial():
+    # LG(q = 1, P) = Delta(P)^2 (Ishii; Kohli 2016), a value-level identity
+    # that does not come from the state model.  Exponents are those of
+    # P^(1/2), as a link's Delta has half-integer exponents in P.
+    knots = links = 0
+    for e in load_corpus():
+        at_q_one = {}
+        for (_, k), c in from_compact(e.compact).items():
+            at_q_one[2 * k] = at_q_one.get(2 * k, 0) + c
+        root = square_root({k: c for k, c in at_q_one.items() if c})
+        assert root is not None, e.name
+        # Delta(1) is +-1 for a knot and 0 for a link
+        if e.components == 1:
+            assert abs(sum(root.values())) == 1, e.name
+            knots += 1
+        else:
+            assert sum(root.values()) == 0, e.name
+            links += 1
+    assert (knots, links) == (253, 14)
 
 
 def test_regression_all_pass():

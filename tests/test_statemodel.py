@@ -55,7 +55,7 @@ def test_corner_entries_match_transcription():
     # 1-based (1,1,1,1) and (4,4,4,4); dots are exact zeros
     assert sig.entry((0, 0), (0, 0)) == mono(1, 2, -2)  # p^-2 q
     assert sig.entry((3, 3), (3, 3)) == mono(1, 2, 2)  # p^2 q
-    assert sig.entry((0, 1), (0, 0)) == 0
+    assert sig.entry((0, 1), (0, 0)) == ZERO
 
 
 def test_nonzero_count_and_value_set():
@@ -141,8 +141,8 @@ def test_caps_cups():
     assert OMEGA_PLUS == (
         mono(1, 2, -2), mono(-1, 2, -2), mono(-1, -2, -2), mono(1, -2, -2)
     )
-    assert all(v == 1 for v in OMEGA_MINUS)
-    assert all(v == 1 for v in MHO_PLUS)
+    assert all(v == ONE for v in OMEGA_MINUS)
+    assert all(v == ONE for v in MHO_PLUS)
     # mho- is the elementwise inverse of omega+
     for o, u in zip(OMEGA_PLUS, MHO_MINUS):
         assert o * u == ONE
@@ -191,7 +191,7 @@ def test_yang_baxter():
 def test_yang_baxter_fails_on_a_flipped_cell():
     sig = lg_sigma()
     for key, v in sig.entries.items():
-        flipped = SparseTangle(2, {**sig.entries, key: -v})
+        flipped = SparseTangle.from_cells(2, {**sig.entries, key: -v})
         assert not check_yang_baxter(flipped), key
 
 
