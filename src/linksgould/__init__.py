@@ -4,8 +4,10 @@ The invariant of the closure of a braid word is computed by shortening the
 word with moves that keep its closure, then accreting the rank-4 crossing
 tensor letter by letter into a sparse tensor on the strings still in use,
 closing every string but the rightmost against the left handle after its
-last letter, and reading off the scalar.  All arithmetic is exact; the
-result is a Laurent polynomial in q and P, symmetric under P -> 1/P.
+last letter, and reading off the scalar.  Every value is checked at q = 1
+against the square of the Alexander polynomial, from the word's Burau
+matrix.  All arithmetic is exact; the result is a Laurent polynomial in q
+and P, symmetric under P -> 1/P.
 """
 
 from __future__ import annotations

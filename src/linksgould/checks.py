@@ -6,9 +6,11 @@ inverse, the Yang-Baxter relation, the cubic relation, the power law of the
 generator's powers, the handles' closed forms and traces, and the handle's
 commuting with the generator.  The regression evaluates every corpus entry
 that carries a braid word through ``linksgould.evaluate`` and compares it
-bit-exactly with the stored value.  The Markov-move property suite also
-checks reduce_closure and the columns evaluate_raw forms.  ``cmd_selftest``
-prints one row per check and returns the exit code.
+bit-exactly with the stored value.  The Alexander row compares the
+stored value of each of those entries at q = 1 with the Burau Delta of its
+braid.  The Markov-move property suite also checks reduce_closure and the
+column evaluate_raw forms.  ``cmd_selftest`` prints one row per check and
+returns the exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import evaluate
+from .alexander import alexander, at_q_one, is_square_multiple
 from .braid import (
     BraidWord,
     conjugate,
@@ -43,7 +46,14 @@ from .engine import (
     lg_sigma_inverse,
     plan,
 )
-from .invariant import parity_violations, q_inverted, render_machine, to_compact, to_invariant
+from .invariant import (
+    from_compact,
+    parity_violations,
+    q_inverted,
+    render_machine,
+    to_compact,
+    to_invariant,
+)
 from .knotdata import CorpusEntry, load_corpus, validate_entry
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS, M_DIM, Diagonal
@@ -219,6 +229,17 @@ def regression(entries: list[CorpusEntry]) -> list[tuple[CorpusEntry, str, float
     return rows
 
 
+def alexander_mismatches(entries: list[CorpusEntry]) -> list[str]:
+    """The names of the entries with a braid word whose stored value at
+    q = 1 is not P^k Delta(P)^2, Delta from the braid's Burau matrix."""
+    return [
+        entry.name
+        for entry in entries
+        if entry.braid is not None
+        and not is_square_multiple(at_q_one(from_compact(entry.compact)), alexander(entry.braid))
+    ]
+
+
 IDENTITIES = (
     ("sigma * sigma^-1 = I", lambda: check_inverse(lg_sigma(), lg_sigma_inverse())),
     ("sigma^-1 * sigma = I", lambda: check_inverse(lg_sigma_inverse(), lg_sigma())),
@@ -251,6 +272,14 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         f"{len(entries)} entries internally consistent",
         not bad,
         "; ".join(f"{n}: {p}" for n, p in bad[:3]),
+    )
+    braids = sum(e.braid is not None for e in entries)
+    mismatched = alexander_mismatches(entries)
+    report(
+        "alexander",
+        f"stored LG(q=1) = P^k Delta^2 on {braids} braids",
+        not mismatched,
+        ", ".join(mismatched),
     )
     rows = regression(entries)
     if args.verbose:

@@ -27,6 +27,7 @@ import re
 import sys
 import time
 
+from .alexander import AlexanderMismatchError
 from .braid import BraidSyntaxError, BraidWord, closure_info, parse, render, writhe
 from .engine import (
     DEFAULT_SIZE_CAP,
@@ -59,6 +60,7 @@ EVAL_ERRORS = (
     SizeCapExceeded,
     ExponentRangeError,
     NonScalarTangleError,
+    AlexanderMismatchError,
     StructureError,
     MachineFormatError,
 )

@@ -1,7 +1,10 @@
 """Core evaluation: ``evaluate_raw`` reduces a braid word to a shorter one
 with the same closure (``braid.reduce_closure``), ``plan`` decides that
 word's schedule with no arithmetic, and ``execute`` runs it over sparse
-tangles and extracts the scalar.
+tangles and extracts the scalar.  ``evaluate_raw`` then checks the value
+against the word as given with the Alexander oracle (``alexander.check``,
+which shares no code with the state model): at q = 1 it must be
+P^k Delta(P)^2, Delta from the word's Burau matrix.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
@@ -13,8 +16,8 @@ pairs, and the kernels (``_open_string``, ``generator_power``,
     close reads;
   - lower index in COLUMNS on string n, where it opens.  No step changes
     a lower index, so each column of the closed (1,1)-tangle, which is
-    lambda times the identity, is summed on its own; two columns are
-    formed so that extract_scalar can compare two diagonal cells.
+    lambda times the identity, is summed on its own, and one column
+    holds lambda.  The oracle, not a second column, checks it.
 
 A tangle on n strings over the dimension-M basis has at most M^(2n)
 entries.  The size guard is that dense bound on the word's string count:
@@ -42,9 +45,11 @@ from __future__ import annotations
 
 import bisect
 import sys
+import time
 from itertools import product
 from types import MappingProxyType
 
+from . import alexander
 from .braid import BraidWord, reduce_closure
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, GAUGED, HANDLE_PLUS, M_DIM
@@ -222,9 +227,9 @@ def _digits(cells: list[tuple[int, int]]) -> int:
 ANY = (1 << _PAIR) - 1  # every pair: no restriction
 DIAGONAL = _digits([(a, a) for a in range(M_DIM)])  # the cells a close reads
 ALL_COLUMNS = tuple(range(M_DIM))
-# the lower indices of string n that evaluate_raw forms: two, so that the
-# closed tangle still has two diagonal cells to compare
-COLUMNS = (0, M_DIM - 1)
+# the lower indices of string n that evaluate_raw forms: one column holds
+# the scalar
+COLUMNS = (0,)
 
 
 def lower_in(columns: tuple[int, ...]) -> int:
@@ -352,18 +357,21 @@ _IDENTITY2 = identity_tangle(2)
 
 def _crossing(
     gauged: dict[tuple[int, int], LaurentQP],
-) -> tuple[SparseTangle, SparseTangle, SparseTangle]:
-    """The crossing tensor R from its gauged (row, col) cells, and the
-    Newton basis of the cubic relation at the eigenvalues taken in the
-    order (-1, q p^-2, q p^2): N1 = R + I and N2 = (R + I)(R - q p^-2 I)."""
+) -> tuple[SparseTangle, SparseTangle, SparseTangle, SparseTangle]:
+    """The crossing tensor R from its gauged (row, col) cells, its inverse,
+    and the Newton basis of the cubic relation at the eigenvalues taken in
+    the order (-1, q p^-2, q p^2): N1 = R + I and N2 = (R + I)(R - q p^-2 I)."""
     sigma = SparseTangle.from_cells(
         2, {(divmod(row, M_DIM), divmod(col, M_DIM)): v for (row, col), v in gauged.items()}
     )
     n1 = combine([(ONE, sigma), (ONE, _IDENTITY2)])
-    return sigma, n1, accrete(n1, combine([(ONE, sigma), (-EIGENVALUES[0], _IDENTITY2)]), 1)
+    n2 = accrete(n1, combine([(ONE, sigma), (-EIGENVALUES[0], _IDENTITY2)]), 1)
+    return sigma, _swap_invert(sigma), n1, n2
 
 
-_SIGMA, _NEWTON_1, _NEWTON_2 = _crossing(GAUGED)
+# R and R^-1 are formed once per process, and generator_power(+-1) returns
+# them, so each is prepared once per place it is accreted at (see _prepare)
+_SIGMA, _SIGMA_INVERSE, _NEWTON_1, _NEWTON_2 = _crossing(GAUGED)
 
 
 # Each letter R^e or R^-e adds at most 5 |e| to |eq2| and 2 |e| to |ep|
@@ -399,7 +407,7 @@ def lg_sigma() -> SparseTangle:
 
 def lg_sigma_inverse() -> SparseTangle:
     """Tensor of the inverse generator."""
-    return _swap_invert(_SIGMA)
+    return SparseTangle(2, dict(_SIGMA_INVERSE.terms))
 
 
 def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
@@ -428,18 +436,21 @@ def generator_power(e: int, keep: tuple[int, int] = (ANY, ANY)) -> SparseTangle:
     R^-e is the same combination with the coefficients inverted and N1, N2
     swapped and inverted (see _swap_invert), so only the small basis is
     swapped.  It forms only the cells that keep, one restriction per
-    string, admits: only those cells of the basis are combined."""
+    string, admits: only those cells of the basis are combined.  An
+    unrestricted R or R^-1 is the module's own tangle, which no caller
+    may change."""
     if e == 0:
         raise ValueError("exponent must be nonzero")
     _check_reach(abs(e), 0)
     inverse = e < 0
     e = abs(e)
+    if e == 1:  # most letters; the combination costs about 200 times a copy
+        power = _SIGMA_INVERSE if inverse else _SIGMA
+        return power if keep == (ANY, ANY) else _restrict(power, keep)
 
     def basis(t: SparseTangle) -> SparseTangle:
         return _restrict(_swap_invert(t) if inverse else t, keep)
 
-    if e == 1:  # most letters; the combination costs about 200 times this copy
-        return basis(_SIGMA)
     h1, h2 = _newton_coefficients(e)
     if inverse:
         h1, h2 = h1.invert_qp(), h2.invert_qp()
@@ -500,24 +511,44 @@ def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTang
 def extract_scalar(t: SparseTangle, columns: tuple[int, ...] = ALL_COLUMNS) -> LaurentQP:
     """Check that the 1-string tangle t, formed only in the given columns
     (lower indices), is those columns of a scalar multiple of the identity,
-    and return the scalar: every cell of t is read, each diagonal cell in
-    the columns must equal the others and every other cell must be 0.
-    Anything else signals a convention bug or invalid input.  The cells
-    are compared packed, and only the scalar is converted."""
+    and return the scalar, the first column's diagonal cell: each diagonal
+    cell in the columns must equal it and every other cell must be 0.
+    Anything else signals a convention bug or invalid input.  With one
+    column and every term in that cell, as in a correct value, there is no
+    other cell to compare, and the least and greatest keys show it; else
+    the cells are grouped and compared packed (_check_scalar).  Only the
+    scalar is converted."""
+    first = _key(1, (columns[0],), (columns[0],))
+    terms = t.terms.items()
+    keys = t.terms.keys()
+    if columns[1:] or keys and not min(keys) >> _CELL == max(keys) >> _CELL == first:
+        _check_scalar(t, first, columns)
+        terms = [(key, c) for key, c in terms if key >> _CELL == first]
+    return LaurentQP(
+        {
+            ((key >> _FIELD & _FIELD_MASK) - _OFFSET, (key & _FIELD_MASK) - _OFFSET): c
+            for key, c in terms
+        }
+    )
+
+
+def _check_scalar(t: SparseTangle, first: int, columns: tuple[int, ...]) -> None:
+    """Raise NonScalarTangleError, naming up to four cells, unless each
+    diagonal cell of t in the columns equals the cell first and no other
+    cell holds a term."""
     cells = _by_cell(t)
-    diag = cells.get(_key(1, (columns[0],), (columns[0],)), {})
-    bad = []
-    for a in range(M_DIM):
-        for b in range(M_DIM):
-            v = cells.get(_key(1, (a,), (b,)), {})
-            if v != (diag if a == b and b in columns else {}):
-                bad.append((a, b, _value(v)))
+    scalar = cells.get(first, {})
+    diagonal = {_key(1, (c,), (c,)) for c in columns}
+    bad = sorted(
+        (cell, cells.get(cell, {}))
+        for cell in diagonal | cells.keys()
+        if cells.get(cell, {}) != (scalar if cell in diagonal else {})
+    )
     if bad:
-        detail = ", ".join(f"t[{a}][{b}] = {v}" for a, b, v in bad[:4])
-        raise NonScalarTangleError(
-            f"closed tangle is not scalar * identity: {detail}"
+        detail = ", ".join(
+            "t[{}][{}] = {}".format(*divmod(cell, M_DIM), _value(v)) for cell, v in bad[:4]
         )
-    return _value(diag)
+        raise NonScalarTangleError(f"closed tangle is not scalar * identity: {detail}")
 
 
 def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
@@ -698,23 +729,37 @@ def _is_split(word: BraidWord) -> bool:
     return n > 1 and len(_touched(word)) < n
 
 
+def _admit(word: BraidWord, max_size: int) -> None:
+    """The refusals of a word as given, before it is reduced: the size
+    guard, and _check_reach on its letters, since the Alexander oracle
+    reads the word as given and its work grows with those letters."""
+    _guard(word.n_strings, max_size)
+    _check_reach(word.expanded_length(), 0)
+
+
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
     """The raw value of the word's closure, a Laurent polynomial in
-    q^(1/2), p: the size guard on the word as given, then the plan of its
-    reduced word executed.  A reduced word on two or more strings that
-    leaves one untouched closes to a split link, whose value is 0, and no
-    power is formed for it."""
-    _guard(word.n_strings, max_size)
-    word = reduce_closure(word)
+    q^(1/2), p: the refusals of the word as given (_admit), then the plan
+    of its reduced word executed, then the Alexander oracle on the word as
+    given (alexander.check), so that it covers the reduction too.  A
+    reduced word on two or more strings that leaves one untouched closes
+    to a split link, whose value is 0, and no power is formed for it."""
+    _admit(word, max_size)
+    reduced = reduce_closure(word)
     logger = debug_logger(__name__)
     if logger:
         logger.debug(
             "reduced word '%s': %d letters, %d strings",
-            word, word.expanded_length(), word.n_strings,
+            reduced, reduced.expanded_length(), reduced.n_strings,
         )
-    if _is_split(word):
-        return ZERO
-    return execute(plan(word))
+    value = ZERO if _is_split(reduced) else execute(plan(reduced))
+    start = time.perf_counter()
+    delta = alexander.check(word, value)
+    if logger:
+        logger.debug(
+            "alexander oracle: Delta has %d terms, %.4fs", len(delta), time.perf_counter() - start
+        )
+    return value
 
 
 def modelled_cost(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> int:
@@ -722,6 +767,6 @@ def modelled_cost(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> int:
     (see _rotation_costs), found with no arithmetic and no steps: that of
     its reduced word, 0 for a split link.  It raises what evaluate_raw
     raises before it plans."""
-    _guard(word.n_strings, max_size)
+    _admit(word, max_size)
     word = reduce_closure(word)
     return 0 if _is_split(word) else min(_rotation_costs(word.n_strings, word.letters))

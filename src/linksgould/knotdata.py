@@ -6,6 +6,8 @@ The corpus ships as ``data/lg_table.txt``; each entry is a header line
 ``name; components; amphichiral|chiral[; braid=<word>]`` followed by one
 machine-format polynomial record.  This module parses and checks the
 corpus only; ``checks.regression`` evaluates the entries that carry a braid.
+``validate_entry`` also checks each stored value against LG(q = 1) =
+Delta(P)^2 (see ``alexander``); ``load_corpus`` runs no check.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
+from .alexander import at_q_one, square_root
 from .braid import BraidWord, closure_info, parse as parse_braid
 from .invariant import CompactForm, from_compact, is_palindromic_q, parse_machine
 
@@ -101,11 +104,23 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 
 def validate_entry(entry: CorpusEntry) -> list[str]:
-    """Internal-consistency problems of a stored entry (empty = fine)."""
+    """Internal-consistency problems of a stored entry (empty = fine).
+    LG(q = 1) must be the square of an integer Laurent polynomial in
+    P^(1/2) (a link's Delta has half-integer exponents in P), and that
+    root, Delta, is +-1 at P = 1 for a knot and 0 for a link."""
     problems = []
     poly = from_compact(entry.compact)
     if entry.amphichiral != is_palindromic_q(poly):
         problems.append("amphichirality flag disagrees with q-palindromicity")
+    # in P^(1/2), whose exponents are twice those of P
+    root = square_root({2 * k: c for k, c in at_q_one(poly).items()})
+    if root is None:
+        problems.append("LG(q = 1) is not the square of an integer Laurent polynomial")
+    elif abs(sum(root.values())) != (1 if entry.components == 1 else 0):
+        problems.append(
+            f"the root of LG(q = 1) is {sum(root.values())} at P = 1 for"
+            f" {entry.components} components"
+        )
     if entry.braid is not None:
         got = closure_info(entry.braid).components
         if got != entry.components:

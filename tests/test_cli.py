@@ -276,7 +276,8 @@ def test_selftest_small_seeded(capsys):
     assert code == 0
     assert "seed 12345" in out
     assert re.search(r"^markov +reduce_closure keeps the value +pass$", out, re.M)
-    assert re.search(r"^markov +columns 0, 3 give the 4-column value +pass$", out, re.M)
+    assert re.search(r"^markov +columns 0 give the 4-column value +pass$", out, re.M)
+    assert re.search(r"^alexander stored LG\(q=1\) = P\^k Delta\^2 on 14 braids +pass$", out, re.M)
 
 
 def test_selftest_seed_changes_braids_not_outcome():
@@ -291,8 +292,12 @@ def failed_rows(out):
 
 
 def test_selftest_fails_the_regression_row_on_a_wrong_stored_value(capsys, monkeypatch):
+    # moved from q^0 to q^2, the value is the same at q = 1, so only the
+    # regression sees it (see the next test for a change the q = 1 rows see)
     corpus = copy.deepcopy(knotdata.load_corpus())
-    next(e for e in corpus if e.name == "3_1").compact[0][0] += 1
+    block = next(e for e in corpus if e.name == "3_1").compact[0]
+    block[0] += 1
+    block[2] -= 1
     monkeypatch.setattr(knotdata, "_cache", corpus)
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
@@ -305,13 +310,30 @@ def test_selftest_fails_the_regression_row_on_a_wrong_stored_value(capsys, monke
     assert after[1:] == ["result: 1 FAILED"]
 
 
+def test_selftest_fails_the_q_one_rows_on_a_value_that_is_no_square(capsys, monkeypatch):
+    # one coefficient off: LG(q = 1) of 3_1 is no longer a square, and the
+    # regression sees the change too
+    corpus = copy.deepcopy(knotdata.load_corpus())
+    next(e for e in corpus if e.name == "3_1").compact[0][0] += 1
+    monkeypatch.setattr(knotdata, "_cache", corpus)
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line][:3] == [
+        "corpus    267 entries internally consistent          FAIL"
+        "  3_1: LG(q = 1) is not the square of an integer Laurent polynomial",
+        "alexander stored LG(q=1) = P^k Delta^2 on 14 braids  FAIL  3_1",
+        "corpus    regression (14 evaluated, 253 value-only)  FAIL",
+    ]
+    assert out.splitlines()[-1] == "result: 3 FAILED"
+
+
 @pytest.mark.parametrize(
     "name, defect, row",
     [
         ("reduce_closure", lambda real: lambda b: BraidWord(1, ()),
          "markov    reduce_closure keeps the value             FAIL"),
         ("evaluate_raw", lambda real: lambda *a, **k: real(*a, **k) + ONE,
-         "markov    columns 0, 3 give the 4-column value       FAIL"),
+         "markov    columns 0 give the 4-column value          FAIL"),
     ],
 )
 def test_selftest_fails_only_the_row_of_a_planted_defect(capsys, monkeypatch, name, defect, row):

@@ -5,7 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linksgould
 from linksgould import engine
+from linksgould.alexander import AlexanderMismatchError
 from linksgould.braid import BraidWord, conjugate, parse, random_braid, reduce_closure
 from linksgould.engine import (
     ALL_COLUMNS,
@@ -29,6 +31,7 @@ from linksgould.engine import (
     lower_in,
     plan,
 )
+from linksgould.invariant import StructureError
 from linksgould.ring import ONE, ZERO, LaurentQP
 from linksgould.statemodel import GAUGED, HANDLE_PLUS
 
@@ -150,6 +153,14 @@ def test_extract_scalar_cases():
     off = SparseTangle.from_cells(1, {((0,), (0,)): ONE, ((3,), (3,)): ONE, ((0,), (3,)): ONE})
     with pytest.raises(NonScalarTangleError, match=r"t\[0\]\[3\]"):
         extract_scalar(off, (0, 3))
+    # formed in column 0 only, as evaluate_raw forms it: any other cell is refused
+    assert extract_scalar(lopsided, (0,)) == ONE
+    assert extract_scalar(SparseTangle.from_cells(1, {}), (0,)) == ZERO
+    below = SparseTangle.from_cells(1, {((0,), (0,)): ONE, ((2,), (0,)): -ONE})
+    with pytest.raises(NonScalarTangleError, match=r"t\[2\]\[0\] = -1$"):
+        extract_scalar(below, (0,))
+    with pytest.raises(NonScalarTangleError, match=r"t\[1\]\[1\]"):
+        extract_scalar(identity_tangle(1), (0,))
 
 
 def seeded_four_string_braids(seed):
@@ -166,19 +177,26 @@ def seeded_four_string_braids(seed):
 
 @pytest.mark.parametrize("cell", sorted(GAUGED))
 def test_a_negated_crossing_cell_is_not_scalar(monkeypatch, cell):
-    # evaluate_raw forms columns 0 and 3 only; one column's off-diagonal
-    # cells vanish even for a wrong R, so only comparing the two diagonal
-    # cells catches these
+    # evaluate_raw forms column 0 only, whose off-diagonal cells vanish even
+    # for a wrong R.  The Alexander oracle catches every negated cell but
+    # (9, 9), q^2 - 1, which vanishes at q = 1: that one changes 11 of the
+    # 15 values, and to_invariant refuses each of them.  The mutant R^-1 is
+    # formed from the mutant R, so inverse letters are mutated too.
     gauged = dict(GAUGED)
     gauged[cell] = -gauged[cell]
-    for name, t in zip(("_SIGMA", "_NEWTON_1", "_NEWTON_2"), engine._crossing(gauged)):
+    names = ("_SIGMA", "_SIGMA_INVERSE", "_NEWTON_1", "_NEWTON_2")
+    for name, t in zip(names, engine._crossing(gauged)):
         monkeypatch.setattr(engine, name, t)
+    caught = []
     for b in seeded_four_string_braids(2):
         try:
-            evaluate_raw(b)
-        except NonScalarTangleError:
-            return
-    pytest.fail(f"negating R cell {cell} went unnoticed")
+            linksgould.evaluate(b)
+        except (AlexanderMismatchError, StructureError, NonScalarTangleError) as exc:
+            caught.append(type(exc))
+    if cell == (9, 9):
+        assert caught == [StructureError] * 11
+    else:
+        assert AlexanderMismatchError in caught, f"negating R cell {cell} went unnoticed"
 
 
 def test_evaluate_raw_base_cases():
@@ -290,8 +308,9 @@ def test_take_forms_only_the_terms_its_close_reads(monkeypatch, e):
     monkeypatch.setattr(engine, "close", recording)
     assert execute(plan(b)) == expected
     assert terms(generator_power(e)) == 34_818
-    # upper == lower on string 1, and lower in COLUMNS on string 2
-    assert [terms(z) for z in handed] == [4_545]
+    # upper == lower on string 1, and lower in COLUMNS on string 2; the
+    # two columns 0 and 3 held 4,545 terms, and R^-e swaps their counts
+    assert [terms(z) for z in handed] == [{64: 2_340, -64: 2_205}[e]]
 
 
 def test_live_strings_match_the_old_schedule():
@@ -396,7 +415,7 @@ def test_opening_and_closing_are_logged(caplog):
         execute(plan(parse("1 2 -1 3", 4)))
     messages = caplog.messages
     assert "rotation 0 of 4" in messages
-    assert messages.count("columns 0, 3 of the open string") == 1
+    assert messages.count("columns 0 of the open string") == 1
     opened = [m for m in messages if m.startswith("opened string")]
     closed = [m for m in messages if m.startswith("closed one string")]
     assert len(opened) == 2 and len(closed) == 3  # the take opens strings 1 and 2
@@ -472,7 +491,7 @@ def test_plan_step_by_step():
     rotation, cost, columns, steps = engine.plan(parse("1 2 -1 3", 4))
     assert rotation == 0
     assert cost == 16**2 + 16**3 + 16**3 + 16**2  # live strings at each letter
-    assert columns == COLUMNS == (0, 3)
+    assert columns == COLUMNS == (0,)
     opening = lower_in(COLUMNS)
     assert steps == [
         ("take", 1, 0, 1, (ANY, ANY)),  # opens strings 1, 2 on the scalar ONE: R is the tangle
@@ -481,7 +500,7 @@ def test_plan_step_by_step():
         ("accrete", 1, 0, -1, (DIAGONAL, DIAGONAL)),  # both strings close next
         ("close", 2, 1, 0, ()),
         ("close", 1, 0, 0, ()),
-        ("open", 4, 1, 0, (opening,)),  # string n opens in two columns
+        ("open", 4, 1, 0, (opening,)),  # string n opens in one column
         ("accrete", 3, 0, 1, (DIAGONAL, ANY)),
         ("close", 3, 0, 0, ()),
     ]
@@ -659,7 +678,8 @@ def restricted(n, cells, admits):
 RESTRICTIONS = [
     (ANY, lambda a, b: True),
     (DIAGONAL, lambda a, b: a == b),
-    (lower_in(COLUMNS), lambda a, b: b in (0, 3)),
+    (lower_in(COLUMNS), lambda a, b: b in COLUMNS),
+    (lower_in((0, 3)), lambda a, b: b in (0, 3)),
     (lower_in((2,)), lambda a, b: b == 2),
     (lower_in((1, 2)), lambda a, b: b in (1, 2)),
 ]

@@ -1,8 +1,8 @@
 import copy
-import math
 
 import pytest
 
+from linksgould.alexander import square_root
 from linksgould.braid import closure_info, render
 from linksgould.checks import regression
 from linksgould.invariant import from_compact, is_palindromic_q, parity_violations, q_inverted
@@ -101,37 +101,6 @@ def test_values_tell_the_entries_apart_up_to_mirrors():
     shared = sorted(sorted(names) for names in groups.values() if len(names) > 1)
     assert shared == [["4^2_1b", "JE_1_1"], ["C", "KT"], ["JE_2_1", "JE_2_2"]]
     assert len(groups) == 264
-
-
-def times(f, g):
-    """The product of two Laurent polynomials {exponent: coefficient}."""
-    out = {}
-    for a, x in f.items():
-        for b, y in g.items():
-            out[a + b] = out.get(a + b, 0) + x * y
-    return {k: c for k, c in out.items() if c}
-
-
-def square_root(f):
-    """The integer Laurent polynomial g with g * g == f and a positive top
-    coefficient, or None if f is no such square; both are {exponent:
-    coefficient}.  g's terms are found from the top down: the next is the
-    top term left of f - g * g over twice g's top coefficient."""
-    if not f:
-        return {}
-    top = max(f)
-    lead = math.isqrt(f[top]) if f[top] > 0 else 0
-    if top % 2 or lead * lead != f[top]:
-        return None
-    g = {top // 2: lead}
-    for e in range(top // 2 - 1, min(f) // 2 - 1, -1):
-        square = times(g, g)
-        c, r = divmod(f.get(top // 2 + e, 0) - square.get(top // 2 + e, 0), 2 * lead)
-        if r:
-            return None
-        if c:
-            g[e] = c
-    return g if times(g, g) == f else None
 
 
 def test_square_root_examples():
