@@ -29,7 +29,7 @@ import select
 import sys
 
 from .braid import parse
-from .cli import EVAL_ERRORS, _evaluate, _render
+from .cli import EVAL_ERRORS, _render, evaluate
 from .engine import debug_logger, modelled_cost
 
 Task = tuple[str, str, int]  # name, word, size cap
@@ -42,8 +42,7 @@ def _batch_worker(task: Task) -> Result:
     if not word:
         return name, False, "no braid word after the name"
     try:
-        braid, poly, _ = _evaluate(word, None, max_size)
-        return name, True, _render(braid, poly, "compact-machine", name)
+        return name, True, _render(evaluate(word, max_size=max_size), "compact-machine", name)
     except EVAL_ERRORS as exc:
         return name, False, str(exc)
     except Exception as exc:  # a defect: report it on this record, keep the others

@@ -5,12 +5,13 @@ The identity checks are written over ``engine.accrete``: the generator
 inverse, the Yang-Baxter relation, the cubic relation, the power law of the
 generator's powers, the handles' closed forms and traces, and the handle's
 commuting with the generator.  The regression evaluates every corpus entry
-that carries a braid word through ``linksgould.evaluate`` and compares it
-bit-exactly with the stored value.  The Alexander row compares the
-stored value of each of those entries at q = 1 with the Burau Delta of its
-braid.  The Markov-move property suite also checks reduce_closure and the
-column evaluate_raw forms.  ``cmd_selftest`` prints one row per check and
-returns the exit code.
+that carries a braid word through ``cli.evaluate``, the pipeline of the
+API, eval and batch, and compares it bit-exactly with the stored value.
+The Alexander row compares the stored value of each of those entries at
+q = 1 with the Burau Delta of its braid.  The Markov-move property suite
+also checks reduce_closure and the column evaluate_raw forms.  A refused
+evaluation fails a row, not the command.  ``cmd_selftest`` prints one row
+per check and returns the exit code.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import evaluate
 from .alexander import alexander, at_q_one, is_square_multiple
 from .braid import (
     BraidWord,
@@ -32,6 +32,7 @@ from .braid import (
     render,
     stabilize,
 )
+from .cli import EVAL_ERRORS, evaluate
 from .engine import (
     ALL_COLUMNS,
     COLUMNS,
@@ -169,7 +170,9 @@ def run_markov_suite(
     in all four columns, so each passes the 16-cell scalar check, and
     evaluate_raw, which forms the columns COLUMNS of the reduced word, must
     give the same value.  Every value also passes the structural checks
-    (inside to_invariant) and the parity scan."""
+    (inside to_invariant) and the parity scan.  A braid whose evaluation
+    raises one of EVAL_ERRORS is one failure, and its other checks are
+    skipped."""
     rng = random.Random(seed)
     report = MarkovReport()
 
@@ -185,47 +188,55 @@ def run_markov_suite(
         b = random_braid(rng, max_strings, max_expanded_len)
         word = render(b) or f"(empty, {b.n_strings} strings)"
         report.braids += 1
-        base = value(b)
-        poly = to_invariant(base)
-        check("parity", word, not parity_violations(poly))
-        check(REDUCTION, word, value(reduce_closure(b)) == base)
-        check(COLUMNS_CHECK, word, evaluate_raw(b) == base)
+        try:
+            base = value(b)
+            poly = to_invariant(base)
+            check("parity", word, not parity_violations(poly))
+            check(REDUCTION, word, value(reduce_closure(b)) == base)
+            check(COLUMNS_CHECK, word, evaluate_raw(b) == base)
 
-        g = (rng.randint(1, b.n_strings - 1), rng.choice((1, -1)))
-        check("conjugation", word, value(conjugate(b, g)) == base)
-        check("stabilize+", word, value(stabilize(b, 1)) == base)
-        check("stabilize-", word, value(stabilize(b, -1)) == base)
-        ins = free_insert(
-            b, rng.randint(0, len(b.letters)), rng.randint(1, b.n_strings - 1)
-        )
-        check("free insertion", word, value(ins) == base)
+            g = (rng.randint(1, b.n_strings - 1), rng.choice((1, -1)))
+            check("conjugation", word, value(conjugate(b, g)) == base)
+            check("stabilize+", word, value(stabilize(b, 1)) == base)
+            check("stabilize-", word, value(stabilize(b, -1)) == base)
+            ins = free_insert(
+                b, rng.randint(0, len(b.letters)), rng.randint(1, b.n_strings - 1)
+            )
+            check("free insertion", word, value(ins) == base)
 
-        n = max(b.n_strings, 3)
-        j = rng.randint(1, n - 2)
-        lhs = BraidWord(n, b.letters + ((j, 1), (j + 1, 1), (j, 1)))
-        rhs = BraidWord(n, b.letters + ((j + 1, 1), (j, 1), (j + 1, 1)))
-        check("braid relation", word, value(lhs) == value(rhs))
+            n = max(b.n_strings, 3)
+            j = rng.randint(1, n - 2)
+            lhs = BraidWord(n, b.letters + ((j, 1), (j + 1, 1), (j, 1)))
+            rhs = BraidWord(n, b.letters + ((j + 1, 1), (j, 1), (j + 1, 1)))
+            check("braid relation", word, value(lhs) == value(rhs))
 
-        mirrored = to_invariant(value(mirror(b)))
-        check("mirror", word, mirrored == q_inverted(poly))
+            mirrored = to_invariant(value(mirror(b)))
+            check("mirror", word, mirrored == q_inverted(poly))
+        except EVAL_ERRORS as exc:
+            report.failures.append(
+                f"evaluation failed on {word!r}: {type(exc).__name__}: {exc}"
+            )
     return report
 
 
 def regression(entries: list[CorpusEntry]) -> list[tuple[CorpusEntry, str, float]]:
     """Evaluate every entry that carries a braid word and compare it
     bit-exactly with its stored compact form: one (entry, mismatch detail or
-    "", seconds) row per evaluated entry; value-only entries get no row."""
+    "", seconds) row per evaluated entry; value-only entries get no row.  A
+    refusal (one of EVAL_ERRORS) is the detail of its entry's row."""
     rows = []
     for entry in entries:
         if entry.braid is None:
             continue
         start = time.perf_counter()
-        got = to_compact(evaluate(entry.braid))
-        seconds = time.perf_counter() - start
-        detail = ""
-        if got != entry.compact:
-            detail = f"got {render_machine(got)} expected {render_machine(entry.compact)}"
-        rows.append((entry, detail, seconds))
+        try:
+            got = to_compact(evaluate(entry.braid))
+            detail = "" if got == entry.compact else (
+                f"got {render_machine(got)} expected {render_machine(entry.compact)}"
+            )
+        except EVAL_ERRORS as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+        rows.append((entry, detail, time.perf_counter() - start))
     return rows
 
 

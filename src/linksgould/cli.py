@@ -5,6 +5,10 @@ run by the ``batch`` module), ``selftest`` (model identities, corpus
 regression, Markov property suite, all run and printed by the ``checks``
 module), ``dump-rmatrix`` (the crossing tensor as a 16x16 grid).
 
+``evaluate`` is the one parse -> evaluate -> convert pipeline of the API
+(the package root re-exports it), eval, batch and selftest.  It calls its
+stages through the names this module binds, which lgbench/tracer.py wraps.
+
 Machine-format output on stdout is byte-identical across runs; human
 metadata and timing go to stderr for the machine formats.
 
@@ -38,6 +42,7 @@ from .engine import (
     lg_sigma,
 )
 from .invariant import (
+    InvariantPoly,
     MachineFormatError,
     StructureError,
     is_palindromic_q,
@@ -48,7 +53,6 @@ from .invariant import (
     to_compact,
     to_invariant,
 )
-from .ring import LaurentQP
 
 # batch (the batch subcommand), json (--format json) and checks (selftest,
 # which loads the corpus) are imported only where they are used: each eval
@@ -68,19 +72,23 @@ EVAL_ERRORS = (
 _DASH_LED_WORD = re.compile(r"-\d+[,^][-\d,^]*")
 
 
-def _evaluate(
-    word: str, strings: int | None, max_size: int
-) -> tuple[BraidWord, LaurentQP, float]:
-    """The parsed word, its (q, P) polynomial, and the seconds spent on
-    evaluating it (parsing aside)."""
-    braid = parse(word, strings)
-    start = time.perf_counter()
-    poly = to_invariant(evaluate_raw(braid, max_size=max_size))
-    return braid, poly, time.perf_counter() - start
+def evaluate(
+    word: str | BraidWord,
+    strings: int | None = None,
+    max_size: int = DEFAULT_SIZE_CAP,
+) -> InvariantPoly:
+    """The (q, P) polynomial of the closure of a braid word, given as a
+    :class:`BraidWord` or as text in the generator grammar (e.g. ``"1 1 1"``
+    for the trefoil).  A refused word raises one of ``EVAL_ERRORS``."""
+    braid = parse(word, strings) if isinstance(word, str) else word
+    return to_invariant(evaluate_raw(braid, max_size=max_size))
 
 
-def _render(braid: BraidWord, poly: LaurentQP, fmt: str, name: str | None = None) -> str:
-    """The stdout record of one evaluated word in the given format."""
+def _render(
+    poly: InvariantPoly, fmt: str, name: str | None = None, braid: BraidWord | None = None
+) -> str:
+    """The stdout record of one evaluated word in the given format; only
+    json reads the braid."""
     compact = to_compact(poly)
     if fmt == "compact-text":
         return render_compact_text(compact)
@@ -105,7 +113,7 @@ def _render(braid: BraidWord, poly: LaurentQP, fmt: str, name: str | None = None
     )
 
 
-def _metadata(braid: BraidWord, poly: LaurentQP, elapsed: float) -> list[str]:
+def _metadata(braid: BraidWord, poly: InvariantPoly, elapsed: float) -> list[str]:
     """The human metadata lines that eval prints after its record."""
     meta = [
         f"strings:      {braid.n_strings}",
@@ -125,8 +133,11 @@ def _metadata(braid: BraidWord, poly: LaurentQP, elapsed: float) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        braid, poly, elapsed = _evaluate(args.word, args.strings, args.max_size)
-        record = _render(braid, poly, args.format)
+        braid = parse(args.word, args.strings)
+        start = time.perf_counter()
+        poly = evaluate(braid, max_size=args.max_size)
+        elapsed = time.perf_counter() - start
+        record = _render(poly, args.format, braid=braid)
     except EVAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BraidSyntaxError) else 1

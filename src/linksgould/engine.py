@@ -192,10 +192,14 @@ def _by_cell(t: SparseTangle) -> dict[int, dict[int, int]]:
     return cells
 
 
-def _value(fields: dict[int, int]) -> LaurentQP:
-    """The Laurent polynomial of one cell's {exponent fields: coefficient}."""
+def _value(terms: dict[int, int]) -> LaurentQP:
+    """The Laurent polynomial of one cell's terms, keyed by their packed
+    keys or by the exponent fields alone: only the fields are read."""
     return LaurentQP(
-        {((f >> _FIELD) - _OFFSET, (f & _FIELD_MASK) - _OFFSET): c for f, c in fields.items()}
+        {
+            ((f >> _FIELD & _FIELD_MASK) - _OFFSET, (f & _FIELD_MASK) - _OFFSET): c
+            for f, c in terms.items()
+        }
     )
 
 
@@ -519,17 +523,11 @@ def extract_scalar(t: SparseTangle, columns: tuple[int, ...] = ALL_COLUMNS) -> L
     the cells are grouped and compared packed (_check_scalar).  Only the
     scalar is converted."""
     first = _key(1, (columns[0],), (columns[0],))
-    terms = t.terms.items()
-    keys = t.terms.keys()
-    if columns[1:] or keys and not min(keys) >> _CELL == max(keys) >> _CELL == first:
+    terms = t.terms
+    if columns[1:] or terms and not min(terms) >> _CELL == max(terms) >> _CELL == first:
         _check_scalar(t, first, columns)
-        terms = [(key, c) for key, c in terms if key >> _CELL == first]
-    return LaurentQP(
-        {
-            ((key >> _FIELD & _FIELD_MASK) - _OFFSET, (key & _FIELD_MASK) - _OFFSET): c
-            for key, c in terms
-        }
-    )
+        terms = {key: c for key, c in terms.items() if key >> _CELL == first}
+    return _value(terms)
 
 
 def _check_scalar(t: SparseTangle, first: int, columns: tuple[int, ...]) -> None:

@@ -20,15 +20,8 @@ class LaurentQP:
         self.terms: Terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def _raw(cls, terms: Terms) -> LaurentQP:
-        # internal: terms already canonical
-        obj = object.__new__(cls)
-        obj.terms = terms
-        return obj
-
-    @classmethod
     def monomial(cls, coeff: int, eq2: int = 0, ep: int = 0) -> LaurentQP:
-        return cls._raw({(eq2, ep): coeff} if coeff else {})
+        return cls({(eq2, ep): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -44,15 +37,11 @@ class LaurentQP:
     def __add__(self, other: LaurentQP) -> LaurentQP:
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return LaurentQP._raw(out)
+            out[k] = out.get(k, 0) + c
+        return LaurentQP(out)
 
     def __neg__(self) -> LaurentQP:
-        return LaurentQP._raw({k: -c for k, c in self.terms.items()})
+        return LaurentQP({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: LaurentQP) -> LaurentQP:
         return self + (-other)
@@ -65,16 +54,12 @@ class LaurentQP:
         for (e1, p1), c1 in x.items():
             for (e2, p2), c2 in y.items():
                 k = (e1 + e2, p1 + p2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return LaurentQP._raw(out)
+                out[k] = out.get(k, 0) + c1 * c2
+        return LaurentQP(out)
 
     def invert_qp(self) -> LaurentQP:
         """Negate q- and p-exponents together (mirror substitution)."""
-        return LaurentQP._raw({(-e, -p): c for (e, p), c in self.terms.items()})
+        return LaurentQP({(-e, -p): c for (e, p), c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:

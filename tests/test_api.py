@@ -1,6 +1,11 @@
 import pytest
 
 import linksgould
+import linksgould.cli
+
+
+def test_the_api_evaluates_through_the_cli_pipeline():
+    assert linksgould.evaluate is linksgould.cli.evaluate
 
 
 def test_evaluate_accepts_text_and_words():

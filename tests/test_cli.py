@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from linksgould import checks, cli, knotdata
-from linksgould.braid import BraidWord
+from linksgould import alexander, checks, cli, knotdata
+from linksgould.braid import BraidWord, render
 from linksgould.checks import run_markov_suite
 from linksgould.cli import main
+from linksgould.engine import NonScalarTangleError
 from linksgould.invariant import parse_machine
 from linksgould.ring import ONE
 
@@ -338,11 +339,53 @@ def test_selftest_fails_the_q_one_rows_on_a_value_that_is_no_square(capsys, monk
 )
 def test_selftest_fails_only_the_row_of_a_planted_defect(capsys, monkeypatch, name, defect, row):
     # each defect changes every value it touches; the regression evaluates
-    # through the package root, so it does not see the checks' names
+    # through cli.evaluate, so it does not see the checks' names
     monkeypatch.setattr(checks, name, defect(getattr(checks, name)))
     code, out, _ = run(capsys, "selftest", "--braids", "3", "--seed", "5")
     assert code == 1
     assert failed_rows(out) == [row]
+    assert out.splitlines()[-1] == "result: 1 FAILED"
+
+
+def test_selftest_fails_rows_on_a_value_the_oracle_refuses(capsys, monkeypatch):
+    # a wrong Delta for the trefoil's braid: the oracle refuses the
+    # regression's value, which is a FAIL row naming the error, not a traceback
+    real = alexander.alexander
+
+    def doubled_for_the_trefoil(word):
+        delta = real(word)
+        return {e: 2 * c for e, c in delta.items()} if render(word) == "1^3" else delta
+
+    monkeypatch.setattr(alexander, "alexander", doubled_for_the_trefoil)
+    monkeypatch.setattr(checks, "alexander", doubled_for_the_trefoil)
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if "  FAIL" in line] == [
+        "alexander stored LG(q=1) = P^k Delta^2 on 14 braids  FAIL  3_1",
+        "corpus    regression (14 evaluated, 253 value-only)  FAIL",
+    ]
+    after = lines[lines.index(failed_rows(out)[0]) + 1 :]
+    assert after[0].startswith("    3_1: AlexanderMismatchError: ")
+    assert after[1:] == ["result: 2 FAILED"]
+
+
+def test_selftest_fails_the_first_markov_row_on_a_refused_evaluation(capsys, monkeypatch):
+    def refusing(*args, **kwargs):
+        raise NonScalarTangleError("planted refusal")
+
+    monkeypatch.setattr(checks, "evaluate_raw", refusing)
+    code, out, _ = run(capsys, "selftest", "--braids", "3")
+    assert code == 1
+    assert failed_rows(out) == [
+        "markov    3 braids, 6 checks (seed 0)                FAIL"
+    ]
+    failures = [line for line in out.splitlines() if "evaluation failed on" in line]
+    assert len(failures) == 3
+    assert all(
+        re.fullmatch(r"    evaluation failed on '.*': NonScalarTangleError: planted refusal", f)
+        for f in failures
+    )
     assert out.splitlines()[-1] == "result: 1 FAILED"
 
 

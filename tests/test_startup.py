@@ -64,6 +64,20 @@ def test_eval_imports_only_what_it_uses():
     assert lines[-1] == "0 []"
 
 
+def test_the_api_imports_only_what_eval_uses():
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import linksgould\n"
+        "print(linksgould.to_compact(linksgould.evaluate('1 1 1')))\n"
+        f"print(sorted(m for m in {UNUSED_BY_EVAL!r} "
+        "if m in sys.modules and m not in before))\n"
+    )
+    result = python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[{0: 1, 2: 2}, {1: -1, 3: -1}, {2: 1}]", "[]"]
+
+
 def test_batch_jobs_imports_no_process_pool(tmp_path):
     (tmp_path / "words.txt").write_text("trefoil 1 1 1\nhopf 1^2\n")
     script = (
