@@ -16,11 +16,6 @@ from .braid import BraidWord, parse as parse_braid
 from .engine import DEFAULT_SIZE_CAP, evaluate_raw
 from .invariant import to_compact, to_invariant
 
-# imported last: without a bytecode cache, compiling the modules above
-# before cli loads argparse keeps a fresh process's peak memory lower (by
-# about 0.35 MB on CPython 3.11)
-from .cli import evaluate
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -32,3 +27,13 @@ __all__ = [
     "to_compact",
     "to_invariant",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # evaluate is bound on first use: importing cli here would load it
+    # before ``python -m linksgould.cli`` runs it as __main__
+    if name == "evaluate":
+        from .cli import evaluate
+
+        return evaluate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

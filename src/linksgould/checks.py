@@ -9,9 +9,9 @@ that carries a braid word through ``cli.evaluate``, the pipeline of the
 API, eval and batch, and compares it bit-exactly with the stored value.
 The Alexander row compares the stored value of each of those entries at
 q = 1 with the Burau Delta of its braid.  The Markov-move property suite
-also checks reduce_closure and the column evaluate_raw forms.  A refused
-evaluation fails a row, not the command.  ``cmd_selftest`` prints one row
-per check and returns the exit code.
+also checks reduce_closure and the column evaluate_raw forms, and keys its
+failures by check.  A refused evaluation fails a row, not the command.
+``cmd_selftest`` prints one row per check and returns the exit code.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .braid import (
 from .cli import EVAL_ERRORS, evaluate
 from .engine import (
     ALL_COLUMNS,
-    COLUMNS,
     SparseTangle,
     accrete,
     combine,
@@ -47,14 +46,7 @@ from .engine import (
     lg_sigma_inverse,
     plan,
 )
-from .invariant import (
-    from_compact,
-    parity_violations,
-    q_inverted,
-    render_machine,
-    to_compact,
-    to_invariant,
-)
+from .invariant import from_compact, q_inverted, render_machine, to_compact, to_invariant
 from .knotdata import CorpusEntry, load_corpus, validate_entry
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS, M_DIM, Diagonal
@@ -140,19 +132,26 @@ def check_handle_commutes(handle: Diagonal = HANDLE_PLUS) -> bool:
     )
 
 
-REDUCTION = "reduction"  # the label of the reduce_closure check
-COLUMNS_CHECK = "columns"  # the label of the check of evaluate_raw's columns
+# the Markov suite's checks in the order they run; "evaluation" fails on a
+# refusal in any of them
+MARKOV_CHECKS = (
+    "evaluation", "reduction", "columns", "conjugation", "stabilize+",
+    "stabilize-", "free insertion", "braid relation", "mirror",
+)
 
 
 @dataclass
 class MarkovReport:
     braids: int = 0
     checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    # check name -> the words it failed on; cmd_selftest prints a row per name
+    failures: dict[str, list[str]] = field(
+        default_factory=lambda: {name: [] for name in MARKOV_CHECKS}
+    )
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not any(self.failures.values())
 
 
 def run_markov_suite(
@@ -168,18 +167,18 @@ def run_markov_suite(
     the word itself: the suite tests that the state model's value is
     invariant, which is what makes the reduction exact.  Values are formed
     in all four columns, so each passes the 16-cell scalar check, and
-    evaluate_raw, which forms the columns COLUMNS of the reduced word, must
+    evaluate_raw, which forms engine.COLUMNS of the reduced word, must
     give the same value.  Every value also passes the structural checks
-    (inside to_invariant) and the parity scan.  A braid whose evaluation
-    raises one of EVAL_ERRORS is one failure, and its other checks are
-    skipped."""
+    inside to_invariant.  A braid whose evaluation raises one of
+    EVAL_ERRORS fails the "evaluation" check, with the error's class, and
+    its other checks are skipped."""
     rng = random.Random(seed)
     report = MarkovReport()
 
-    def check(label: str, word: str, cond: bool) -> None:
+    def check(name: str, word: str, cond: bool) -> None:
         report.checks += 1
         if not cond:
-            report.failures.append(f"{label} failed on {word!r}")
+            report.failures[name].append(repr(word))
 
     def value(w: BraidWord) -> LaurentQP:
         return execute(plan(w, ALL_COLUMNS))
@@ -191,9 +190,8 @@ def run_markov_suite(
         try:
             base = value(b)
             poly = to_invariant(base)
-            check("parity", word, not parity_violations(poly))
-            check(REDUCTION, word, value(reduce_closure(b)) == base)
-            check(COLUMNS_CHECK, word, evaluate_raw(b) == base)
+            check("reduction", word, value(reduce_closure(b)) == base)
+            check("columns", word, evaluate_raw(b) == base)
 
             g = (rng.randint(1, b.n_strings - 1), rng.choice((1, -1)))
             check("conjugation", word, value(conjugate(b, g)) == base)
@@ -213,9 +211,7 @@ def run_markov_suite(
             mirrored = to_invariant(value(mirror(b)))
             check("mirror", word, mirrored == q_inverted(poly))
         except EVAL_ERRORS as exc:
-            report.failures.append(
-                f"evaluation failed on {word!r}: {type(exc).__name__}: {exc}"
-            )
+            report.failures["evaluation"].append(f"{word!r}: {type(exc).__name__}: {exc}")
     return report
 
 
@@ -309,21 +305,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     if not args.quick:
         markov = run_markov_suite(seed=args.seed, braids=args.braids)
-        reduction = [f for f in markov.failures if f.startswith(REDUCTION)]
-        columns = [f for f in markov.failures if f.startswith(COLUMNS_CHECK)]
-        report(
-            "markov",
-            f"{markov.braids} braids, {markov.checks} checks (seed {args.seed})",
-            len(reduction) + len(columns) == len(markov.failures),
-        )
-        report("markov", "reduce_closure keeps the value", not reduction)
-        report(
-            "markov",
-            f"columns {', '.join(map(str, COLUMNS))} give the 4-column value",
-            not columns,
-        )
-        for failure in markov.failures[:5]:
-            print(f"    {failure}")
+        counts = f": {markov.braids} braids, {markov.checks} checks, seed {args.seed}"
+        for name, failed in markov.failures.items():
+            report("markov", name + (counts if name == "evaluation" else ""), not failed)
+            for detail in failed[:5]:
+                print(f"    {name} failed on {detail}")
 
     print("result: " + ("all passed" if not failures else f"{failures} FAILED"))
     return 1 if failures else 0

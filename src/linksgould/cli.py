@@ -6,7 +6,7 @@ regression, Markov property suite, all run and printed by the ``checks``
 module), ``dump-rmatrix`` (the crossing tensor as a 16x16 grid).
 
 ``evaluate`` is the one parse -> evaluate -> convert pipeline of the API
-(the package root re-exports it), eval, batch and selftest.  It calls its
+(bound lazily at the package root), eval, batch and selftest.  It calls its
 stages through the names this module binds, which lgbench/tracer.py wraps.
 
 Machine-format output on stdout is byte-identical across runs; human
@@ -46,7 +46,6 @@ from .invariant import (
     MachineFormatError,
     StructureError,
     is_palindromic_q,
-    parity_violations,
     render_compact_text,
     render_laurent,
     render_machine,
@@ -123,9 +122,6 @@ def _metadata(braid: BraidWord, poly: InvariantPoly, elapsed: float) -> list[str
         f"palindromic:  {'yes' if is_palindromic_q(poly) else 'no'}",
         f"elapsed:      {elapsed:.3f}s",
     ]
-    violations = parity_violations(poly)
-    if violations:
-        meta.append(f"parity violations: {violations}")
     if not poly:
         meta.append("note: value is 0 (the closure has a split component)")
     return meta

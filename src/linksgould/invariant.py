@@ -19,19 +19,26 @@ CompactForm = list[QPoly]
 
 
 class StructureError(RuntimeError):
-    """Raw value violates the invariant's structure (odd exponents or
-    broken P-symmetry); indicates an upstream bug."""
+    """Raw value violates the invariant's structure (odd exponents, q- and
+    P-exponents of different parity, or broken P-symmetry); indicates an
+    upstream bug."""
 
 
 def to_invariant(raw: LaurentQP) -> InvariantPoly:
     """Convert a raw value: q-exponents must be integers, p-exponents even
-    (P = p^2), and the result P-symmetric."""
+    (P = p^2), each term's q- and P-exponents of the same parity (the value
+    is a Laurent polynomial in t0 = q/P and t1 = qP), and the result
+    P-symmetric."""
     poly: InvariantPoly = {}
     for (eq2, ep), c in raw.terms.items():
         if eq2 % 2:
             raise StructureError(f"half-integer q-exponent {eq2}/2 in {raw}")
         if ep % 2:
             raise StructureError(f"odd p-exponent {ep} in {raw}")
+        if (eq2 - ep) % 4:
+            raise StructureError(
+                f"q- and P-exponents of different parity at q^{eq2 // 2} P^{ep // 2}"
+            )
         poly[(eq2 // 2, ep // 2)] = c
     for (eq, eP), c in poly.items():
         if poly.get((eq, -eP)) != c:
@@ -74,12 +81,6 @@ def q_inverted(poly: InvariantPoly) -> InvariantPoly:
     """The mirror image's polynomial: q-exponents negated (P-symmetry
     already absorbs the accompanying p-inversion)."""
     return {(-eq, eP): c for (eq, eP), c in poly.items()}
-
-
-def parity_violations(poly: InvariantPoly) -> list[tuple[int, int]]:
-    """Terms breaking the observed rule that even/odd P-powers carry only
-    even/odd q-powers.  Reported, never enforced."""
-    return sorted(k for k in poly if (k[0] - k[1]) % 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ The corpus ships as ``data/lg_table.txt``; each entry is a header line
 ``name; components; amphichiral|chiral[; braid=<word>]`` followed by one
 machine-format polynomial record.  This module parses and checks the
 corpus only; ``checks.regression`` evaluates the entries that carry a braid.
-``validate_entry`` also checks each stored value against LG(q = 1) =
-Delta(P)^2 (see ``alexander``); ``load_corpus`` runs no check.
+``validate_entry`` runs each stored value through ``to_invariant``'s
+structural checks and checks it against LG(q = 1) = Delta(P)^2 (see
+``alexander``); ``load_corpus`` runs no check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from importlib import resources
 
 from .alexander import at_q_one, square_root
 from .braid import BraidWord, closure_info, parse as parse_braid
-from .invariant import CompactForm, from_compact, is_palindromic_q, parse_machine
+from .invariant import (
+    CompactForm, StructureError, from_compact, is_palindromic_q, parse_machine, to_invariant
+)
+from .ring import LaurentQP
 
 CORPUS_RESOURCE = "lg_table.txt"
 
@@ -105,11 +109,17 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 def validate_entry(entry: CorpusEntry) -> list[str]:
     """Internal-consistency problems of a stored entry (empty = fine).
-    LG(q = 1) must be the square of an integer Laurent polynomial in
-    P^(1/2) (a link's Delta has half-integer exponents in P), and that
-    root, Delta, is +-1 at P = 1 for a knot and 0 for a link."""
+    The value must pass to_invariant's structural checks (q/P exponent
+    parity among them), as an evaluated one must.  LG(q = 1) must be the
+    square of an integer Laurent polynomial in P^(1/2) (a link's Delta has
+    half-integer exponents in P), and that root, Delta, is +-1 at P = 1
+    for a knot and 0 for a link."""
     problems = []
     poly = from_compact(entry.compact)
+    try:
+        to_invariant(LaurentQP({(2 * eq, 2 * eP): c for (eq, eP), c in poly.items()}))
+    except StructureError as exc:
+        problems.append(str(exc))
     if entry.amphichiral != is_palindromic_q(poly):
         problems.append("amphichirality flag disagrees with q-palindromicity")
     # in P^(1/2), whose exponents are twice those of P

@@ -23,7 +23,6 @@ from linksgould.engine import (
 from linksgould.invariant import (
     from_compact,
     is_palindromic_q,
-    parity_violations,
     q_inverted,
     to_compact,
     to_invariant,
@@ -122,7 +121,7 @@ def test_criterion_5_markov_property_suite():
     report = run_markov_suite(seed=0, braids=100, max_strings=4, max_expanded_len=8)
     elapsed = time.perf_counter() - start
     assert report.braids == 100
-    assert report.ok, report.failures[:5]
+    assert report.ok, {name: failed[:5] for name, failed in report.failures.items() if failed}
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
     passed(
         5,
@@ -139,8 +138,7 @@ def test_criterion_6_structural_checks():
         raw = evaluate_raw(parse(word, strings))  # scalar tangle checked inside
         assert isinstance(raw, LaurentQP)  # Y-free by type
         assert all(eq2 % 2 == 0 and ep % 2 == 0 for eq2, ep in raw.terms)
-        poly = to_invariant(raw)  # verifies P <-> 1/P symmetry
-        assert parity_violations(poly) == []
+        to_invariant(raw)  # verifies q/P exponent parity and P <-> 1/P symmetry
     passed(6, f"{len(words)} evaluations structurally clean")
 
 

@@ -26,3 +26,18 @@ def test_evaluate_respects_cap():
     with pytest.raises(SizeCapExceeded):
         linksgould.evaluate("1", strings=6)
     assert linksgould.evaluate("1", strings=6, max_size=4**12) == {}
+
+
+def test_evaluate_refuses_a_value_that_breaks_the_parity(monkeypatch):
+    from linksgould.invariant import StructureError
+    from linksgould.ring import LaurentQP
+
+    # q^1 P^0: every value's terms have q- and P-exponents of one parity
+    monkeypatch.setattr(linksgould.cli, "evaluate_raw", lambda *a, **k: LaurentQP({(2, 0): 1}))
+    with pytest.raises(StructureError, match="different parity at q\\^1 P\\^0"):
+        linksgould.evaluate("1 1 1")
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        linksgould.nothing

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from linksgould import batch, cli
+from linksgould.braid import render
 from linksgould.cli import main
 from linksgould.invariant import render_machine
 from linksgould.knotdata import load_corpus
+from linksgould.ring import LaurentQP
 
 BATCH_WORDS = Path(__file__).resolve().parent / "data" / "batch_words.txt"
 
@@ -150,10 +152,29 @@ def test_batch_builds_no_eval_metadata(four_words, capsys, monkeypatch, jobs):
     def refuse(*args):
         raise AssertionError("eval-only metadata built in batch")
 
-    for name in ("closure_info", "writhe", "is_palindromic_q", "parity_violations"):
+    for name in ("closure_info", "writhe", "is_palindromic_q"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(capsys, "batch", four_words, "--jobs", jobs)
     assert code == 0 and names(out) == list("abcd") and err == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_refuses_only_the_record_whose_value_breaks_the_parity(
+    tmp_path, capsys, monkeypatch, jobs
+):
+    # q^1 P^0 breaks the q/P exponent parity of every value; the forked
+    # children inherit the planted evaluate_raw
+    path = tmp_path / "words.txt"
+    path.write_text("a 1 1 1\nb 1 1\nc 1 -2 1 -2\n")
+    real = cli.evaluate_raw
+
+    def broken_for_b(braid, **kwargs):
+        return LaurentQP({(2, 0): 1}) if render(braid) == "1^2" else real(braid, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_raw", broken_for_b)
+    code, out, err = run(capsys, "batch", str(path), "--jobs", jobs)
+    assert code == 1 and names(out) == ["a", "c"]
+    assert err == "error: b: q- and P-exponents of different parity at q^1 P^0\n"
 
 
 def test_modelled_costs_decide_the_split(tmp_path, capsys, monkeypatch):

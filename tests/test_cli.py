@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 
 from linksgould import alexander, checks, cli, knotdata
-from linksgould.braid import BraidWord, render
-from linksgould.checks import run_markov_suite
+from linksgould.braid import BraidWord, mirror, render
+from linksgould.checks import MARKOV_CHECKS, run_markov_suite
 from linksgould.cli import main
 from linksgould.engine import NonScalarTangleError
 from linksgould.invariant import parse_machine
-from linksgould.ring import ONE
+from linksgould.ring import ONE, LaurentQP
 
 
 def run(capsys, *argv):
@@ -275,9 +275,11 @@ def test_selftest_lists_cubic_relation_and_regression_table(capsys):
 def test_selftest_small_seeded(capsys):
     code, out, _ = run(capsys, "selftest", "--braids", "3", "--seed", "12345")
     assert code == 0
-    assert "seed 12345" in out
-    assert re.search(r"^markov +reduce_closure keeps the value +pass$", out, re.M)
-    assert re.search(r"^markov +columns 0 give the 4-column value +pass$", out, re.M)
+    rows = [line.rsplit(None, 1) for line in out.splitlines() if line.startswith("markov")]
+    assert rows == [
+        ["markov    evaluation: 3 braids, 24 checks, seed 12345", "pass"],
+        *([f"markov    {name}", "pass"] for name in MARKOV_CHECKS[1:]),
+    ]
     assert re.search(r"^alexander stored LG\(q=1\) = P\^k Delta\^2 on 14 braids +pass$", out, re.M)
 
 
@@ -285,7 +287,7 @@ def test_selftest_seed_changes_braids_not_outcome():
     a = run_markov_suite(seed=1, braids=3)
     b = run_markov_suite(seed=2, braids=3)
     assert a.ok and b.ok
-    assert a.checks == b.checks == 3 * 9
+    assert a.checks == b.checks == 3 * 8
 
 
 def failed_rows(out):
@@ -332,14 +334,25 @@ def test_selftest_fails_the_q_one_rows_on_a_value_that_is_no_square(capsys, monk
     "name, defect, row",
     [
         ("reduce_closure", lambda real: lambda b: BraidWord(1, ()),
-         "markov    reduce_closure keeps the value             FAIL"),
+         "markov    reduction                                  FAIL"),
         ("evaluate_raw", lambda real: lambda *a, **k: real(*a, **k) + ONE,
-         "markov    columns 0 give the 4-column value          FAIL"),
+         "markov    columns                                    FAIL"),
+        ("conjugate", lambda real: lambda *a: mirror(real(*a)),
+         "markov    conjugation                                FAIL"),
+        ("stabilize",
+         lambda real: lambda b, sign: mirror(real(b, sign)) if sign > 0 else real(b, sign),
+         "markov    stabilize+                                 FAIL"),
+        ("free_insert", lambda real: lambda *a: mirror(real(*a)),
+         "markov    free insertion                             FAIL"),
+        ("mirror", lambda real: lambda b: b,
+         "markov    mirror                                     FAIL"),
     ],
 )
 def test_selftest_fails_only_the_row_of_a_planted_defect(capsys, monkeypatch, name, defect, row):
-    # each defect changes every value it touches; the regression evaluates
-    # through cli.evaluate, so it does not see the checks' names
+    # each defect changes every chiral value it touches (a mirror image
+    # q-inverts it; stabilize's only for sign +1, whose check has a row of
+    # its own); the regression evaluates through cli.evaluate, so it does
+    # not see the checks' names
     monkeypatch.setattr(checks, name, defect(getattr(checks, name)))
     code, out, _ = run(capsys, "selftest", "--braids", "3", "--seed", "5")
     assert code == 1
@@ -371,6 +384,7 @@ def test_selftest_fails_rows_on_a_value_the_oracle_refuses(capsys, monkeypatch):
 
 
 def test_selftest_fails_the_first_markov_row_on_a_refused_evaluation(capsys, monkeypatch):
+    # the columns check refuses each braid after the reduction check passed
     def refusing(*args, **kwargs):
         raise NonScalarTangleError("planted refusal")
 
@@ -378,7 +392,7 @@ def test_selftest_fails_the_first_markov_row_on_a_refused_evaluation(capsys, mon
     code, out, _ = run(capsys, "selftest", "--braids", "3")
     assert code == 1
     assert failed_rows(out) == [
-        "markov    3 braids, 6 checks (seed 0)                FAIL"
+        "markov    evaluation: 3 braids, 3 checks, seed 0     FAIL"
     ]
     failures = [line for line in out.splitlines() if "evaluation failed on" in line]
     assert len(failures) == 3
@@ -387,6 +401,50 @@ def test_selftest_fails_the_first_markov_row_on_a_refused_evaluation(capsys, mon
         for f in failures
     )
     assert out.splitlines()[-1] == "result: 1 FAILED"
+
+
+# a raw value whose term q^1 P^0 breaks the q/P exponent parity of every
+# value (a Laurent polynomial in q/P and qP)
+PARITY_BREAK = LaurentQP({(2, 0): 1})
+PARITY_ERROR = "q- and P-exponents of different parity at q^1 P^0"
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_eval_refuses_a_value_that_breaks_the_parity(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "evaluate_raw", lambda *a, **k: PARITY_BREAK)
+    code, out, err = run(capsys, "eval", "--format", fmt, "1 1 1")
+    assert (code, out, err) == (1, "", f"error: {PARITY_ERROR}\n")
+
+
+def test_selftest_fails_the_regression_row_on_a_parity_break(capsys, monkeypatch):
+    real = cli.evaluate_raw
+
+    def broken_for_the_trefoil(braid, **kwargs):
+        return PARITY_BREAK if render(braid) == "1^3" else real(braid, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_raw", broken_for_the_trefoil)
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert failed_rows(out) == ["corpus    regression (14 evaluated, 253 value-only)  FAIL"]
+    lines = out.splitlines()
+    after = lines[lines.index(failed_rows(out)[0]) + 1 :]
+    assert after == [f"    3_1: StructureError: {PARITY_ERROR}", "result: 1 FAILED"]
+
+
+def test_selftest_fails_the_corpus_row_on_a_stored_parity_break(capsys, monkeypatch):
+    # 5_2 is value-only, and moving a unit from q^0 to q^1 keeps its value
+    # at q = 1, so only the structural check sees the change
+    corpus = copy.deepcopy(knotdata.load_corpus())
+    block = next(e for e in corpus if e.name == "5_2").compact[0]
+    block[0] -= 1
+    block[1] = 1
+    monkeypatch.setattr(knotdata, "_cache", corpus)
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        f"corpus    267 entries internally consistent          FAIL  5_2: {PARITY_ERROR}",
+        "result: 1 FAILED",
+    ]
 
 
 def test_dump_rmatrix(capsys):

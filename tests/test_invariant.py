@@ -8,7 +8,6 @@ from linksgould.invariant import (
     StructureError,
     from_compact,
     is_palindromic_q,
-    parity_violations,
     parse_machine,
     q_inverted,
     render_compact_text,
@@ -48,7 +47,7 @@ def test_to_invariant_structure_errors():
     with pytest.raises(StructureError, match="odd p-exponent"):
         to_invariant(LaurentQP.monomial(1, 0, 1))
     with pytest.raises(StructureError, match="symmetric"):
-        to_invariant(LaurentQP({(0, 2): 1}))
+        to_invariant(LaurentQP({(2, 2): 1}))
 
 
 def test_to_compact_examples():
@@ -95,9 +94,14 @@ def test_q_inverted():
 
 
 def test_parity():
-    assert parity_violations(TREFOIL) == []
-    assert parity_violations(HOPF) == []
-    assert parity_violations({(1, 0): 1, (0, 0): 2}) == [(1, 0)]
+    # a value is a Laurent polynomial in q/P and qP: each term's q- and
+    # P-exponents have the same parity, and a term that breaks it is refused
+    for poly in (TREFOIL, HOPF, FIG8):
+        raw = LaurentQP({(2 * eq, 2 * eP): c for (eq, eP), c in poly.items()})
+        assert to_invariant(raw) == poly
+    for raw in ({(2, 0): 1, (0, 0): 2}, {(0, 2): 1, (0, -2): 1}):
+        with pytest.raises(StructureError, match="different parity"):
+            to_invariant(LaurentQP(raw))
 
 
 def test_render_qpoly():

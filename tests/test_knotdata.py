@@ -5,7 +5,7 @@ import pytest
 from linksgould.alexander import square_root
 from linksgould.braid import closure_info, render
 from linksgould.checks import regression
-from linksgould.invariant import from_compact, is_palindromic_q, parity_violations, q_inverted
+from linksgould.invariant import from_compact, is_palindromic_q, q_inverted
 from linksgould.knotdata import (
     CorpusFormatError,
     corpus_entry,
@@ -69,8 +69,15 @@ def test_every_entry_is_consistent():
     for e in load_corpus():
         assert validate_entry(e) == [], e.name
         poly = from_compact(e.compact)
-        assert parity_violations(poly) == [], e.name
         assert e.amphichiral == is_palindromic_q(poly), e.name
+
+
+def test_validate_entry_names_a_parity_break():
+    # the value-only 5_2 with a unit moved from q^0 to q^1: the same at q = 1
+    entry = copy.deepcopy(corpus_entry("5_2"))
+    entry.compact[0][0] -= 1
+    entry.compact[0][1] = 1
+    assert validate_entry(entry) == ["q- and P-exponents of different parity at q^1 P^0"]
 
 
 def test_every_entry_round_trips_through_compact():

@@ -97,6 +97,14 @@ def test_batch_jobs_imports_no_process_pool(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("module", ["linksgould", "linksgould.cli"])
+def test_python_m_runs_without_a_warning(module):
+    # the package root does not import cli, so runpy finds it unloaded
+    result = python("-W", "error", "-m", module, "eval", "1 1 1")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "1 + 2 q^{2}, - q^{1} - q^{3}, q^{2}"
+
+
 def test_json_format_in_a_fresh_process():
     result = python("-m", "linksgould", "eval", "--format", "json", "1 1 1")
     assert result.returncode == 0, result.stderr
