@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import re
-from collections import namedtuple
 
 
 class BraidSyntaxError(ValueError):
@@ -134,14 +133,9 @@ def render(word: BraidWord) -> str:
     return " ".join(tokens)
 
 
-class ClosureInfo(namedtuple("ClosureInfo", "permutation components")):
-    """Permutation induced on string endpoints plus its cycle count (the
-    number of components of the closed-up link)."""
-
-    __slots__ = ()
-
-
-def closure_info(word: BraidWord) -> ClosureInfo:
+def components(word: BraidWord) -> int:
+    """The number of components of the closed-up link: the cycles of the
+    permutation the word induces on its strings."""
     n = word.n_strings
     perm = list(range(n))
     for pos, exp in word.letters:
@@ -156,7 +150,7 @@ def closure_info(word: BraidWord) -> ClosureInfo:
             while not seen[j]:
                 seen[j] = True
                 j = perm[j]
-    return ClosureInfo(tuple(i + 1 for i in perm), cycles)
+    return cycles
 
 
 def writhe(word: BraidWord) -> int:

@@ -32,14 +32,14 @@ import sys
 import time
 
 from .alexander import AlexanderMismatchError
-from .braid import BraidSyntaxError, BraidWord, closure_info, parse, render, writhe
+from .braid import BraidSyntaxError, BraidWord, components, parse, render, writhe
 from .engine import (
     DEFAULT_SIZE_CAP,
     ExponentRangeError,
     NonScalarTangleError,
     SizeCapExceeded,
     evaluate_raw,
-    lg_sigma,
+    generator_power,
 )
 from .invariant import (
     InvariantPoly,
@@ -104,7 +104,7 @@ def _render(
             "strings": braid.n_strings,
             "letters": braid.expanded_length(),
             "writhe": writhe(braid),
-            "components": closure_info(braid).components,
+            "components": components(braid),
             "palindromic_q": is_palindromic_q(poly),
             "compact": [sorted(block.items()) for block in compact],
         },
@@ -118,7 +118,7 @@ def _metadata(braid: BraidWord, poly: InvariantPoly, elapsed: float) -> list[str
         f"strings:      {braid.n_strings}",
         f"letters:      {braid.expanded_length()}",
         f"writhe:       {writhe(braid)}",
-        f"components:   {closure_info(braid).components}",
+        f"components:   {components(braid)}",
         f"palindromic:  {'yes' if is_palindromic_q(poly) else 'no'}",
         f"elapsed:      {elapsed:.3f}s",
     ]
@@ -157,7 +157,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_rmatrix(_: argparse.Namespace) -> int:
-    sig = lg_sigma()
+    sig = generator_power(1)
     pairs = [divmod(i, 4) for i in range(16)]  # the index pair of row or column 4a + b
     cells = [[str(sig.entry(row, col) or ".") for col in pairs] for row in pairs]
     widths = [max(len(row[c]) for row in cells) for c in range(16)]

@@ -404,16 +404,6 @@ def _check_reach(letters: int, closes: int) -> None:
         )
 
 
-def lg_sigma() -> SparseTangle:
-    """Tensor of the positive braid generator (gauged, so Y-free)."""
-    return SparseTangle(2, dict(_SIGMA.terms))
-
-
-def lg_sigma_inverse() -> SparseTangle:
-    """Tensor of the inverse generator."""
-    return SparseTangle(2, dict(_SIGMA_INVERSE.terms))
-
-
 def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
     """The divided differences of x^e at the nodes (-1, q p^-2) and
     (-1, q p^-2, q p^2), which are the complete homogeneous polynomials

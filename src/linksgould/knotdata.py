@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .alexander import at_q_one, square_root
-from .braid import BraidWord, closure_info, parse as parse_braid
+from .braid import BraidWord, components, parse as parse_braid
 from .invariant import (
     CompactForm, StructureError, from_compact, is_palindromic_q, parse_machine, to_invariant
 )
@@ -132,7 +132,7 @@ def validate_entry(entry: CorpusEntry) -> list[str]:
             f" {entry.components} components"
         )
     if entry.braid is not None:
-        got = closure_info(entry.braid).components
+        got = components(entry.braid)
         if got != entry.components:
             problems.append(
                 f"braid closure has {got} components, flag says {entry.components}"

@@ -152,7 +152,7 @@ def test_batch_builds_no_eval_metadata(four_words, capsys, monkeypatch, jobs):
     def refuse(*args):
         raise AssertionError("eval-only metadata built in batch")
 
-    for name in ("closure_info", "writhe", "is_palindromic_q"):
+    for name in ("components", "writhe", "is_palindromic_q"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(capsys, "batch", four_words, "--jobs", jobs)
     assert code == 0 and names(out) == list("abcd") and err == ""

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from linksgould import alexander, checks, cli, knotdata
+from linksgould import alexander, checks, cli, engine, knotdata
 from linksgould.braid import BraidWord, mirror, render
 from linksgould.checks import MARKOV_CHECKS, run_markov_suite
 from linksgould.cli import main
-from linksgould.engine import NonScalarTangleError
+from linksgould.engine import NonScalarTangleError, SparseTangle
 from linksgould.invariant import parse_machine
 from linksgould.ring import ONE, LaurentQP
 
@@ -464,6 +464,38 @@ def test_dump_rmatrix_is_unchanged(capsys):
     assert code == 0
     assert out.encode() == (Path(__file__).parent / "data" / "dump_rmatrix.txt").read_bytes()
     assert sum(token == "." for line in out.splitlines()[1:] for token in line.split()) == 256 - 26
+
+
+SHARED_TENSORS = ("_SIGMA", "_SIGMA_INVERSE", "_NEWTON_1", "_NEWTON_2")
+
+
+def test_no_command_changes_the_shared_tensors(capsys):
+    # generator_power(+-1) returns the module's own tangles, not copies
+    before = {name: dict(getattr(engine, name).terms) for name in SHARED_TENSORS}
+    assert run(capsys, "selftest", "--braids", "20")[0] == 0
+    assert run(capsys, "dump-rmatrix")[0] == 0
+    words = str(Path(__file__).parent / "data" / "batch_words.txt")
+    assert run(capsys, "batch", words, "--jobs", "1")[0] == 1  # the refused six_strings line
+    assert run(capsys, "eval", "1 -2 1 -2 3 -2")[0] == 0
+    assert {name: getattr(engine, name).terms for name in SHARED_TENSORS} == before
+
+
+def test_selftest_identity_rows_read_the_engines_inverse(capsys, monkeypatch):
+    # R is invertible, so negating any one cell of R^-1 breaks R R^-1 = I
+    inverse = engine._SIGMA_INVERSE.entries
+    rows = dict(checks.IDENTITIES)
+    for key, v in inverse.items():
+        monkeypatch.setattr(
+            engine, "_SIGMA_INVERSE", SparseTangle.from_cells(2, {**inverse, key: -v})
+        )
+        assert not rows["sigma * sigma^-1 = I"]() and not rows["sigma^-1 * sigma = I"](), key
+    # the last cell stays negated
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert {
+        "identity  sigma * sigma^-1 = I                       FAIL",
+        "identity  sigma^-1 * sigma = I                       FAIL",
+    } <= set(failed_rows(out))
 
 
 @pytest.mark.parametrize("command, cap", [("eval", "-1"), ("batch", "0")])

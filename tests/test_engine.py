@@ -26,8 +26,6 @@ from linksgould.engine import (
     extract_scalar,
     generator_power,
     identity_tangle,
-    lg_sigma,
-    lg_sigma_inverse,
     lower_in,
     plan,
 )
@@ -73,22 +71,22 @@ def test_size_guard():
 def test_accrete_position_validation():
     z = identity_tangle(2)
     with pytest.raises(ValueError):
-        accrete(z, lg_sigma(), 0)
+        accrete(z, generator_power(1), 0)
     with pytest.raises(ValueError):
-        accrete(z, lg_sigma(), 2)
+        accrete(z, generator_power(1), 2)
     with pytest.raises(ValueError, match="not 2"):
         accrete(z, identity_tangle(3), 1)  # only 2-string tangles accrete
 
 
 def test_identity_absorbs_generator():
-    z = accrete(identity_tangle(2), lg_sigma(), 1)
-    assert z == lg_sigma()
+    z = accrete(identity_tangle(2), generator_power(1), 1)
+    assert z == generator_power(1)
     assert len(z.entries) == 26
 
 
 def test_inverse_cancellation():
-    z = accrete(identity_tangle(2), lg_sigma(), 1)
-    z = accrete(z, lg_sigma_inverse(), 1)
+    z = accrete(identity_tangle(2), generator_power(1), 1)
+    z = accrete(z, generator_power(-1), 1)
     assert z.entries == identity_tangle(2).entries
 
 
@@ -97,7 +95,7 @@ def test_run_length_batching(n_times):
     one_shot = accrete(identity_tangle(2), generator_power(n_times), 1)
     step = identity_tangle(2)
     for _ in range(n_times):
-        step = accrete(step, lg_sigma(), 1)
+        step = accrete(step, generator_power(1), 1)
     assert one_shot.entries == step.entries
 
 
@@ -737,7 +735,7 @@ def test_closing_power_is_the_power_restricted(e):
 
 
 def test_inverse_is_the_generator_swapped_and_inverted():
-    sig, inv = lg_sigma(), lg_sigma_inverse()
+    sig, inv = generator_power(1), generator_power(-1)
     for upper in cells_of(2):
         for lower in cells_of(2):
             assert inv.entry(upper[::-1], lower[::-1]) == sig.entry(upper, lower).invert_qp()
@@ -762,7 +760,7 @@ def test_identity_on_no_strings_is_the_scalar_one():
 )
 def test_entry_and_from_cells_refuse_misshapen_indices(upper, lower):
     with pytest.raises(ValueError, match="not two 2-tuples"):
-        lg_sigma().entry(upper, lower)
+        generator_power(1).entry(upper, lower)
     with pytest.raises(ValueError, match="not two 2-tuples"):
         SparseTangle.from_cells(2, {(upper, lower): ONE})
 
@@ -825,7 +823,7 @@ def test_the_reach_of_a_letter_bounds_every_power():
     # the data behind _check_reach's bound: |eq2| <= 5 and |ep| <= 2 per
     # letter, 2 of each per closed string
     assert engine._LETTER_REACH == (5, 2) and engine._HANDLE_REACH == (2, 2)
-    assert reach(lg_sigma()) == reach(engine._NEWTON_1) == (5, 2)
+    assert reach(generator_power(1)) == reach(engine._NEWTON_1) == (5, 2)
     assert reach(engine._NEWTON_2) == (7, 4)  # its h_{e-2} starts a power later
     handle = [k for h in HANDLE_PLUS for k in h.terms]
     assert max(abs(q) for q, _ in handle) == max(abs(p) for _, p in handle) == 2

@@ -3,7 +3,7 @@ import copy
 import pytest
 
 from linksgould.alexander import square_root
-from linksgould.braid import closure_info, render
+from linksgould.braid import components, render
 from linksgould.checks import regression
 from linksgould.invariant import from_compact, is_palindromic_q, q_inverted
 from linksgould.knotdata import (
@@ -40,13 +40,13 @@ def test_hopf_entry():
     e = corpus_entry("2^2_1")
     assert e.compact == [{0: -1, 2: -1}, {1: 1}]
     assert e.components == 2
-    assert closure_info(e.braid).components == 2
+    assert components(e.braid) == 2
 
 
 def test_borromean_entry():
     e = corpus_entry("6^3_2")
     assert e.amphichiral and e.components == 3
-    assert closure_info(e.braid).components == 3
+    assert components(e.braid) == 3
     assert is_palindromic_q(from_compact(e.compact))
 
 
