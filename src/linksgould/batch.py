@@ -1,21 +1,19 @@
 """``lgpoly batch``: evaluate a file of named words, one machine-format
 record per line in input order.
 
-With ``--jobs N`` above 1 the records are split into min(N, records)
-shares of near-equal modelled cost (``engine.modelled_cost``, the cost
-``plan`` gives each reduced word), and a forked child evaluates each
-share, sending every record back over a pipe as soon as it has it.  The
-parent works out each record's cost before the first fork, and a child
-parses, reduces and plans the word again as it evaluates it.  That serial
-work is about 3 % of the records' evaluation; in return the largest of two
-shares of the benchmark's batch words takes within 1.5 % of the mean
-share's CPU time, where a strided split leaves it 9 % over in the median
-and up to 44 %.  The parent otherwise only collects the records and
-prints them.  A child that dies loses only the records it had not sent:
-each of those is reported as an error naming the signal or exit status,
-and the others are kept.  With one share, or where there is no
-``os.fork``, the same records are evaluated in process.  No process pool
-is imported: the command starts no thread, so forking it is safe.
+``--jobs N`` runs at most N processes.  The records are split into
+min(N, records) shares of near-equal modelled cost (``engine.modelled_cost``),
+costed only when there are two shares or more: the pass is about 3 % of
+the records' evaluation, and keeps the larger of two shares of the
+benchmark's batch words within 1.5 % of the mean share's CPU time (a
+strided split: 9 % over in the median, up to 44 %).  The parent forks a
+child for each share but the first, evaluates the first itself, and
+between its own records reads the pipes on which each child sends every
+record as soon as it has it.  A child that dies loses only the records
+it had not sent, each reported as an error naming the signal or exit
+status.  A share with no child (a failed fork, or no ``os.fork``) is the
+parent's too, so ``--jobs 1`` runs the same code.  No process pool is
+imported: the command starts no thread, so forking it is safe.
 """
 
 from __future__ import annotations
@@ -79,36 +77,39 @@ def split(costs: list[int], shares: int) -> list[list[int]]:
 
 
 def run(tasks: list[Task], jobs: int) -> list[Result]:
-    """Every task's result in input order, evaluated on min(jobs, tasks)
-    forked children, or in process for one share or with no os.fork."""
+    """Every task's result in input order, from min(jobs, tasks) shares:
+    the parent evaluates the first and any share it cannot fork a child
+    for, and a forked child each of the others."""
     shares = min(jobs, len(tasks))
-    if shares <= 1 or not hasattr(os, "fork"):
-        return [_batch_worker(t) for t in tasks]
-    results: list[Result | None] = [None] * len(tasks)
-    children: dict[int, tuple[int, list[int]]] = {}  # read end: pid, share
-    unforked: list[int] = []
-    costs = [_cost(t) for t in tasks]
+    own, *others = split([_cost(t) for t in tasks], shares) if shares > 1 else [range(len(tasks))]
+    children: dict[int, tuple[int, list[int], bytearray]] = {}  # read end: pid, share, data
     # the children's collections then neither scan nor copy the parent's objects
     gc.freeze()
     try:
-        for share in split(costs, shares):
+        for share in others:
             try:
                 pid, read_end = _start(tasks, share, list(children))
-            except OSError as exc:  # no process or pipe to spare: do it here
+            except OSError as exc:  # no process or pipe to spare: the parent does it
                 logger = debug_logger(__name__)
                 if logger:
-                    logger.debug(
-                        "no worker for %d records (%s): run in process", len(share), exc
-                    )
-                unforked += share
+                    logger.debug("no worker for %d records (%s): run in process", len(share), exc)
+                own = [*own, *share]
             else:
-                children[read_end] = (pid, share)
+                children[read_end] = (pid, share, bytearray())
     finally:
         gc.unfreeze()
-    for i in unforked:
+    poller = select.poll() if children else None  # Windows has neither fork nor poll
+    for fd in children:
+        poller.register(fd, select.POLLIN)
+    results: list[Result | None] = [None] * len(tasks)
+    open_pipes = len(children)
+    for i in own:
         results[i] = _batch_worker(tasks[i])
-    for read_end, data in _drain(list(children)).items():
-        pid, share = children[read_end]
+        if open_pipes:
+            open_pipes -= _receive(poller, children, 0)
+    while open_pipes:
+        open_pipes -= _receive(poller, children, None)
+    for pid, share, data in children.values():
         for i, ok, payload in _records(data):
             results[i] = (tasks[i][0], ok, payload)
         _, status = os.waitpid(pid, 0)
@@ -120,9 +121,12 @@ def run(tasks: list[Task], jobs: int) -> list[Result]:
 
 def _start(tasks: list[Task], share: list[int], inherited: list[int]) -> tuple[int, int]:
     """Fork a child that evaluates the share and writes each result to a
-    pipe as it has it; returns the child's pid and the pipe's read end.
+    pipe as it has it; returns the child's pid and the pipe's read end,
+    or raises OSError with no process, pipe or os.fork to spare.
     inherited are the read ends of earlier children, which this child
     closes."""
+    if not hasattr(os, "fork"):
+        raise OSError("no os.fork on this platform")
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -165,25 +169,20 @@ def _exit_child(code: int) -> None:
     os._exit(code)
 
 
-def _drain(fds: list[int]) -> dict[int, bytes]:
-    """Everything written to each pipe until its last writer closed it,
-    read from all pipes as it arrives so that no child waits on a full
-    pipe."""
-    data = {fd: bytearray() for fd in fds}
-    poller = select.poll()
-    for fd in fds:
-        poller.register(fd, select.POLLIN)
-    open_fds = len(fds)
-    while open_fds:
-        for fd, _ in poller.poll():
-            chunk = os.read(fd, 1 << 16)
-            if chunk:
-                data[fd] += chunk
-            else:
-                poller.unregister(fd)
-                os.close(fd)
-                open_fds -= 1
-    return {fd: bytes(buf) for fd, buf in data.items()}
+def _receive(poller: select.poll, children: dict, timeout: int | None) -> int:
+    """Append what has arrived on the children's pipes to their data,
+    waiting up to timeout ms (None: as long as it takes) for a pipe to be
+    ready; returns how many pipes it found closed by their writer, which
+    it closes too."""
+    closed = 0
+    for fd, _ in poller.poll(timeout):
+        chunk = os.read(fd, 1 << 16)
+        children[fd][2].extend(chunk)
+        if not chunk:
+            poller.unregister(fd)
+            os.close(fd)
+            closed += 1
+    return closed
 
 
 def _records(data: bytes) -> list[tuple[int, bool, str]]:

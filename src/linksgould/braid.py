@@ -224,16 +224,21 @@ def _blocker(
 
 
 def _slide(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
+    # linear: stacks[p] holds the indices in out of the live letters at p, so
+    # the blocker is the latest top at pos - 1, pos, pos + 1; None is cancelled
+    out: list[tuple[int, int] | None] = []
+    stacks: list[list[int]] = [[] for _ in range(infer_strings(letters) + 1)]
     for pos, exp in letters:
-        k = _blocker(out, range(len(out) - 1, -1, -1), pos)
+        k = max((stack[-1] for stack in stacks[pos - 1 : pos + 2] if stack), default=None)
         if k is None or out[k][0] != pos:
+            stacks[pos].append(len(out))
             out.append((pos, exp))
         elif out[k][1] + exp:
             out[k] = (pos, out[k][1] + exp)
         else:
-            del out[k]
-    return out
+            out[k] = None
+            stacks[pos].pop()
+    return [letter for letter in out if letter is not None]
 
 
 def _merge_seam(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:

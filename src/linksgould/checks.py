@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import random
 import time
-from dataclasses import dataclass, field
 
 from .alexander import alexander, at_q_one, is_square_multiple
 from .braid import (
@@ -136,14 +135,12 @@ MARKOV_CHECKS = (
 )
 
 
-@dataclass
 class MarkovReport:
-    braids: int = 0
-    checks: int = 0
-    # check name -> the words it failed on; cmd_selftest prints a row per name
-    failures: dict[str, list[str]] = field(
-        default_factory=lambda: {name: [] for name in MARKOV_CHECKS}
-    )
+    def __init__(self) -> None:
+        self.braids = 0
+        self.checks = 0
+        # check name -> the words it failed on; cmd_selftest prints a row per name
+        self.failures: dict[str, list[str]] = {name: [] for name in MARKOV_CHECKS}
 
     @property
     def ok(self) -> bool:

@@ -326,8 +326,10 @@ def accrete(
         if row:
             for change, xc in row:
                 nk = key + change
-                out[nk] = get(nk, 0) + c * xc
-    return SparseTangle(n, {k: c for k, c in out.items() if c})
+                out[nk] = v = get(nk, 0) + c * xc
+                if not v:  # cancelled: nk was stored, as no term is 0
+                    del out[nk]
+    return SparseTangle(n, out)
 
 
 def combine(parts: list[tuple[LaurentQP, SparseTangle]]) -> SparseTangle:
@@ -339,8 +341,10 @@ def combine(parts: list[tuple[LaurentQP, SparseTangle]]) -> SparseTangle:
         for key, c in t.terms.items():
             for change, cc in changes:
                 nk = key + change
-                out[nk] = get(nk, 0) + c * cc
-    return SparseTangle(parts[0][1].n, {k: c for k, c in out.items() if c})
+                out[nk] = v = get(nk, 0) + c * cc
+                if not v:
+                    del out[nk]
+    return SparseTangle(parts[0][1].n, out)
 
 
 def _swap_invert(t: SparseTangle) -> SparseTangle:
@@ -497,8 +501,10 @@ def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTang
             term = closing[key >> low & digit]
             if term:
                 nk = ((key >> high) << low | key & rest) + term[0]
-                out[nk] = get(nk, 0) + c * term[1]
-        z = SparseTangle(z.n - 1, {k: c for k, c in out.items() if c})
+                out[nk] = v = get(nk, 0) + c * term[1]
+                if not v:
+                    del out[nk]
+        z = SparseTangle(z.n - 1, out)
     return z
 
 
@@ -710,37 +716,34 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
     return extract_scalar(z, columns)
 
 
-def _is_split(word: BraidWord) -> bool:
-    """Whether the word, on two or more strings, leaves one untouched: its
-    closure is then a split link, whose value is 0."""
-    n = word.n_strings
-    return n > 1 and len(_touched(word)) < n
-
-
-def _admit(word: BraidWord, max_size: int) -> None:
-    """The refusals of a word as given, before it is reduced: the size
-    guard, and _check_reach on its letters, since the Alexander oracle
-    reads the word as given and its work grows with those letters."""
+def _reduce(word: BraidWord, max_size: int) -> tuple[BraidWord, bool]:
+    """The front half that evaluate_raw runs and modelled_cost prices: the
+    refusals of the word as given, then its reduced word, and whether that
+    closes to a split link (on two or more strings, it leaves one
+    untouched), whose value is 0.  The refusals are the size guard and
+    _check_reach on the letters as given, since the Alexander oracle reads
+    the word as given and its work grows with those letters."""
     _guard(word.n_strings, max_size)
     _check_reach(word.expanded_length(), 0)
+    reduced = reduce_closure(word)
+    n = reduced.n_strings
+    return reduced, n > 1 and len(_touched(reduced)) < n
 
 
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
     """The raw value of the word's closure, a Laurent polynomial in
-    q^(1/2), p: the refusals of the word as given (_admit), then the plan
+    q^(1/2), p: the refusals of the word as given (_reduce), then the plan
     of its reduced word executed, then the Alexander oracle on the word as
-    given (alexander.check), so that it covers the reduction too.  A
-    reduced word on two or more strings that leaves one untouched closes
-    to a split link, whose value is 0, and no power is formed for it."""
-    _admit(word, max_size)
-    reduced = reduce_closure(word)
+    given (alexander.check), so that it covers the reduction too.  No
+    power is formed for a split link, whose value is 0."""
+    reduced, split = _reduce(word, max_size)
     logger = debug_logger(__name__)
     if logger:
         logger.debug(
             "reduced word '%s': %d letters, %d strings",
             reduced, reduced.expanded_length(), reduced.n_strings,
         )
-    value = ZERO if _is_split(reduced) else execute(plan(reduced))
+    value = ZERO if split else execute(plan(reduced))
     start = time.perf_counter()
     delta = alexander.check(word, value)
     if logger:
@@ -754,7 +757,6 @@ def modelled_cost(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> int:
     """The cost that plan gives the schedule evaluate_raw runs for the word
     (see _rotation_costs), found with no arithmetic and no steps: that of
     its reduced word, 0 for a split link.  It raises what evaluate_raw
-    raises before it plans."""
-    _admit(word, max_size)
-    word = reduce_closure(word)
-    return 0 if _is_split(word) else min(_rotation_costs(word.n_strings, word.letters))
+    raises before it plans: both run _reduce."""
+    reduced, split = _reduce(word, max_size)
+    return 0 if split else min(_rotation_costs(reduced.n_strings, reduced.letters))

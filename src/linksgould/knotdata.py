@@ -14,7 +14,7 @@ structural checks and checks it against LG(q = 1) = Delta(P)^2 (see
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .alexander import at_q_one, square_root
@@ -31,13 +31,9 @@ class CorpusFormatError(ValueError):
     pass
 
 
-@dataclass
-class CorpusEntry:
-    name: str
-    components: int
-    amphichiral: bool
-    braid: BraidWord | None
-    compact: CompactForm
+# name: str, components: int, amphichiral: bool, braid: BraidWord | None,
+# compact: CompactForm; a namedtuple, since dataclasses imports inspect
+CorpusEntry = namedtuple("CorpusEntry", "name components amphichiral braid compact")
 
 
 def _parse_header(line: str) -> tuple[str, int, bool, BraidWord | None]:

@@ -1,5 +1,6 @@
-"""``lgpoly batch``: the split into shares, the forked children that
-evaluate them, and what is reported when a child dies."""
+"""``lgpoly batch``: the split into shares, the parent that evaluates
+the first and the forked children that evaluate the others, and what is
+reported when a child dies."""
 
 import errno
 import os
@@ -16,7 +17,9 @@ from linksgould.invariant import render_machine
 from linksgould.knotdata import load_corpus
 from linksgould.ring import LaurentQP
 
-BATCH_WORDS = Path(__file__).resolve().parent / "data" / "batch_words.txt"
+DATA = Path(__file__).resolve().parent / "data"
+BATCH_WORDS = DATA / "batch_words.txt"
+JOBS = ("1", "2", "3", "100000")
 
 
 def run(capsys, *argv):
@@ -58,8 +61,8 @@ def test_split_keeps_every_record_once_and_balances_the_shares():
 
 
 def test_the_corpus_braids_give_their_stored_values_on_any_jobs(capsys):
-    outputs = {jobs: run(capsys, "batch", str(BATCH_WORDS), "--jobs", jobs) for jobs in "13"}
-    assert outputs["1"] == outputs["3"]
+    outputs = {jobs: run(capsys, "batch", str(BATCH_WORDS), "--jobs", jobs) for jobs in JOBS}
+    assert all(output == outputs["1"] for output in outputs.values())
     code, out, err = outputs["1"]
     expected = {e.name: render_machine(e.compact, e.name) for e in load_corpus() if e.braid}
     assert code == 1 and len(expected) == 14
@@ -71,38 +74,46 @@ def test_the_corpus_braids_give_their_stored_values_on_any_jobs(capsys):
     )
 
 
+def test_the_dense_words_print_the_same_on_any_jobs(capsys):
+    outputs = {jobs: run(capsys, "batch", str(DATA / "dense_words.txt"), "--jobs", jobs)
+               for jobs in JOBS}
+    assert all(output == outputs["1"] for output in outputs.values())
+    code, out, err = outputs["1"]
+    assert code == 0 and len(out.splitlines()) == 6 and err == ""
+
+
 def test_a_killed_worker_loses_only_the_records_it_had_not_sent(four_words, capsys, monkeypatch):
     parent = os.getpid()
     exact = batch._batch_worker
 
-    def dying_on_c(task):
-        if task[0] == "c" and os.getpid() != parent:
+    def dying_on_d(task):
+        if task[0] == "d" and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
         return exact(task)
 
-    monkeypatch.setattr(batch, "_batch_worker", dying_on_c)
-    # equal costs: one child takes a then c, the other b then d
+    monkeypatch.setattr(batch, "_batch_worker", dying_on_d)
+    # equal costs: the parent takes a then c, the child b then d
     code, out, err = run(capsys, "batch", four_words, "--jobs", "2")
     assert code == 1
-    assert names(out) == ["a", "b", "d"]
-    assert err == "error: c: its worker was killed by SIGKILL before sending it\n"
+    assert names(out) == ["a", "b", "c"]
+    assert err == "error: d: its worker was killed by SIGKILL before sending it\n"
 
 
 def test_a_worker_that_exits_early_is_reported_with_its_status(four_words, capsys, monkeypatch):
     parent = os.getpid()
     exact = batch._batch_worker
 
-    def exiting_on_a(task):
-        if task[0] == "a" and os.getpid() != parent:
+    def exiting_on_b(task):
+        if task[0] == "b" and os.getpid() != parent:
             os._exit(3)
         return exact(task)
 
-    monkeypatch.setattr(batch, "_batch_worker", exiting_on_a)
+    monkeypatch.setattr(batch, "_batch_worker", exiting_on_b)
     code, out, err = run(capsys, "batch", four_words, "--jobs", "2")
     assert code == 1
-    assert names(out) == ["b", "d"]
+    assert names(out) == ["a", "c"]
     assert err.splitlines() == [
-        f"error: {name}: its worker exited with status 3 before sending it" for name in "ac"
+        f"error: {name}: its worker exited with status 3 before sending it" for name in "bd"
     ]
 
 
@@ -115,13 +126,36 @@ def test_jobs_past_the_record_count_forks_one_child_per_record(tmp_path, capsys,
 
     def counting_fork():
         forks.append(None)
-        if len(forks) > 3:  # never start many processes, whatever the code asks
+        if len(forks) > 2:  # never start many processes, whatever the code asks
             raise AssertionError(f"fork number {len(forks)}")
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
     assert run(capsys, "batch", str(path), "--jobs", "100000") == serial
-    assert len(forks) == 3
+    assert len(forks) == 2  # the parent evaluates the first record's share
+
+
+@pytest.mark.parametrize("jobs, forks", [("1", 0), ("2", 1), ("3", 2), ("4", 3)])
+def test_jobs_n_runs_n_processes(four_words, capsys, monkeypatch, jobs, forks):
+    serial = run(capsys, "batch", four_words)
+    real_fork, real_cost = os.fork, batch._cost
+    counts = {"fork": 0, "cost": 0}
+
+    def counting_fork():
+        counts["fork"] += 1
+        if counts["fork"] > 3:  # never start many processes, whatever the code asks
+            raise AssertionError(f"fork number {counts['fork']}")
+        return real_fork()
+
+    def counting_cost(task):
+        counts["cost"] += 1
+        return real_cost(task)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(batch, "_cost", counting_cost)
+    assert run(capsys, "batch", four_words, "--jobs", jobs) == serial
+    # one share needs no split, so no record is costed
+    assert counts == {"fork": forks, "cost": 0 if forks == 0 else 4}
 
 
 @pytest.mark.parametrize("jobs", ["1", "3"])
@@ -144,7 +178,7 @@ def test_a_share_that_cannot_fork_is_evaluated_in_process(four_words, capsys, mo
 
     monkeypatch.setattr(os, "fork", failing_second_fork)
     assert run(capsys, "batch", four_words, "--jobs", "3") == serial
-    assert len(forks) == 3
+    assert len(forks) == 2  # the parent evaluates the first and the third share
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from linksgould import braid
 from linksgould.braid import (
     BraidSyntaxError,
     BraidWord,
@@ -176,6 +177,32 @@ def test_conjugate_reduces_to_original():
 )
 def test_reduce_closure_moves(word, strings, reduced, reduced_strings):
     assert reduce_closure(parse(word, strings)) == parse(reduced, reduced_strings)
+
+
+def _slide_by_scan(letters):
+    # reduce_closure's first slide as a scan back from the end for each
+    # letter, the reference for the linear-time _slide
+    out = []
+    for pos, exp in letters:
+        k = next((k for k in range(len(out) - 1, -1, -1) if abs(out[k][0] - pos) < 2), None)
+        if k is None or out[k][0] != pos:
+            out.append((pos, exp))
+        elif out[k][1] + exp:
+            out[k] = (pos, out[k][1] + exp)
+        else:
+            del out[k]
+    return out
+
+
+def test_slide_matches_the_scan_on_random_words():
+    rng = random.Random(23)
+    for _ in range(4000):
+        n = rng.randint(2, 7)
+        letters = [
+            (rng.randint(1, n - 1), rng.choice((1, -1, 2, -2, 3)))
+            for _ in range(rng.randint(0, 30))
+        ]
+        assert braid._slide(letters) == _slide_by_scan(letters), letters
 
 
 def test_stabilize():

@@ -97,6 +97,23 @@ def test_batch_jobs_imports_no_process_pool(tmp_path):
     ]
 
 
+def test_the_corpus_and_selftest_import_neither_dataclasses_nor_inspect():
+    # the bench's setup probe loads the corpus; dataclasses imports inspect
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from linksgould.cli import main\n"
+        "from linksgould.knotdata import load_corpus\n"
+        "entries = len(load_corpus())\n"
+        "code = main(['selftest', '--quick'])\n"
+        "print(entries, code, sorted(m for m in ('dataclasses', 'inspect') "
+        "if m in sys.modules and m not in before))\n"
+    )
+    result = python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "267 0 []"
+
+
 @pytest.mark.parametrize("module", ["linksgould", "linksgould.cli"])
 def test_python_m_runs_without_a_warning(module):
     # the package root does not import cli, so runpy finds it unloaded
