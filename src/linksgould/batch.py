@@ -1,38 +1,42 @@
 """``lgpoly batch``: evaluate a file of named words, one machine-format
 record per line in input order.
 
-``--jobs N`` runs at most N processes.  The records are split into
-min(N, records) shares of near-equal modelled cost (``engine.modelled_cost``),
-costed only when there are two shares or more: the pass is about 3 % of
-the records' evaluation, and keeps the larger of two shares of the
-benchmark's batch words within 1.5 % of the mean share's CPU time (a
-strided split: 9 % over in the median, up to 44 %).  The parent forks a
-child for each share but the first, evaluates the first itself, and
-between its own records reads the pipes on which each child sends every
-record as soon as it has it.  A child that dies loses only the records
-it had not sent, each reported as an error naming the signal or exit
-status.  A share with no child (a failed fork, or no ``os.fork``) is the
-parent's too, so ``--jobs 1`` runs the same code.  No process pool is
-imported: the command starts no thread, so forking it is safe.
+``--jobs N`` runs at most N processes: the parent and the children it
+forks.  They claim chunks of consecutive records from one queue, a pipe
+that the parent fills before it forks with min(records, 1024) 4-byte
+chunk numbers (one page, which a fresh pipe always holds).  The claims go
+in input order, so the run ends at most one chunk's time (one record's,
+up to 1024 records) after an ideal split.  Right after the fork each
+process moves itself to its own allowed CPU and allows them all again
+(``_spread``): the kernel leaves a forked child on its parent's CPU.  A
+child announces each claim on its pipe before it evaluates the chunk, so
+one that dies loses only the records it had claimed and not sent, each
+reported with its signal or exit status.  A failed fork or no ``os.fork``
+just means fewer claimants, so ``--jobs 1`` runs the same code.  No
+process pool is imported: the command starts no thread, so forking it is
+safe.  ``-v`` logs one line per process: the CPU it was spread to, the
+records it claimed and the seconds it was busy.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import heapq
 import marshal
 import os
 import select
 import sys
+import time
+from collections.abc import Iterator
+from io import BufferedWriter
 
-from .braid import parse
 from .cli import EVAL_ERRORS, _render, evaluate
-from .engine import debug_logger, modelled_cost
+from .engine import debug_logger
 
 Task = tuple[str, str, int]  # name, word, size cap
 Result = tuple[str, bool, str]  # name, whether it evaluated, record or error
-_FRAME = 4  # bytes of the length before each record a child sends
+_TOKEN = 4  # bytes of a chunk's number in the queue, and of a frame's length
+_TOKENS = 4096 // _TOKEN  # chunks at most: the queue is written in one page
 
 
 def _batch_worker(task: Task) -> Result:
@@ -50,52 +54,23 @@ def _batch_worker(task: Task) -> Result:
         return name, False, f"internal error: {type(exc).__name__}: {exc}"
 
 
-def _cost(task: Task) -> int:
-    """The modelled cost of a record, at least 1 so that cheap records
-    spread over the shares too.  A word that fails before it is planned
-    costs next to nothing, and its worker reports why."""
-    _, word, max_size = task
-    try:
-        return 1 + modelled_cost(parse(word), max_size)
-    except Exception:  # reported on the record by _batch_worker, not here
-        return 1
-
-
-def split(costs: list[int], shares: int) -> list[list[int]]:
-    """The record indices in the given number of shares of near-equal total
-    cost: the costliest record first, each onto the share with the least
-    cost so far (ties to the earlier record and the lower share), each
-    share in input order.  With positive costs no share is empty when
-    there are at least as many records as shares."""
-    loads = [(0, k) for k in range(shares)]
-    out: list[list[int]] = [[] for _ in range(shares)]
-    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
-        load, k = loads[0]
-        out[k].append(i)
-        heapq.heapreplace(loads, (load + costs[i], k))
-    return [sorted(share) for share in out]
-
-
 def run(tasks: list[Task], jobs: int) -> list[Result]:
-    """Every task's result in input order, from min(jobs, tasks) shares:
-    the parent evaluates the first and any share it cannot fork a child
-    for, and a forked child each of the others."""
-    shares = min(jobs, len(tasks))
-    own, *others = split([_cost(t) for t in tasks], shares) if shares > 1 else [range(len(tasks))]
-    children: dict[int, tuple[int, list[int], bytearray]] = {}  # read end: pid, share, data
+    """Every task's result in input order, from the parent and up to
+    jobs - 1 forked children claiming chunks of them from one queue."""
+    queue = _queue(len(tasks))
+    children: dict[int, tuple[int, bytearray]] = {}  # read end: pid, data
     # the children's collections then neither scan nor copy the parent's objects
     gc.freeze()
     try:
-        for share in others:
+        for k in range(1, min(jobs, len(tasks), _TOKENS)):
             try:
-                pid, read_end = _start(tasks, share, list(children))
-            except OSError as exc:  # no process or pipe to spare: the parent does it
+                pid, read_end = _start(tasks, queue, k, list(children))
+            except OSError as exc:  # no process or pipe to spare: fewer claimants
                 logger = debug_logger(__name__)
                 if logger:
-                    logger.debug("no worker for %d records (%s): run in process", len(share), exc)
-                own = [*own, *share]
-            else:
-                children[read_end] = (pid, share, bytearray())
+                    logger.debug("no worker %d (%s): %d process(es) claim the records", k, exc, k)
+                break
+            children[read_end] = (pid, bytearray())
     finally:
         gc.unfreeze()
     poller = select.poll() if children else None  # Windows has neither fork nor poll
@@ -103,28 +78,85 @@ def run(tasks: list[Task], jobs: int) -> list[Result]:
         poller.register(fd, select.POLLIN)
     results: list[Result | None] = [None] * len(tasks)
     open_pipes = len(children)
-    for i in own:
-        results[i] = _batch_worker(tasks[i])
-        if open_pipes:
-            open_pipes -= _receive(poller, children, 0)
+    for chunk in _claims(tasks, queue, 0):
+        for i in chunk:
+            results[i] = _batch_worker(tasks[i])
+            if open_pipes:
+                open_pipes -= _receive(poller, children, 0)
+    os.close(queue)
     while open_pipes:
         open_pipes -= _receive(poller, children, None)
-    for pid, share, data in children.values():
-        for i, ok, payload in _records(data):
-            results[i] = (tasks[i][0], ok, payload)
+    for pid, data in children.values():
         _, status = os.waitpid(pid, 0)
-        for i in share:
-            if results[i] is None:
-                results[i] = (tasks[i][0], False, _lost(status))
+        lost = _lost(status)
+        for frame in _frames(data):
+            if len(frame) == 2:  # a claim, (start, stop): lost until the records come
+                for i in range(*frame):
+                    results[i] = (tasks[i][0], False, lost)
+            else:
+                i, ok, payload = frame
+                results[i] = (tasks[i][0], ok, payload)
+    for i, result in enumerate(results):
+        if result is None:  # its token was read by a child that died before announcing it
+            results[i] = _batch_worker(tasks[i])
     return results
 
 
-def _start(tasks: list[Task], share: list[int], inherited: list[int]) -> tuple[int, int]:
-    """Fork a child that evaluates the share and writes each result to a
-    pipe as it has it; returns the child's pid and the pipe's read end,
-    or raises OSError with no process, pipe or os.fork to spare.
-    inherited are the read ends of earlier children, which this child
-    closes."""
+def _queue(records: int) -> int:
+    """The read end of a pipe that holds the number of each of the
+    min(records, 1024) chunks, in order, and then ends."""
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(t.to_bytes(_TOKEN, "little") for t in range(min(records, _TOKENS))))
+    os.close(fill)
+    return queue
+
+
+def _claims(tasks: list[Task], queue: int, k: int) -> Iterator[range]:
+    """The chunks of tasks that process k (0 for the parent) claims from
+    the queue, after it has spread itself (_spread), until the queue is
+    empty; then -v logs what it did."""
+    cpu = _spread(k)
+    start = time.perf_counter()
+    chunks = min(len(tasks), _TOKENS)
+    claimed = 0
+    while token := os.read(queue, _TOKEN):
+        t = int.from_bytes(token, "little")
+        chunk = range(t * len(tasks) // chunks, (t + 1) * len(tasks) // chunks)
+        claimed += len(chunk)
+        yield chunk
+    logger = debug_logger(__name__)
+    if logger:
+        logger.debug(
+            "process %d, spread to CPU %s: claimed %d records, busy %.3fs",
+            k, "-" if cpu is None else cpu, claimed, time.perf_counter() - start,
+        )
+
+
+def _spread(k: int) -> int | None:
+    """Move this process to CPU k mod n of its n allowed ones (sorted), and
+    allow them all again at once: the kernel then starts the processes of
+    a run apart but can still rebalance them.  Returns that CPU, or None
+    where there is one CPU or no os.sched_setaffinity (or it is refused)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < 2:
+        return None
+    cpu = allowed[k % len(allowed)]
+    try:
+        os.sched_setaffinity(0, (cpu,))
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # a sandbox that refuses it, or a CPU set changed meanwhile
+        return None
+    return cpu
+
+
+def _start(tasks: list[Task], queue: int, k: int, inherited: list[int]) -> tuple[int, int]:
+    """Fork child k, which claims chunks from the queue and, on a pipe,
+    announces each claim before it evaluates the chunk and sends each
+    record; returns the child's pid and the pipe's read end, or raises
+    OSError with no process, pipe or os.fork to spare.  inherited are the
+    read ends of earlier children, which this child closes."""
     if not hasattr(os, "fork"):
         raise OSError("no os.fork on this platform")
     read_end, write_end = os.pipe()
@@ -142,13 +174,19 @@ def _start(tasks: list[Task], share: list[int], inherited: list[int]) -> tuple[i
         for fd in (read_end, *inherited):
             os.close(fd)
         with open(write_end, "wb") as out:
-            for i in share:
-                data = marshal.dumps((i, *_batch_worker(tasks[i])[1:]))
-                out.write(len(data).to_bytes(_FRAME, "little") + data)
-                out.flush()
+            for chunk in _claims(tasks, queue, k):
+                _send(out, (chunk.start, chunk.stop))
+                out.flush()  # with the records of the chunk before
+                for i in chunk:
+                    _send(out, (i, *_batch_worker(tasks[i])[1:]))
         code = 0
     finally:
         _exit_child(code)
+
+
+def _send(out: BufferedWriter, frame: tuple) -> None:
+    data = marshal.dumps(frame)
+    out.write(len(data).to_bytes(_TOKEN, "little") + data)
 
 
 def _exit_child(code: int) -> None:
@@ -177,7 +215,7 @@ def _receive(poller: select.poll, children: dict, timeout: int | None) -> int:
     closed = 0
     for fd, _ in poller.poll(timeout):
         chunk = os.read(fd, 1 << 16)
-        children[fd][2].extend(chunk)
+        children[fd][1].extend(chunk)
         if not chunk:
             poller.unregister(fd)
             os.close(fd)
@@ -185,16 +223,16 @@ def _receive(poller: select.poll, children: dict, timeout: int | None) -> int:
     return closed
 
 
-def _records(data: bytes) -> list[tuple[int, bool, str]]:
-    """The (index, ok, payload) records a child sent, up to the last whole
-    one: a child killed while writing leaves a partial record."""
+def _frames(data: bytes) -> list[tuple]:
+    """The claims and records a child sent, up to the last whole one: a
+    child killed while writing leaves a partial frame."""
     out = []
     pos = 0
-    while pos + _FRAME <= len(data):
-        end = pos + _FRAME + int.from_bytes(data[pos : pos + _FRAME], "little")
+    while pos + _TOKEN <= len(data):
+        end = pos + _TOKEN + int.from_bytes(data[pos : pos + _TOKEN], "little")
         if end > len(data):
             break
-        out.append(marshal.loads(data[pos + _FRAME : end]))
+        out.append(marshal.loads(data[pos + _TOKEN : end]))
         pos = end
     return out
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import deque
 
 
 class BraidSyntaxError(ValueError):
@@ -212,25 +213,15 @@ def reduce_closure(word: BraidWord) -> BraidWord:
         n, letters = reduced
 
 
-def _blocker(
-    letters: list[tuple[int, int]], indices: range, pos: int
-) -> int | None:
-    # the first of the indices whose letter does not commute with a letter
-    # at pos (a letter at pos itself included), or None
-    for k in indices:
-        if abs(letters[k][0] - pos) < 2:
-            return k
-    return None
-
-
 def _slide(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    # linear: stacks[p] holds the indices in out of the live letters at p, so
-    # the blocker is the latest top at pos - 1, pos, pos + 1; None is cancelled
+    # linear: stacks[p] holds -1, then the indices in out of the live letters
+    # at p, so the blocker is the latest top at pos - 1, pos, pos + 1 (none
+    # if -1); None is cancelled
     out: list[tuple[int, int] | None] = []
-    stacks: list[list[int]] = [[] for _ in range(infer_strings(letters) + 1)]
+    stacks: list[list[int]] = [[-1] for _ in range(infer_strings(letters) + 1)]
     for pos, exp in letters:
-        k = max((stack[-1] for stack in stacks[pos - 1 : pos + 2] if stack), default=None)
-        if k is None or out[k][0] != pos:
+        k = max(stacks[pos - 1][-1], stacks[pos][-1], stacks[pos + 1][-1])
+        if k < 0 or out[k][0] != pos:
             stacks[pos].append(len(out))
             out.append((pos, exp))
         elif out[k][1] + exp:
@@ -243,20 +234,37 @@ def _slide(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def _merge_seam(letters: list[tuple[int, int]]) -> list[tuple[int, int]]:
     # a letter that can slide to the front crosses the seam and slides on
-    # from the back, into the first letter at its position that it meets
-    i = 0
-    while i < len(letters):
-        pos, exp = letters[i]
-        if _blocker(letters, range(i - 1, -1, -1), pos) is None:
-            j = _blocker(letters, range(len(letters) - 1, i, -1), pos)
-            if j is not None and letters[j][0] == pos:
-                total = letters[j][1] + exp
-                merged = [(pos, total)] if total else []
-                letters = letters[:i] + letters[i + 1 : j] + merged + letters[j + 1 :]
-                i = 0  # a letter before i may now reach the back
-                continue
-        i += 1
-    return letters
+    # from the back, into the first letter at its position that it meets:
+    # at p, when the first and the last of the letters at p - 1, p and p + 1
+    # are two letters at p.  A merge at p changes only letters at p, so it
+    # can start or stop a merge only at p - 1, p and p + 1, and merges at
+    # other positions give the same word in any order.  at[p] holds the
+    # indices in out of the live letters at p (empty at 0 and past the last
+    # position, so every neighbour looked at exists); None is merged away
+    out: list[tuple[int, int] | None] = list(letters)
+    at: list[deque[int]] = [deque() for _ in range(infer_strings(letters) + 2)]
+    for k, (pos, _) in enumerate(letters):
+        at[pos].append(k)
+    todo = list(range(1, len(at) - 2))
+    while todo:
+        pos = todo.pop()
+        below, here, above = at[pos - 1], at[pos], at[pos + 1]
+        if (
+            len(here) < 2
+            or below and (below[0] < here[0] or below[-1] > here[-1])
+            or above and (above[0] < here[0] or above[-1] > here[-1])
+        ):
+            continue
+        i, j = here.popleft(), here[-1]
+        total = out[i][1] + out[j][1]
+        out[i] = None
+        if total:
+            out[j] = (pos, total)
+        else:
+            out[j] = None
+            here.pop()
+        todo += (pos - 1, pos, pos + 1)
+    return [letter for letter in out if letter is not None]
 
 
 def _destabilize(

@@ -716,27 +716,20 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
     return extract_scalar(z, columns)
 
 
-def _reduce(word: BraidWord, max_size: int) -> tuple[BraidWord, bool]:
-    """The front half that evaluate_raw runs and modelled_cost prices: the
-    refusals of the word as given, then its reduced word, and whether that
-    closes to a split link (on two or more strings, it leaves one
-    untouched), whose value is 0.  The refusals are the size guard and
-    _check_reach on the letters as given, since the Alexander oracle reads
-    the word as given and its work grows with those letters."""
+def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
+    """The raw value of the word's closure, a Laurent polynomial in
+    q^(1/2), p: the refusals of the word as given, then the plan of its
+    reduced word executed, then the Alexander oracle on the word as given
+    (alexander.check), so that it covers the reduction too.  The refusals
+    are the size guard and _check_reach on the letters as given, since the
+    oracle reads the word as given and its work grows with those letters.
+    No power is formed for a split link (on two or more strings, the
+    reduced word leaves one untouched), whose value is 0."""
     _guard(word.n_strings, max_size)
     _check_reach(word.expanded_length(), 0)
     reduced = reduce_closure(word)
     n = reduced.n_strings
-    return reduced, n > 1 and len(_touched(reduced)) < n
-
-
-def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
-    """The raw value of the word's closure, a Laurent polynomial in
-    q^(1/2), p: the refusals of the word as given (_reduce), then the plan
-    of its reduced word executed, then the Alexander oracle on the word as
-    given (alexander.check), so that it covers the reduction too.  No
-    power is formed for a split link, whose value is 0."""
-    reduced, split = _reduce(word, max_size)
+    split = n > 1 and len(_touched(reduced)) < n
     logger = debug_logger(__name__)
     if logger:
         logger.debug(
@@ -752,11 +745,3 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
         )
     return value
 
-
-def modelled_cost(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> int:
-    """The cost that plan gives the schedule evaluate_raw runs for the word
-    (see _rotation_costs), found with no arithmetic and no steps: that of
-    its reduced word, 0 for a split link.  It raises what evaluate_raw
-    raises before it plans: both run _reduce."""
-    reduced, split = _reduce(word, max_size)
-    return 0 if split else min(_rotation_costs(reduced.n_strings, reduced.letters))

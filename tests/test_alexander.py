@@ -236,5 +236,3 @@ def test_a_word_as_given_past_the_reach_is_refused_before_the_oracle(monkeypatch
     monkeypatch.setattr(alexander, "alexander", refuse)
     with pytest.raises(engine.ExponentRangeError, match="1000000 letters and 0 closed strings"):
         evaluate_raw(parse("1^1000000", 3))
-    with pytest.raises(engine.ExponentRangeError):
-        engine.modelled_cost(parse("1^1000000", 3))

@@ -1,6 +1,6 @@
-"""``lgpoly batch``: the split into shares, the parent that evaluates
-the first and the forked children that evaluate the others, and what is
-reported when a child dies."""
+"""``lgpoly batch``: the parent and the forked children that claim chunks
+of records from one queue, the spread of the processes over the allowed
+CPUs, and what is reported when a child dies."""
 
 import errno
 import os
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from linksgould import batch, cli
-from linksgould.braid import render
+from linksgould.braid import random_braid, render
 from linksgould.cli import main
 from linksgould.invariant import render_machine
 from linksgould.knotdata import load_corpus
@@ -39,27 +39,6 @@ def four_words(tmp_path):
     return str(path)
 
 
-def test_split_puts_the_costliest_first_onto_the_lightest_share():
-    assert batch.split([5, 1, 1, 1, 1, 1], 2) == [[0], [1, 2, 3, 4, 5]]
-    assert batch.split([1, 1, 1, 1], 2) == [[0, 2], [1, 3]]  # ties: input order
-    assert batch.split([3, 3, 2, 2, 2], 2) == [[0, 2, 4], [1, 3]]
-    assert batch.split([7], 1) == [[0]]
-
-
-def test_split_keeps_every_record_once_and_balances_the_shares():
-    rng = random.Random(5)
-    for _ in range(200):
-        costs = [rng.randint(1, 1000) for _ in range(rng.randint(1, 40))]
-        shares = rng.randint(1, len(costs))
-        split = batch.split(costs, shares)
-        assert len(split) == shares and all(split), (costs, shares)
-        assert sorted(i for share in split for i in share) == list(range(len(costs)))
-        assert all(share == sorted(share) for share in split)
-        loads = [sum(costs[i] for i in share) for share in split]
-        # the lightest share took the last record put on the heaviest one
-        assert max(loads) - min(loads) <= max(costs), (costs, shares)
-
-
 def test_the_corpus_braids_give_their_stored_values_on_any_jobs(capsys):
     outputs = {jobs: run(capsys, "batch", str(BATCH_WORDS), "--jobs", jobs) for jobs in JOBS}
     assert all(output == outputs["1"] for output in outputs.values())
@@ -82,39 +61,70 @@ def test_the_dense_words_print_the_same_on_any_jobs(capsys):
     assert code == 0 and len(out.splitlines()) == 6 and err == ""
 
 
-def test_a_killed_worker_loses_only_the_records_it_had_not_sent(four_words, capsys, monkeypatch):
+@pytest.fixture
+def dying_child(monkeypatch):
+    """plant(die, after) makes the forked child die (die() ends it) on the
+    record after the first `after` it evaluates, and the parent wait, at
+    its first record, until it has: so the child has claimed after + 1
+    records, whichever process won which claim.  plant returns a function
+    that gives the name of the record the child died on."""
     parent = os.getpid()
     exact = batch._batch_worker
+    read_end, write_end = os.pipe()
+    seen = []
 
-    def dying_on_d(task):
-        if task[0] == "d" and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
-        return exact(task)
+    def plant(die, after=0):
+        def worker(task):
+            if os.getpid() != parent:
+                seen.append(task[0])
+                if len(seen) > after:
+                    os.write(write_end, task[0].encode())
+                    die()
+            elif not seen:
+                seen.append(os.read(read_end, 64).decode())
+            return exact(task)
 
-    monkeypatch.setattr(batch, "_batch_worker", dying_on_d)
-    # equal costs: the parent takes a then c, the child b then d
+        monkeypatch.setattr(batch, "_batch_worker", worker)
+        return lambda: seen[0]
+
+    yield plant
+    os.close(read_end)
+    os.close(write_end)
+
+
+def test_a_killed_worker_loses_only_the_records_it_had_not_sent(four_words, capsys, dying_child):
+    # as the OOM killer would, on the child's second record
+    died_on = dying_child(lambda: os.kill(os.getpid(), signal.SIGKILL), after=1)
     code, out, err = run(capsys, "batch", four_words, "--jobs", "2")
     assert code == 1
-    assert names(out) == ["a", "b", "c"]
-    assert err == "error: d: its worker was killed by SIGKILL before sending it\n"
+    assert names(out) == [name for name in "abcd" if name != died_on()]
+    assert err == f"error: {died_on()}: its worker was killed by SIGKILL before sending it\n"
 
 
-def test_a_worker_that_exits_early_is_reported_with_its_status(four_words, capsys, monkeypatch):
+def test_a_worker_that_exits_early_is_reported_with_its_status(four_words, capsys, dying_child):
+    died_on = dying_child(lambda: os._exit(3))
+    code, out, err = run(capsys, "batch", four_words, "--jobs", "2")
+    assert code == 1
+    assert names(out) == [name for name in "abcd" if name != died_on()]
+    assert err == f"error: {died_on()}: its worker exited with status 3 before sending it\n"
+
+
+def test_records_taken_by_a_child_that_died_before_announcing_them_are_not_lost(
+    four_words, capsys, monkeypatch
+):
+    # the child reads a token and dies before its claim reaches the pipe:
+    # no process has claimed those records, so the parent evaluates them
+    serial = run(capsys, "batch", four_words)
     parent = os.getpid()
-    exact = batch._batch_worker
+    real_send = batch._send
 
-    def exiting_on_b(task):
-        if task[0] == "b" and os.getpid() != parent:
+    def dying_on_a_claim(out, frame):
+        if os.getpid() != parent and len(frame) == 2:
             os._exit(3)
-        return exact(task)
+        real_send(out, frame)
 
-    monkeypatch.setattr(batch, "_batch_worker", exiting_on_b)
-    code, out, err = run(capsys, "batch", four_words, "--jobs", "2")
-    assert code == 1
-    assert names(out) == ["a", "c"]
-    assert err.splitlines() == [
-        f"error: {name}: its worker exited with status 3 before sending it" for name in "bd"
-    ]
+    monkeypatch.setattr(batch, "_send", dying_on_a_claim)
+    assert run(capsys, "batch", four_words, "--jobs", "2") == serial
 
 
 def test_jobs_past_the_record_count_forks_one_child_per_record(tmp_path, capsys, monkeypatch):
@@ -132,30 +142,24 @@ def test_jobs_past_the_record_count_forks_one_child_per_record(tmp_path, capsys,
 
     monkeypatch.setattr(os, "fork", counting_fork)
     assert run(capsys, "batch", str(path), "--jobs", "100000") == serial
-    assert len(forks) == 2  # the parent evaluates the first record's share
+    assert len(forks) == 2  # the parent claims records too
 
 
 @pytest.mark.parametrize("jobs, forks", [("1", 0), ("2", 1), ("3", 2), ("4", 3)])
 def test_jobs_n_runs_n_processes(four_words, capsys, monkeypatch, jobs, forks):
     serial = run(capsys, "batch", four_words)
-    real_fork, real_cost = os.fork, batch._cost
-    counts = {"fork": 0, "cost": 0}
+    real_fork = os.fork
+    count = []
 
     def counting_fork():
-        counts["fork"] += 1
-        if counts["fork"] > 3:  # never start many processes, whatever the code asks
-            raise AssertionError(f"fork number {counts['fork']}")
+        count.append(None)
+        if len(count) > 3:  # never start many processes, whatever the code asks
+            raise AssertionError(f"fork number {len(count)}")
         return real_fork()
 
-    def counting_cost(task):
-        counts["cost"] += 1
-        return real_cost(task)
-
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(batch, "_cost", counting_cost)
     assert run(capsys, "batch", four_words, "--jobs", jobs) == serial
-    # one share needs no split, so no record is costed
-    assert counts == {"fork": forks, "cost": 0 if forks == 0 else 4}
+    assert len(count) == forks
 
 
 @pytest.mark.parametrize("jobs", ["1", "3"])
@@ -178,7 +182,7 @@ def test_a_share_that_cannot_fork_is_evaluated_in_process(four_words, capsys, mo
 
     monkeypatch.setattr(os, "fork", failing_second_fork)
     assert run(capsys, "batch", four_words, "--jobs", "3") == serial
-    assert len(forks) == 2  # the parent evaluates the first and the third share
+    assert len(forks) == 2  # the parent and one child claim every record
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -211,22 +215,65 @@ def test_batch_refuses_only_the_record_whose_value_breaks_the_parity(
     assert err == "error: b: q- and P-exponents of different parity at q^1 P^0\n"
 
 
-def test_modelled_costs_decide_the_split(tmp_path, capsys, monkeypatch):
-    # the 3-string word costs far more than the 2-string ones, so it has a
-    # share of its own; a word that fails to parse costs next to nothing
-    words = ("1 1 1", "1 2 1 2 1 2", "1 ?", "1 1")
-    cost = {w: batch._cost(("x", w, cli.DEFAULT_SIZE_CAP)) for w in words}
-    assert cost["1 2 1 2 1 2"] > cost["1 1 1"] == cost["1 1"] > cost["1 ?"] == 1
-    splits = []
-    real_split = batch.split
+def test_more_records_than_chunks_print_the_same_on_any_jobs(tmp_path, capsys, monkeypatch):
+    # 2,100 small seeded words, more than the queue's 1,024 chunks, with a
+    # refused line every 500
+    rng = random.Random(24)
+    path = tmp_path / "many.txt"
+    path.write_text("".join(
+        f"w{k} {'1 ?' if k % 500 == 7 else render(random_braid(rng, 4, 6)) or '1'}\n"
+        for k in range(2100)
+    ))
+    real_fork = os.fork
+    forks = []
 
-    def recording_split(costs, shares):
-        splits.append(real_split(costs, shares))
-        return splits[-1]
+    def at_most_three_forks():
+        forks.append(None)
+        if len(forks) > 3:  # a system with no process to spare, for --jobs 100000
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
 
-    monkeypatch.setattr(batch, "split", recording_split)
-    path = tmp_path / "words.txt"
-    path.write_text("".join(f"{name} {w}\n" for name, w in zip("awbc", words)))
-    code, out, _ = run(capsys, "batch", str(path), "--jobs", "2")
-    assert code == 1 and names(out) == ["a", "w", "c"]
-    assert splits == [[[1], [0, 2, 3]]]
+    monkeypatch.setattr(os, "fork", at_most_three_forks)
+    outputs = {}
+    for jobs in JOBS:
+        forks.clear()
+        outputs[jobs] = run(capsys, "batch", str(path), "--jobs", jobs)
+    assert all(output == outputs["1"] for output in outputs.values())
+    code, out, err = outputs["1"]
+    assert code == 1
+    assert names(out) == [f"w{k}" for k in range(2100) if k % 500 != 7]
+    assert err.count("\n") == 5
+
+
+@pytest.mark.parametrize("records", [1, 3, 1024, 1025, 2500])
+def test_the_chunks_are_the_records_in_input_order_once_each(records):
+    tasks = [(f"r{k}", "1", 0) for k in range(records)]
+    queue = batch._queue(records)
+    try:
+        chunks = list(batch._claims(tasks, queue, 0))
+    finally:
+        os.close(queue)
+    assert len(chunks) == min(records, 1024)
+    assert [i for chunk in chunks for i in chunk] == list(range(records))
+    assert {len(chunk) for chunk in chunks} <= {records // 1024, -(-records // 1024), 1}
+
+
+@pytest.mark.parametrize("k, cpu", [(0, 2), (1, 5), (2, 9), (4, 5)])
+def test_each_process_asks_for_cpu_k_mod_n_then_for_every_allowed_cpu(monkeypatch, k, cpu):
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, set(cpus))),
+                        raising=False)
+    assert batch._spread(k) == cpu
+    assert calls == [(0, {cpu}), (0, {2, 5, 9})]
+
+
+def test_the_spread_does_nothing_with_one_cpu_or_no_sched_setaffinity(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus),
+                        raising=False)
+    assert batch._spread(1) is None and calls == []
+    monkeypatch.delattr(os, "sched_setaffinity")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert batch._spread(1) is None and calls == []

@@ -205,6 +205,40 @@ def test_slide_matches_the_scan_on_random_words():
         assert braid._slide(letters) == _slide_by_scan(letters), letters
 
 
+def _merge_seam_by_scan(letters):
+    # reduce_closure's seam merge as a scan from the front that restarts
+    # after each merge, the reference for the linear-time _merge_seam
+    def blocker(indices, pos):
+        return next((k for k in indices if abs(letters[k][0] - pos) < 2), None)
+
+    i = 0
+    while i < len(letters):
+        pos, exp = letters[i]
+        if blocker(range(i - 1, -1, -1), pos) is None:
+            j = blocker(range(len(letters) - 1, i, -1), pos)
+            if j is not None and letters[j][0] == pos:
+                total = letters[j][1] + exp
+                merged = [(pos, total)] if total else []
+                letters = letters[:i] + letters[i + 1 : j] + merged + letters[j + 1 :]
+                i = 0
+                continue
+        i += 1
+    return letters
+
+
+def test_merge_seam_matches_the_scan_on_random_words():
+    rng = random.Random(24)
+    for _ in range(10000):
+        n = rng.randint(2, 7)
+        letters = [
+            (rng.randint(1, n - 1), rng.choice((1, -1, 2, -2, 3)))
+            for _ in range(rng.randint(0, 30))
+        ]
+        # as given, and as reduce_closure hands it over, after the slide
+        for word in (letters, braid._slide(letters)):
+            assert braid._merge_seam(word) == _merge_seam_by_scan(word), word
+
+
 def test_stabilize():
     b = stabilize(parse("1^3"), 1)
     assert b.n_strings == 3

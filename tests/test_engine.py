@@ -210,19 +210,6 @@ def test_evaluate_raw_respects_cap():
     assert evaluate_raw(parse("1", 6), max_size=4**12) == ZERO
 
 
-def test_modelled_cost_is_the_plan_cost_of_the_reduced_word():
-    rng = random.Random(17)
-    for _ in range(100):
-        b = random_braid(rng, max_strings=5, max_expanded_len=12)
-        reduced = reduce_closure(b)
-        split = reduced.n_strings > 1 and len(engine._touched(reduced)) < reduced.n_strings
-        assert engine.modelled_cost(b) == (0 if split else plan(reduced)[1]), b
-    assert engine.modelled_cost(parse("1 1 1")) == 16**2  # one letter on two live strings
-    assert engine.modelled_cost(parse("1 -1 3", 4)) == 0  # split: no plan
-    with pytest.raises(SizeCapExceeded):
-        engine.modelled_cost(parse("1", 6))
-
-
 def test_conjugation_invariance_examples():
     # planned as given: evaluate_raw would reduce the conjugate to the word
     rng = random.Random(99)

@@ -9,6 +9,7 @@ through ``os._exit`` has written by then.  These run ``python`` afresh.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,21 @@ def test_verbose_prints_the_engine_debug_lines(tmp_path, argv, line):
     assert "linksgould.engine: columns 0 of the open string" in lines
     oracle = [x for x in lines if x.startswith("linksgould.engine: alexander oracle: ")]
     assert len(oracle) == lines.count("linksgould.engine: columns 0 of the open string")
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_verbose_batch_logs_one_line_per_process(tmp_path, jobs):
+    (tmp_path / "words.txt").write_text("".join(f"w{k} 1 -2 1 -2\n" for k in range(6)))
+    result = python("-m", "linksgould", "batch", "-v", "--jobs", str(jobs), "words.txt",
+                    cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    pattern = re.compile(
+        r"linksgould\.batch: process (\d+), spread to CPU (\d+|-): "
+        r"claimed (\d+) records, busy (\d+\.\d{3})s"
+    )
+    lines = [m.groups() for m in map(pattern.fullmatch, result.stderr.splitlines()) if m]
+    assert sorted(int(k) for k, *_ in lines) == list(range(jobs))
+    assert sum(int(claimed) for _, _, claimed, _ in lines) == 6
 
 
 def test_a_piped_record_is_whole_at_exit(capsys):
