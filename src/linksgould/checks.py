@@ -75,7 +75,7 @@ def check_cubic_relation(eigenvalues: tuple[LaurentQP, ...] = EIGENVALUES) -> bo
     z = identity
     for lam in eigenvalues:
         z = accrete(z, combine([(ONE, r), (-lam, identity)]), 1)
-    return not z.entries
+    return not z.terms
 
 
 # (a, b) pairs for R^a R^b = R^(a+b), each sum built from R, R^-1 and sums

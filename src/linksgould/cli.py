@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.set_defaults(func=cmd_selftest)
 
     p_dump = sub.add_parser("dump-rmatrix", help="print the crossing tensor grid")
-    p_dump.add_argument("-v", "--verbose", action="store_true")
     p_dump.set_defaults(func=cmd_dump_rmatrix)
     return parser
 

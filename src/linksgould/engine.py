@@ -14,10 +14,11 @@ pairs, and the kernels (``_open_string``, ``generator_power``,
 ``accrete``) form no cell outside it.  Two restrictions are used:
   - DIAGONAL, upper == lower, at a string's last letter: the cells its
     close reads;
-  - lower index in COLUMNS on string n, where it opens.  No step changes
-    a lower index, so each column of the closed (1,1)-tangle, which is
-    lambda times the identity, is summed on its own, and one column
-    holds lambda.  The oracle, not a second column, checks it.
+  - lower index in COLUMNS on the open string (the highest touched
+    string), where it opens.  No step changes a lower index, so each
+    column of the closed (1,1)-tangle, which is lambda times the
+    identity, is summed on its own, and one column holds lambda.  The
+    oracle, not a second column, checks it.
 
 A tangle on n strings over the dimension-M basis has at most M^(2n)
 entries.  The size guard is that dense bound on the word's string count:
@@ -164,8 +165,9 @@ class SparseTangle:
     @property
     def entries(self) -> MappingProxyType:
         """{(upper, lower): value} over the nonzero cells, read-only, built
-        when first read: by entry, the tests and the bench's tracer.  No
-        kernel reads it."""
+        when first read and kept: dump-rmatrix reads all 256 cells of R
+        through entry.  The tests and the bench's tracer read it too; no
+        kernel does."""
         if self._view is None:
             self._view = MappingProxyType(
                 {_indices(self.n, cell): _value(f) for cell, f in _by_cell(self).items()}
@@ -231,8 +233,8 @@ def _digits(cells: list[tuple[int, int]]) -> int:
 ANY = (1 << _PAIR) - 1  # every pair: no restriction
 DIAGONAL = _digits([(a, a) for a in range(M_DIM)])  # the cells a close reads
 ALL_COLUMNS = tuple(range(M_DIM))
-# the lower indices of string n that evaluate_raw forms: one column holds
-# the scalar
+# the lower indices of the open string that evaluate_raw forms: one column
+# holds the scalar
 COLUMNS = (0,)
 
 
@@ -271,8 +273,8 @@ def _prepare(x: SparseTangle, low: int, keep: tuple[int, int]):
     """x's terms ready to accrete into keys whose second accreted string's
     digit starts at bit low, under keep: the mask of the digits a term of
     z is matched by, and {match: [(change to z's key, coefficient)]}.
-    Kept on x, so a power that execute accretes again at the same place is
-    prepared once."""
+    Kept on x, so R and R^-1, the module's own tangles, are prepared once
+    per place they are accreted at, over all the words of a process."""
     if x._prepared is None:
         x._prepared = {}
     found = x._prepared.get((low, keep))
@@ -545,19 +547,19 @@ def _check_scalar(t: SparseTangle, first: int, columns: tuple[int, ...]) -> None
         raise NonScalarTangleError(f"closed tangle is not scalar * identity: {detail}")
 
 
-def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
+def _rotation_costs(top: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
     """Cost of each rotation r of the word, letters[r:] + letters[:r]: the
     sum over letters of 16^(strings live at that letter), where a string
-    is live from its first letter to its last, and string n from its
-    first letter to the end.
+    is live from its first letter to its last, and the open string top
+    from its first letter to the end.
 
     Letter indices stay those of the word as written.  Moving the cut past
     letter r (from the front of the word to its back) changes the live
-    span of r's two strings only, and of string n, which then also covers
-    r.  For each of r's strings the stretch up to its next letter turns
-    dead and, unless it is string n (live to the end already), the stretch
-    since its previous letter turns live.  Over all rotations each such
-    stretch is crossed at most twice, so the whole is O(n L)."""
+    span of r's two strings only, and of string top, which then also
+    covers r.  For each of r's strings the stretch up to its next letter
+    turns dead and, unless it is string top (live to the end already), the
+    stretch since its previous letter turns live.  Over all rotations each
+    such stretch is crossed at most twice, so the whole is O(n L)."""
     size = len(letters)
     touches: dict[int, list[int]] = {}
     for t, (pos, _) in enumerate(letters):
@@ -566,7 +568,7 @@ def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
     live = [0] * (size + 1)
     for s, ts in touches.items():  # rotation 0, as a difference array
         live[ts[0]] += 1
-        live[size if s == n else ts[-1] + 1] -= 1
+        live[size if s == top else ts[-1] + 1] -= 1
     for t in range(1, size):
         live[t] += live[t - 1]
     del live[size]
@@ -591,11 +593,11 @@ def _rotation_costs(n: int, letters: tuple[tuple[int, int], ...]) -> list[int]:
     for r in range(size - 1):
         pos = letters[r][0]
         for s in (pos, pos + 1):
-            if s < n:  # the stretch since s's previous letter turns live
+            if s != top:  # the stretch since s's previous letter turns live
                 shift(prev[r, s] + 1, (r - prev[r, s] - 1) % size, 1)
             shift(r + 1, (nxt[r, s] - r - 1) % size, -1)  # and up to its next, dead
-        if n in touches and pos + 1 != n:
-            shift(r, 1, 1)  # r is now the last letter, and string n is open
+        if top in touches and pos + 1 != top:
+            shift(r, 1, 1)  # r is now the last letter, and string top is open
         costs.append(cost)
     return costs
 
@@ -612,8 +614,8 @@ def plan(
 ) -> tuple[int, int, tuple[int, ...], list[Step]]:
     """The schedule of a word, with no arithmetic: its earliest cheapest
     rotation r, r's modelled cost (see _rotation_costs), the columns (lower
-    indices of string n) it forms, and the steps (op, braid string s, live
-    index i, exponent e, keep) that evaluate it:
+    indices of the open string) it forms, and the steps (op, braid string
+    s, live index i, exponent e, keep) that evaluate it:
         ("open", s, i, 0, keep)     open string s at live index i;
         ("accrete", s, i, e, keep)  accrete R^e on live strings i, i + 1
                                     (s, s + 1);
@@ -625,23 +627,26 @@ def plan(
                                     handle.
     keep restricts the cells a step forms, one restriction per string it
     opens or accretes on: DIAGONAL on a string the next steps close,
-    lower_in(columns) where string n opens (its open step, or the take
-    that opens it), ANY elsewhere.
-    A string opens at its first letter and, unless it is string n, closes
-    after its last; a free string (s < n, untouched) opens and closes
-    before the first letter, an untouched string n opens after the last.
-    Exact: the handle on a string commutes with every operator not acting
-    on it, conjugate braids have the same closure, and no step changes a
-    lower index.  The word is planned as given; evaluate_raw plans its
-    reduced word."""
+    lower_in(columns) where the open string opens (its open step, or the
+    take that opens it), ANY elsewhere.
+    The open string (the highest touched string; string n if no letter
+    touches one) is the one left open.  A string opens at its first letter
+    and, unless it is the open string, closes after its last; a free
+    string (any other untouched string) opens and closes before the first
+    letter, so the tangle is 0 from there on and no power is formed, and
+    an untouched open string opens after the last.  Exact: the handle on a
+    string commutes with every operator not acting on it, conjugate braids
+    have the same closure, and no step changes a lower index.  The word is
+    planned as given; evaluate_raw plans its reduced word."""
     n = word.n_strings
-    costs = _rotation_costs(n, word.letters)
-    r = costs.index(min(costs))  # the earliest of the cheapest
     touched = _touched(word)
+    top = max(touched, default=n)
+    costs = _rotation_costs(top, word.letters)
+    r = costs.index(min(costs))  # the earliest of the cheapest
     # each event is the strings it touches and its exponent, 0 for no letter
-    events = [((s,), 0) for s in range(1, n) if s not in touched]
+    events = [((s,), 0) for s in range(1, n + 1) if s not in touched and s != top]
     events += [((pos, pos + 1), exp) for pos, exp in word.letters[r:] + word.letters[:r]]
-    events.append(((n,), 0))  # a no-op if string n is live already
+    events.append(((top,), 0))  # a no-op if the open string is live already
     last = {s: t for t, (span, _) in enumerate(events) for s in span}
     opening = lower_in(columns)
     live: list[int] = []
@@ -652,17 +657,17 @@ def plan(
             if s not in live:
                 bisect.insort(live, s)
                 if not take:
-                    steps.append(("open", s, live.index(s), 0, (opening if s == n else ANY,)))
+                    steps.append(("open", s, live.index(s), 0, (opening if s == top else ANY,)))
         if exp:
             keep = tuple(
-                DIAGONAL if s < n and last[s] == t
-                else opening if s == n and take
+                DIAGONAL if s != top and last[s] == t
+                else opening if s == top and take
                 else ANY
                 for s in span
             )
             steps.append(("take" if take else "accrete", span[0], live.index(span[0]), exp, keep))
         for s in reversed(span):
-            if s < n and last[s] == t:
+            if s != top and last[s] == t:
                 steps.append(("close", s, live.index(s), 0, ()))
                 live.remove(s)
     return r, costs[r], tuple(columns), steps
@@ -672,10 +677,10 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
     """Run the steps of a plan over SparseTangle, one debug line each, and
     extract the scalar from the columns the plan formed.  Each kernel forms
     only the cells its step's keep admits.  A word whose terms could
-    outgrow a packed field is refused first (_check_reach).  Each power
-    is formed once per call and prepared once per place it is accreted
-    at.  A tangle that falls empty stays empty, so no power is formed
-    after that."""
+    outgrow a packed field is refused first (_check_reach).  R and R^-1
+    are the module's own tangles, prepared once per place they are
+    accreted at; a power R^e, |e| > 1, is formed for its letter.  A tangle
+    that falls empty stays empty, so no power is formed after that."""
     rotation, cost, columns, steps = schedule
     _check_reach(sum(abs(e) for _, _, _, e, _ in steps), sum(op == "close" for op, *_ in steps))
     logger = debug_logger(__name__)
@@ -685,7 +690,6 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
         logger.debug("modelled cost %d", cost)
         logger.debug("columns %s of the open string", ", ".join(map(str, columns)))
     z = identity_tangle(0)
-    powers: dict[int, SparseTangle] = {}
     done = 0
     for op, s, i, e, keep in steps:
         if op == "open":
@@ -704,9 +708,7 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
             if op == "take":
                 z = generator_power(e, keep)
             elif z.terms:  # else a closing emptied it, and no later step refills it
-                if e not in powers:
-                    powers[e] = generator_power(e)
-                z = accrete(z, powers[e], i + 1, keep)
+                z = accrete(z, generator_power(e), i + 1, keep)
             done += 1
             if logger:
                 logger.debug(
@@ -719,24 +721,23 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
 def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP:
     """The raw value of the word's closure, a Laurent polynomial in
     q^(1/2), p: the refusals of the word as given, then the plan of its
-    reduced word executed, then the Alexander oracle on the word as given
-    (alexander.check), so that it covers the reduction too.  The refusals
-    are the size guard and _check_reach on the letters as given, since the
-    oracle reads the word as given and its work grows with those letters.
-    No power is formed for a split link (on two or more strings, the
-    reduced word leaves one untouched), whose value is 0."""
+    reduced word executed, forming the columns of the open string (the
+    highest touched string), then the Alexander oracle on the word as
+    given (alexander.check), so that it covers the reduction too.  The
+    refusals are the size guard and _check_reach on the letters as given,
+    since the oracle reads the word as given and its work grows with those
+    letters.  A split link's plan closes a free string first, so its value
+    is 0 and no power is formed."""
     _guard(word.n_strings, max_size)
     _check_reach(word.expanded_length(), 0)
     reduced = reduce_closure(word)
-    n = reduced.n_strings
-    split = n > 1 and len(_touched(reduced)) < n
     logger = debug_logger(__name__)
     if logger:
         logger.debug(
             "reduced word '%s': %d letters, %d strings",
             reduced, reduced.expanded_length(), reduced.n_strings,
         )
-    value = ZERO if split else execute(plan(reduced))
+    value = execute(plan(reduced))
     start = time.perf_counter()
     delta = alexander.check(word, value)
     if logger:

@@ -83,17 +83,10 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
     return entries
 
 
-_cache: list[CorpusEntry] | None = None
-
-
 def load_corpus() -> list[CorpusEntry]:
-    global _cache
-    if _cache is None:
-        text = (
-            resources.files("linksgould").joinpath("data", CORPUS_RESOURCE).read_text()
-        )
-        _cache = parse_corpus(text)
-    return _cache
+    """The corpus, read and parsed afresh on each call."""
+    text = resources.files("linksgould").joinpath("data", CORPUS_RESOURCE).read_text()
+    return parse_corpus(text)
 
 
 def corpus_entry(name: str) -> CorpusEntry:

@@ -31,9 +31,6 @@ class LaurentQP:
             return self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: LaurentQP) -> LaurentQP:
         out = dict(self.terms)
         for k, c in other.terms.items():

@@ -1,4 +1,3 @@
-import copy
 import json
 import re
 from pathlib import Path
@@ -297,11 +296,11 @@ def failed_rows(out):
 def test_selftest_fails_the_regression_row_on_a_wrong_stored_value(capsys, monkeypatch):
     # moved from q^0 to q^2, the value is the same at q = 1, so only the
     # regression sees it (see the next test for a change the q = 1 rows see)
-    corpus = copy.deepcopy(knotdata.load_corpus())
+    corpus = knotdata.load_corpus()
     block = next(e for e in corpus if e.name == "3_1").compact[0]
     block[0] += 1
     block[2] -= 1
-    monkeypatch.setattr(knotdata, "_cache", corpus)
+    monkeypatch.setattr(checks, "load_corpus", lambda: corpus)
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
     assert failed_rows(out) == [
@@ -316,9 +315,9 @@ def test_selftest_fails_the_regression_row_on_a_wrong_stored_value(capsys, monke
 def test_selftest_fails_the_q_one_rows_on_a_value_that_is_no_square(capsys, monkeypatch):
     # one coefficient off: LG(q = 1) of 3_1 is no longer a square, and the
     # regression sees the change too
-    corpus = copy.deepcopy(knotdata.load_corpus())
+    corpus = knotdata.load_corpus()
     next(e for e in corpus if e.name == "3_1").compact[0][0] += 1
-    monkeypatch.setattr(knotdata, "_cache", corpus)
+    monkeypatch.setattr(checks, "load_corpus", lambda: corpus)
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
     assert [line for line in out.splitlines() if "FAIL" in line][:3] == [
@@ -434,11 +433,11 @@ def test_selftest_fails_the_regression_row_on_a_parity_break(capsys, monkeypatch
 def test_selftest_fails_the_corpus_row_on_a_stored_parity_break(capsys, monkeypatch):
     # 5_2 is value-only, and moving a unit from q^0 to q^1 keeps its value
     # at q = 1, so only the structural check sees the change
-    corpus = copy.deepcopy(knotdata.load_corpus())
+    corpus = knotdata.load_corpus()
     block = next(e for e in corpus if e.name == "5_2").compact[0]
     block[0] -= 1
     block[1] = 1
-    monkeypatch.setattr(knotdata, "_cache", corpus)
+    monkeypatch.setattr(checks, "load_corpus", lambda: corpus)
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
     assert [line for line in out.splitlines() if "FAIL" in line] == [
@@ -456,6 +455,13 @@ def test_dump_rmatrix(capsys):
     assert lines[1].startswith("[1 1]")
     assert "1*q^1*p^-2" in lines[1]  # top-left cell
     assert lines[-1].rstrip().endswith("1*q^1*p^2")  # bottom-right cell
+
+
+def test_dump_rmatrix_takes_no_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-rmatrix", "-v"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
 
 
 def test_dump_rmatrix_is_unchanged(capsys):

@@ -421,6 +421,19 @@ def test_no_power_is_formed_once_the_tangle_is_empty(monkeypatch):
     assert built == [1, -1]
 
 
+def test_a_free_string_above_the_open_string_forms_no_power(monkeypatch):
+    # string 3 is free: the highest touched string, 2, is the open string
+    built = []
+
+    def counting(e, keep=(ANY, ANY)):
+        built.append(e)
+        return generator_power(e, keep)
+
+    monkeypatch.setattr(engine, "generator_power", counting)
+    assert execute(plan(parse("1^200", 3))) == ZERO
+    assert built == []
+
+
 def test_sparse_tangle_equality():
     t = SparseTangle.from_cells(1, {((0,), (0,)): ONE})
     assert t == SparseTangle.from_cells(1, {((0,), (0,)): ONE})
@@ -509,12 +522,13 @@ def test_plan_does_no_arithmetic(monkeypatch):
     for _ in range(150):
         b = random_braid(rng, max_strings=6, max_expanded_len=14)
         n = b.n_strings
-        costs = engine._rotation_costs(n, b.letters)
+        touched = {s for pos, _ in b.letters for s in (pos, pos + 1)}
+        top = max(touched, default=n)  # the open string
+        costs = engine._rotation_costs(top, b.letters)
         rotation, cost, columns, steps = engine.plan(b)
         assert columns == COLUMNS, b
         assert (rotation, cost) == (costs.index(min(costs)), min(costs)), b
         letters = b.letters[rotation:] + b.letters[:rotation]
-        touched = {s for pos, _ in letters for s in (pos, pos + 1)}
         live: list[int] = []  # the open braid strings, in order
         opened, closed, accreted, modelled = [], [], [], 0
         previous = None  # the latest step that is not a closing
@@ -524,9 +538,9 @@ def test_plan_does_no_arithmetic(monkeypatch):
                 assert s not in opened and live[:i] == [t for t in live if t < s], b
                 live.insert(i, s)
                 opened.append(s)
-                assert keep == (lower_in(COLUMNS) if s == n else ANY,), b
+                assert keep == (lower_in(COLUMNS) if s == top else ANY,), b
             elif op == "close":
-                assert s < n and live[i] == s, b
+                assert s != top and live[i] == s, b
                 if s in touched:  # right after its last letter
                     assert previous[0] in ("take", "accrete"), b
                     assert s in (previous[1], previous[1] + 1), b
@@ -553,7 +567,7 @@ def test_plan_does_no_arithmetic(monkeypatch):
                 for t, restriction in zip((s, s + 1), keep):
                     if t in closing:
                         assert restriction == DIAGONAL, b
-                    elif op == "take" and t == n:
+                    elif op == "take" and t == top:
                         assert restriction == lower_in(COLUMNS), b
                     else:
                         assert restriction == ANY, b
@@ -563,10 +577,10 @@ def test_plan_does_no_arithmetic(monkeypatch):
         assert accreted == list(letters), b
         assert modelled == min(costs), b
         assert sorted(opened) == list(range(1, n + 1)), b
-        assert sorted(closed) == list(range(1, n)), b
-        assert live == [n], b
+        assert sorted(closed) == sorted(set(range(1, n + 1)) - {top}), b
+        assert live == [top], b
         ops = [op for op, *_ in steps]
-        free = set(range(1, n)) - touched
+        free = set(range(1, n + 1)) - touched - {top}
         assert ops.count("take") == (1 if letters and not free else 0), b
         assert "take" not in ops or ops.index("take") == 0, b
 

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from linksgould.ring import ONE, ZERO, LaurentQP
@@ -97,6 +98,12 @@ def test_invert_q_and_p_are_involutions(x):
 def test_serialization_is_ascending_and_omits_zero_exponents():
     x = lqp({(3, 0): 2, (-2, 4): -1, (0, 0): 7})
     assert str(x) == "-1*q^-1*p^4 + 7 + 2*q^(3/2)"
+
+
+def test_a_polynomial_is_unhashable():
+    # its terms are a mutable dict, as a SparseTangle's are
+    with pytest.raises(TypeError):
+        hash(LaurentQP.monomial(1))
 
 
 def test_no_zero_coefficients_stored():
