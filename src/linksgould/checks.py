@@ -277,7 +277,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ", ".join(mismatched),
     )
     rows = regression(entries)
-    if args.verbose:
+    if args.table:
         for entry, detail, seconds in rows:
             word = render(entry.braid) or "(empty)"
             mark = "FAIL" if detail else "pass"

@@ -20,7 +20,8 @@ runs ``main``, flushes stdout and stderr and ends the process with
 handlers are skipped.  The program registers no exit handler and holds no
 buffered output past those flushes, so nothing is lost; an exception,
 argparse's ``SystemExit`` among them, takes the normal exit path.
-``logging`` is imported only under ``-v``.
+``logging`` is imported only under ``eval -v`` and ``batch -v``; ``selftest
+-v`` adds the regression table and no debug line.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_rmatrix(_: argparse.Namespace) -> int:
-    sig = generator_power(1)
+    sig = generator_power(1).entries
     pairs = [divmod(i, 4) for i in range(16)]  # the index pair of row or column 4a + b
-    cells = [[str(sig.entry(row, col) or ".") for col in pairs] for row in pairs]
+    cells = [[str(sig.get((row, col), ".")) for col in pairs] for row in pairs]
     widths = [max(len(row[c]) for row in cells) for c in range(16)]
     print("crossing tensor gauged by D = diag(1, 1, 1/Y, 1); row = (a b) out, col = (c d) in")
     for (a, b), row in zip(pairs, cells):
@@ -205,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--quick", action="store_true", help="skip the Markov suite")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--braids", type=_positive_int, default=100)
-    p_self.add_argument("-v", "--verbose", action="store_true")
+    # its own dest: main turns on the engine's debug lines for "verbose" only
+    p_self.add_argument("-v", "--verbose", action="store_true", dest="table")
     p_self.set_defaults(func=cmd_selftest)
 
     p_dump = sub.add_parser("dump-rmatrix", help="print the crossing tensor grid")

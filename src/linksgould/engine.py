@@ -36,7 +36,7 @@ layout can change here alone: the crossing tensor's cells, the Newton
 coefficients and the extracted scalar are ``LaurentQP`` values, and a
 tangle's cells cross the boundary as {(upper, lower): value}, index tuples
 one index per string, in through ``SparseTangle.from_cells`` and out
-through ``entries`` and ``entry``.  ``SparseTangle(n, terms)`` takes
+through ``entries``.  ``SparseTangle(n, terms)`` takes
 packed terms and is this module's own.  A field holds an exponent of at
 most ``_LIMIT`` in absolute value, and ``execute`` refuses a word whose
 terms could outgrow it (``_check_reach``) before any arithmetic.
@@ -48,11 +48,10 @@ import bisect
 import sys
 import time
 from itertools import product
-from types import MappingProxyType
 
 from . import alexander
 from .braid import BraidWord, reduce_closure
-from .ring import ONE, ZERO, LaurentQP
+from .ring import ONE, LaurentQP
 from .statemodel import EIGENVALUES, GAUGED, HANDLE_PLUS, M_DIM
 
 DEFAULT_SIZE_CAP = M_DIM ** 10  # 5 strings at M=4; one more string is refused
@@ -136,13 +135,12 @@ class SparseTangle:
     M a_s + b_s per string s, of upper index a_s and lower index b_s,
     string 1 the most significant.  The constructor takes the terms as
     they are and is this module's own; other modules build a tangle with
-    from_cells and read it through entries and entry, by (upper, lower)
-    index tuples, so SparseTangle.from_cells(t.n, t.entries) == t."""
+    from_cells and read it through entries, by (upper, lower) index
+    tuples, so SparseTangle.from_cells(t.n, t.entries) == t."""
 
     def __init__(self, n: int, terms: dict[int, int]) -> None:
         self.n = n
         self.terms = terms
-        self._view: MappingProxyType | None = None
         self._prepared: dict | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -151,7 +149,7 @@ class SparseTangle:
         return (self.n, self.terms) == (other.n, other.terms)
 
     def __repr__(self) -> str:
-        return f"SparseTangle.from_cells({self.n!r}, {dict(self.entries)!r})"
+        return f"SparseTangle.from_cells({self.n!r}, {self.entries!r})"
 
     @classmethod
     def from_cells(cls, n: int, cells: dict[tuple[Index, Index], LaurentQP]) -> SparseTangle:
@@ -163,23 +161,10 @@ class SparseTangle:
         return cls(n, terms)
 
     @property
-    def entries(self) -> MappingProxyType:
-        """{(upper, lower): value} over the nonzero cells, read-only, built
-        when first read and kept: dump-rmatrix reads all 256 cells of R
-        through entry.  The tests and the bench's tracer read it too; no
-        kernel does."""
-        if self._view is None:
-            self._view = MappingProxyType(
-                {_indices(self.n, cell): _value(f) for cell, f in _by_cell(self).items()}
-            )
-        return self._view
-
-    def entry(self, upper: Index, lower: Index) -> LaurentQP:
-        v = self.entries.get((upper, lower))
-        if v is None:
-            _key(self.n, upper, lower)  # refuses misshapen indices
-            return ZERO
-        return v
+    def entries(self) -> dict[tuple[Index, Index], LaurentQP]:
+        """{(upper, lower): value} over the nonzero cells, a new dict on
+        each read: a reader reads it once.  No kernel does."""
+        return {_indices(self.n, cell): _value(f) for cell, f in _by_cell(self).items()}
 
 
 def _by_cell(t: SparseTangle) -> dict[int, dict[int, int]]:
@@ -490,24 +475,23 @@ _CLOSING = tuple(
 )
 
 
-def close(z: SparseTangle, strings: tuple[int, ...] | None = None) -> SparseTangle:
-    """Partial trace of the given strings of z (1-based; by default every
-    string but the rightmost, which leaves a 1-string tangle) against the
-    (diagonal) left handle C+, one string at a time from the right."""
-    for j in sorted(range(1, z.n) if strings is None else strings, reverse=True):
-        low = _CELL + _DIGIT * (z.n - j)  # where string j's digit starts
-        high, rest, digit, closing = low + _DIGIT, (1 << low) - 1, _PAIR - 1, _CLOSING
-        out: dict[int, int] = {}
-        get = out.get
-        for key, c in z.terms.items():
-            term = closing[key >> low & digit]
-            if term:
-                nk = ((key >> high) << low | key & rest) + term[0]
-                out[nk] = v = get(nk, 0) + c * term[1]
-                if not v:
-                    del out[nk]
-        z = SparseTangle(z.n - 1, out)
-    return z
+def close(z: SparseTangle, j: int) -> SparseTangle:
+    """Partial trace of string j of z (1-based) against the (diagonal)
+    left handle C+: z on one string fewer."""
+    if not 1 <= j <= z.n:
+        raise ValueError(f"string {j} outside 1..{z.n}")
+    low = _CELL + _DIGIT * (z.n - j)  # where string j's digit starts
+    high, rest, digit, closing = low + _DIGIT, (1 << low) - 1, _PAIR - 1, _CLOSING
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in z.terms.items():
+        term = closing[key >> low & digit]
+        if term:
+            nk = ((key >> high) << low | key & rest) + term[0]
+            out[nk] = v = get(nk, 0) + c * term[1]
+            if not v:
+                del out[nk]
+    return SparseTangle(z.n - 1, out)
 
 
 def extract_scalar(t: SparseTangle, columns: tuple[int, ...] = ALL_COLUMNS) -> LaurentQP:
@@ -699,7 +683,7 @@ def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP
                     "opened string %d: %d live strings, %d entries", s, z.n, _cell_count(z)
                 )
         elif op == "close":
-            z = close(z, (i + 1,))
+            z = close(z, i + 1)
             if logger:
                 logger.debug(
                     "closed one string (%d): %d live strings, %d entries", s, z.n, _cell_count(z)
@@ -738,7 +722,7 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
             reduced, reduced.expanded_length(), reduced.n_strings,
         )
     value = execute(plan(reduced))
-    start = time.perf_counter()
+    start = time.perf_counter() if logger else 0.0
     delta = alexander.check(word, value)
     if logger:
         logger.debug(

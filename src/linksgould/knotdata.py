@@ -50,8 +50,7 @@ def _parse_header(line: str) -> tuple[str, int, bool, BraidWord | None]:
     if len(fields) == 4:
         if not fields[3].startswith("braid="):
             raise CorpusFormatError(f"bad braid field in {line!r}")
-        word = fields[3][len("braid="):]
-        braid = parse_braid(word) if word else parse_braid("", 1)
+        braid = parse_braid(fields[3][len("braid="):])
     return name, components, fields[2] == "amphichiral", braid
 
 
@@ -87,13 +86,6 @@ def load_corpus() -> list[CorpusEntry]:
     """The corpus, read and parsed afresh on each call."""
     text = resources.files("linksgould").joinpath("data", CORPUS_RESOURCE).read_text()
     return parse_corpus(text)
-
-
-def corpus_entry(name: str) -> CorpusEntry:
-    for e in load_corpus():
-        if e.name == name:
-            return e
-    raise KeyError(name)
 
 
 def validate_entry(entry: CorpusEntry) -> list[str]:

@@ -20,7 +20,9 @@ from linksgould.braid import BraidWord, parse
 from linksgould.cli import EVAL_ERRORS, main
 from linksgould.engine import ALL_COLUMNS, evaluate_raw, execute, plan
 from linksgould.invariant import from_compact
-from linksgould.knotdata import corpus_entry
+from linksgould.knotdata import load_corpus
+
+CORPUS = {e.name: e for e in load_corpus()}
 
 
 def identity(n):
@@ -142,7 +144,7 @@ def test_alexander_examples(word, strings, delta):
 
 @pytest.mark.parametrize("name", ["3_1", "4_1", "8_19", "10_124", "6^3_2", "JE_2_1"])
 def test_the_stored_value_at_q_one_is_the_burau_delta_squared(name):
-    entry = corpus_entry(name)
+    entry = CORPUS[name]
     f = at_q_one(from_compact(entry.compact))
     delta = alexander.alexander(entry.braid)
     assert is_square_multiple(f, delta)

@@ -9,8 +9,9 @@ import pytest
 from linksgould.braid import parse, reduce_closure
 from linksgould.engine import evaluate_raw
 from linksgould.invariant import from_compact, q_inverted, to_invariant
-from linksgould.knotdata import corpus_entry
+from linksgould.knotdata import load_corpus
 
+CORPUS = {e.name: e for e in load_corpus()}
 DENSE_WORDS = Path(__file__).resolve().parent / "data" / "dense_words.txt"
 LINES = [
     line.split(None, 1)
@@ -31,7 +32,7 @@ def test_a_dense_word_gives_its_corpus_value(name, word):
     reduced = reduce_closure(braid)  # it may slide letters, but drops none
     assert reduced.expanded_length() == braid.expanded_length()
     assert reduced.n_strings == braid.n_strings
-    expected = from_compact(corpus_entry(base).compact)
+    expected = from_compact(CORPUS[base].compact)
     if name != base:
         expected = q_inverted(expected)
     assert to_invariant(evaluate_raw(braid)) == expected

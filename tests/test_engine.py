@@ -52,9 +52,9 @@ def test_identity_tangle_sizes():
 
 
 def test_identity_tangle_is_diagonal():
-    t = identity_tangle(2)
-    assert t.entry((1, 2), (1, 2)) == ONE
-    assert t.entry((1, 2), (2, 1)) == ZERO
+    cells = identity_tangle(2).entries
+    assert cells[(1, 2), (1, 2)] == ONE
+    assert ((1, 2), (2, 1)) not in cells
 
 
 def test_size_guard():
@@ -111,24 +111,24 @@ def test_sparsity_bound_along_accretion():
             assert len(z.entries) <= bound
 
 
-def test_close_single_string_is_passthrough():
-    t = close(identity_tangle(1))
-    assert t.n == 1
-    assert all(t.entry((a,), (a,)) == ONE for a in range(4))
-    assert all(t.entry((a,), (b,)) == ZERO for a in range(4) for b in range(4) if a != b)
-
-
 def test_close_identity_two_strings_vanishes():
     # the handle is traceless, so a free closed strand kills the tangle
-    t = close(identity_tangle(2))
+    t = close(identity_tangle(2), 1)
     assert t.n == 1 and not t.entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_close_refuses_a_string_outside_the_tangle(n):
+    z = identity_tangle(n)
+    for j in (0, n + 1):
+        with pytest.raises(ValueError, match=f"string {j} outside 1..{n}"):
+            close(z, j)
 
 
 def test_trefoil_closure_is_scalar():
     z = accrete(identity_tangle(2), generator_power(3), 1)
-    t = close(z)
-    for a in range(4):
-        assert t.entry((a,), (a,)) == TREFOIL_RAW
+    t = close(z, 1)
+    assert t.entries == {((a,), (a,)): TREFOIL_RAW for a in range(4)}
     assert extract_scalar(t) == TREFOIL_RAW
 
 
@@ -228,9 +228,19 @@ def test_raw_values_live_in_the_even_subring():
 
 
 def test_sparse_tangle_entry_lookup():
-    z = SparseTangle.from_cells(1, {((1,), (1,)): ONE})
-    assert z.entry((1,), (1,)) == ONE
-    assert z.entry((0,), (1,)) == ZERO
+    cells = SparseTangle.from_cells(1, {((1,), (1,)): ONE}).entries
+    assert cells.get(((1,), (1,))) == ONE
+    assert ((0,), (1,)) not in cells
+
+
+def test_entries_is_a_new_dict_on_each_read():
+    t = generator_power(1)
+    cells = t.entries
+    assert cells == t.entries and cells is not t.entries
+    before = dict(t.terms)
+    cells.clear()
+    cells[(0, 0), (0, 1)] = ONE
+    assert t.terms == before and len(t.entries) == 26
 
 
 def test_progress_diagnostics_on_verbose_channel(caplog):
@@ -241,14 +251,21 @@ def test_progress_diagnostics_on_verbose_channel(caplog):
     assert any("closed one string" in m for m in messages)
 
 
+def close_all(z, strings):
+    """z with the given strings closed, one at a time from the right."""
+    for j in sorted(strings, reverse=True):
+        z = close(z, j)
+    return z
+
+
 def old_schedule(word):
-    """Every string open from the first letter to the last, then closed:
-    the schedule evaluate_raw used before it opened and closed strings
-    as they go live and dead."""
+    """Every string open from the first letter to the last, then every
+    string but the rightmost closed: the schedule evaluate_raw used before
+    it opened and closed strings as they go live and dead."""
     z = identity_tangle(word.n_strings)
     for pos, exp in word.letters:
         z = accrete(z, generator_power(exp), pos)
-    return extract_scalar(close(z))
+    return extract_scalar(close_all(z, range(1, z.n)))
 
 
 @st.composite
@@ -286,9 +303,9 @@ def test_take_forms_only_the_terms_its_close_reads(monkeypatch, e):
     expected = old_schedule(b)
     handed = []
 
-    def recording(z, strings=None):
+    def recording(z, j):
         handed.append(z)
-        return close(z, strings)
+        return close(z, j)
 
     monkeypatch.setattr(engine, "close", recording)
     assert execute(plan(b)) == expected
@@ -587,7 +604,7 @@ def test_plan_does_no_arithmetic(monkeypatch):
 
 # The tangle's key layout is the engine's own.  The tests below check its
 # kernels against contractions written here over index tuples, reading and
-# writing cells only through entry and from_cells.
+# writing cells only through entries and from_cells.
 
 def cells_of(n):
     return list(product(range(4), repeat=n))
@@ -606,14 +623,16 @@ def random_tangle(rng, n, density):
 
 
 def dense_accrete(z, x, j):
+    zc, xc = z.entries, x.entries
     out = {}
     for upper in cells_of(z.n):
         for lower in cells_of(z.n):
             total = ZERO
             for inner in cells_of(2):
-                xv = x.entry(upper[j - 1 : j + 1], inner)
-                if xv:
-                    total = total + xv * z.entry(upper[: j - 1] + inner + upper[j + 1 :], lower)
+                xv = xc.get((upper[j - 1 : j + 1], inner))
+                zv = zc.get((upper[: j - 1] + inner + upper[j + 1 :], lower))
+                if xv and zv:
+                    total = total + xv * zv
             out[upper, lower] = total
     return SparseTangle.from_cells(z.n, out)
 
@@ -621,17 +640,19 @@ def dense_accrete(z, x, j):
 def dense_open(z, i):
     """The nonzero cells of z with an identity string inserted after its
     first i strings."""
+    zc = z.entries
     out = {}
     for upper in cells_of(z.n + 1):
         for lower in cells_of(z.n + 1):
             if upper[i] == lower[i]:
-                v = z.entry(upper[:i] + upper[i + 1 :], lower[:i] + lower[i + 1 :])
+                v = zc.get((upper[:i] + upper[i + 1 :], lower[:i] + lower[i + 1 :]))
                 if v:
                     out[upper, lower] = v
     return out
 
 
 def dense_close(z, j):
+    zc = z.entries
     out = {}
     for upper in cells_of(z.n - 1):
         for lower in cells_of(z.n - 1):
@@ -639,7 +660,7 @@ def dense_close(z, j):
             for a in range(4):
                 upper_a = upper[: j - 1] + (a,) + upper[j - 1 :]
                 lower_a = lower[: j - 1] + (a,) + lower[j - 1 :]
-                total = total + HANDLE_PLUS[a] * z.entry(upper_a, lower_a)
+                total = total + HANDLE_PLUS[a] * zc.get((upper_a, lower_a), ZERO)
             out[upper, lower] = total
     return SparseTangle.from_cells(z.n - 1, out)
 
@@ -650,11 +671,13 @@ def dense_keep(t, strings):
 
 
 def dense_cells(t):
-    """The nonzero cells of t, {(upper, lower): value}, read one by one."""
+    """The nonzero cells of t, {(upper, lower): value}, looked up one by
+    one over every index pair."""
+    tc = t.entries
     out = {}
     for upper in cells_of(t.n):
         for lower in cells_of(t.n):
-            v = t.entry(upper, lower)
+            v = tc.get((upper, lower))
             if v:
                 out[upper, lower] = v
     return out
@@ -703,7 +726,7 @@ def test_kernels_match_dense_contractions(n):
                 keep = tuple(DIAGONAL if s in closing else ANY for s in (j, j + 1))
                 kept = accrete(z, x, j, keep)
                 assert kept == dense_keep(full, closing), (j, closing)
-                assert close(kept, closing) == close(full, closing), (j, closing)
+                assert close_all(kept, closing) == close_all(full, closing), (j, closing)
         for i in range(n + 1):
             cells = dense_open(z, i)
             assert engine._open_string(z, i) == restricted(n + 1, cells, {}), i
@@ -712,7 +735,7 @@ def test_kernels_match_dense_contractions(n):
                 assert engine._open_string(z, i, keep) == expected, (i, keep)
         cells = dense_cells(z)
         for j in range(1, n + 1):
-            assert close(z, (j,)) == dense_close(z, j), j
+            assert close(z, j) == dense_close(z, j), j
             for keep, admits in RESTRICTIONS:
                 kept = engine._restrict(z, (ANY,) * (j - 1) + (keep,) + (ANY,) * (n - j))
                 assert kept == restricted(n, cells, {j: admits}), (j, keep)
@@ -736,16 +759,14 @@ def test_closing_power_is_the_power_restricted(e):
 
 
 def test_inverse_is_the_generator_swapped_and_inverted():
-    sig, inv = generator_power(1), generator_power(-1)
-    for upper in cells_of(2):
-        for lower in cells_of(2):
-            assert inv.entry(upper[::-1], lower[::-1]) == sig.entry(upper, lower).invert_qp()
+    sig, inv = generator_power(1).entries, generator_power(-1).entries
+    assert inv == {(upper[::-1], lower[::-1]): v.invert_qp() for (upper, lower), v in sig.items()}
 
 
 def test_identity_on_no_strings_is_the_scalar_one():
-    assert identity_tangle(0).entry((), ()) == ONE
+    assert identity_tangle(0).entries == {((), ()): ONE}
     # and closing the only string of the identity leaves the handle's trace, 0
-    assert close(identity_tangle(1), (1,)).entry((), ()) == ZERO
+    assert close(identity_tangle(1), 1).entries == {}
 
 
 @pytest.mark.parametrize(
@@ -760,8 +781,7 @@ def test_identity_on_no_strings_is_the_scalar_one():
     ],
 )
 def test_entry_and_from_cells_refuse_misshapen_indices(upper, lower):
-    with pytest.raises(ValueError, match="not two 2-tuples"):
-        generator_power(1).entry(upper, lower)
+    # a cell entry is refused where it comes in, by from_cells
     with pytest.raises(ValueError, match="not two 2-tuples"):
         SparseTangle.from_cells(2, {(upper, lower): ONE})
 
@@ -781,11 +801,11 @@ FIVE_INDICES = st.tuples(*[st.integers(0, 3)] * 5)
 def test_pack_round_trips_at_the_field_edges(upper, lower, eq2, ep, dq, dp):
     cell = (upper, lower)
     t = SparseTangle.from_cells(5, {cell: LaurentQP.monomial(7, eq2, ep)})
-    assert dict(t.entries) == {cell: LaurentQP.monomial(7, eq2, ep)}
+    assert t.entries == {cell: LaurentQP.monomial(7, eq2, ep)}
     # a product with a monomial adds its exponents while they fit
     if abs(eq2 + dq) <= engine._LIMIT and abs(ep + dp) <= engine._LIMIT:
         moved = combine([(LaurentQP.monomial(1, dq, dp), t)])
-        assert dict(moved.entries) == {cell: LaurentQP.monomial(7, eq2 + dq, ep + dp)}
+        assert moved.entries == {cell: LaurentQP.monomial(7, eq2 + dq, ep + dp)}
     for q, p in ((eq2, engine._LIMIT + 1), (-engine._LIMIT - 1, ep)):
         with pytest.raises(engine.ExponentRangeError):
             SparseTangle.from_cells(5, {cell: LaurentQP.monomial(1, q, p)})
@@ -795,9 +815,7 @@ def test_cells_round_trip_through_the_packed_terms():
     value = LaurentQP({(-engine._LIMIT, engine._LIMIT): 3, (engine._LIMIT, -engine._LIMIT): -2})
     cells = {((0, 0), (0, 0)): value, ((3, 3), (3, 3)): ONE}
     t = SparseTangle.from_cells(2, cells)
-    assert dict(t.entries) == cells
-    with pytest.raises(TypeError):
-        t.entries[(0, 0), (0, 1)] = ONE  # a read-only view
+    assert t.entries == cells
     with pytest.raises(engine.ExponentRangeError):
         SparseTangle.from_cells(1, {((0,), (0,)): LaurentQP.monomial(1, engine._LIMIT + 1)})
 
@@ -805,13 +823,12 @@ def test_cells_round_trip_through_the_packed_terms():
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_from_cells_inverts_entries(n, seed):
-    # the boundary: cells in by from_cells and out by entries and entry,
-    # all keyed by (upper, lower) index tuples
+    # the boundary: cells in by from_cells and out by entries, both keyed
+    # by (upper, lower) index tuples, with no zero cell
     t = random_tangle(random.Random(seed), n, 0.3 if n < 3 else 0.02)
-    assert SparseTangle.from_cells(t.n, t.entries) == t
-    for upper in cells_of(n):
-        for lower in cells_of(n):
-            assert t.entry(upper, lower) == t.entries.get((upper, lower), ZERO)
+    cells = t.entries
+    assert SparseTangle.from_cells(t.n, cells) == t
+    assert all(cells.values())
 
 
 def reach(t):

@@ -8,13 +8,13 @@ from linksgould.checks import regression
 from linksgould.invariant import from_compact, is_palindromic_q, q_inverted
 from linksgould.knotdata import (
     CorpusFormatError,
-    corpus_entry,
     load_corpus,
     parse_corpus,
     validate_entry,
 )
 
 MANDATORY = ("3_1", "5_1", "7_1", "9_1", "2^2_1", "4_1", "6^3_2")
+CORPUS = {e.name: e for e in load_corpus()}  # read once; a test copies what it changes
 
 
 def test_corpus_loads_and_is_large():
@@ -26,25 +26,25 @@ def test_corpus_loads_and_is_large():
 
 def test_mandatory_entries_have_braids():
     for name in MANDATORY:
-        assert corpus_entry(name).braid is not None
+        assert CORPUS[name].braid is not None
 
 
 def test_trefoil_entry():
-    e = corpus_entry("3_1")
+    e = CORPUS["3_1"]
     assert e.compact == [{0: 1, 2: 2}, {1: -1, 3: -1}, {2: 1}]
     assert render(e.braid) == "1^3"
     assert e.components == 1 and not e.amphichiral
 
 
 def test_hopf_entry():
-    e = corpus_entry("2^2_1")
+    e = CORPUS["2^2_1"]
     assert e.compact == [{0: -1, 2: -1}, {1: 1}]
     assert e.components == 2
     assert components(e.braid) == 2
 
 
 def test_borromean_entry():
-    e = corpus_entry("6^3_2")
+    e = CORPUS["6^3_2"]
     assert e.amphichiral and e.components == 3
     assert components(e.braid) == 3
     assert is_palindromic_q(from_compact(e.compact))
@@ -52,7 +52,7 @@ def test_borromean_entry():
 
 def test_worked_example_entry():
     # the 8_17 blocks, including the bare trailing 1 at P^6
-    e = corpus_entry("8_17")
+    e = CORPUS["8_17"]
     assert e.compact[0] == {-4: 4, -2: 68, 0: 139, 2: 68, 4: 4}
     assert e.compact[1] == {-3: -22, -1: -102, 1: -102, 3: -22}
     assert e.compact[6] == {0: 1}
@@ -61,7 +61,7 @@ def test_worked_example_entry():
 
 def test_zero_interior_blocks_preserved():
     for name in ("10_154", "10_161"):
-        blocks = corpus_entry(name).compact
+        blocks = CORPUS[name].compact
         assert blocks[5] == {} and blocks[6]
 
 
@@ -74,7 +74,7 @@ def test_every_entry_is_consistent():
 
 def test_validate_entry_names_a_parity_break():
     # the value-only 5_2 with a unit moved from q^0 to q^1: the same at q = 1
-    entry = copy.deepcopy(corpus_entry("5_2"))
+    entry = copy.deepcopy(CORPUS["5_2"])
     entry.compact[0][0] -= 1
     entry.compact[0][1] = 1
     assert validate_entry(entry) == ["q- and P-exponents of different parity at q^1 P^0"]
@@ -148,12 +148,12 @@ def test_regression_all_pass():
 
 
 def test_regression_mandatory_subset():
-    rows = regression([corpus_entry(n) for n in MANDATORY])
+    rows = regression([CORPUS[n] for n in MANDATORY])
     assert [e.name for e, detail, _ in rows if not detail] == list(MANDATORY)
 
 
 def test_fault_injection_reports_exactly_one_failure():
-    entries = [copy.deepcopy(corpus_entry(n)) for n in ("3_1", "4_1")]
+    entries = [copy.deepcopy(CORPUS[n]) for n in ("3_1", "4_1")]
     entries[0].compact[0][0] += 1
     failures = [(e.name, detail) for e, detail, _ in regression(entries) if detail]
     assert len(failures) == 1
@@ -162,7 +162,7 @@ def test_fault_injection_reports_exactly_one_failure():
 
 
 def test_value_only_entries_are_skipped():
-    assert regression([corpus_entry("8_1")]) == []
+    assert regression([CORPUS["8_1"]]) == []
 
 
 def test_parse_corpus_errors():

@@ -189,6 +189,13 @@ def test_verbose_prints_the_engine_debug_lines(tmp_path, argv, line):
     assert len(oracle) == lines.count("linksgould.engine: columns 0 of the open string")
 
 
+def test_verbose_selftest_prints_the_table_and_no_debug_line():
+    result = python("-X", "dev", "-W", "error", "-m", "linksgould", "selftest", "--quick", "-v")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert sum("braid=" in line for line in result.stdout.splitlines()) == 14
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_verbose_batch_logs_one_line_per_process(tmp_path, jobs):
     (tmp_path / "words.txt").write_text("".join(f"w{k} 1 -2 1 -2\n" for k in range(6)))
