@@ -30,31 +30,26 @@ class AlexanderMismatchError(RuntimeError):
     polynomial of the word it was evaluated from."""
 
 
-def _mul(f: Poly, g: Poly) -> Poly:
+def _products(*terms: tuple[int, Poly, Poly]) -> Poly:
+    """The sum of sign * f * g over (sign, f, g), formed in one dict."""
     out: Poly = {}
     get = out.get
-    for a, x in f.items():
-        for b, y in g.items():
-            out[a + b] = get(a + b, 0) + x * y
+    for sign, f, g in terms:
+        for a, x in f.items():
+            x *= sign
+            for b, y in g.items():
+                out[a + b] = get(a + b, 0) + x * y
     return {e: c for e, c in out.items() if c}
 
 
-def _cross(a: Poly, b: Poly, c: Poly, d: Poly) -> Poly:
-    """a b - c d, formed in one dict."""
-    out: Poly = {}
-    get = out.get
-    for (f, g, sign) in ((a, b, 1), (c, d, -1)):
-        for e1, x in f.items():
-            for e2, y in g.items():
-                out[e1 + e2] = get(e1 + e2, 0) + sign * x * y
-    return {e: v for e, v in out.items() if v}
-
-
-def _add(f: Poly, g: Poly, sign: int = 1) -> Poly:
-    """f + sign * g."""
+def _sum(f: Poly, g: Poly, h: Poly) -> Poly:
+    """f + g - h, formed in one dict.  Every sum the oracle forms has this
+    shape, and fixed signs cost less per call than a list of signed terms."""
     out = dict(f)
     for e, c in g.items():
-        out[e] = out.get(e, 0) + sign * c
+        out[e] = out.get(e, 0) + c
+    for e, c in h.items():
+        out[e] = out.get(e, 0) - c
     return {e: c for e, c in out.items() if c}
 
 
@@ -68,28 +63,18 @@ def _alpha(e: int) -> Poly:
     return {k: -sign[k & 1] for k in range(e, 0)}
 
 
-def _kept(x: Poly, y: Poly, z: Poly) -> Poly:
-    """x + y - z."""
-    out = dict(x)
-    for e, c in y.items():
-        out[e] = out.get(e, 0) + c
-    for e, c in z.items():
-        out[e] = out.get(e, 0) - c
-    return {e: c for e, c in out.items() if c}
-
-
 def _letter(x: Poly, y: Poly, e: int) -> tuple[Poly, Poly]:
     """A row's entries (x, y) at i, i + 1 times sigma_i^e's block:
     (x, y) M^e = (x - d, y + d) with d = alpha (t x - y) (see _alpha), so
     the letter keeps x + y.  At e = 1, y + d = t x; at e = -1, x - d = y / t."""
     if e == 1:
         new_y = {k + 1: c for k, c in x.items()}
-    elif e == -1:
+        return _sum(x, y, new_y), new_y
+    if e == -1:
         new_x = {k - 1: c for k, c in y.items()}
-        return new_x, _kept(x, y, new_x)
-    else:
-        new_y = _add(y, _mul(_alpha(e), _add({k + 1: c for k, c in x.items()}, y, -1)))
-    return _kept(x, y, new_y), new_y
+        return new_x, _sum(x, y, new_x)
+    d = _products((1, _alpha(e), _sum({k + 1: c for k, c in x.items()}, {}, y)))
+    return _sum(x, {}, d), _sum(y, d, {})
 
 
 def burau(word: BraidWord) -> list[list[Poly]]:
@@ -138,7 +123,7 @@ def _determinant(m: list[list[Poly]]) -> Poly:
             m[k], m[pivot], sign = m[pivot], m[k], -sign
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                cross = _cross(m[k][k], m[i][j], m[i][k], m[k][j])
+                cross = _products((1, m[k][k], m[i][j]), (-1, m[i][k], m[k][j]))
                 m[i][j] = _divide(cross, previous) if k else cross
         previous = m[k][k]
     return {e: sign * c for e, c in previous.items()}
@@ -150,7 +135,7 @@ def alexander(word: BraidWord) -> Poly:
     with row 1 and column 1 deleted, formed as (-1)^(n-1) det(B' - I)."""
     minor = [row[1:] for row in burau(word)]
     for r, row in enumerate(minor):
-        row[r] = _add(row[r], {0: 1}, -1)
+        row[r] = _sum(row[r], {}, {0: 1})
     delta = _determinant(minor)
     return {e: -c for e, c in delta.items()} if len(minor) % 2 else delta
 
@@ -161,26 +146,24 @@ def _at(f: Poly, bits: int) -> int:
     return sum(c << bits * (e - low) for e, c in f.items())
 
 
-def is_square_multiple(f: Poly, g: Poly, step: int = 1) -> bool:
-    """Whether f(x) = x^k g(x^step)^2 for some integer k.  Both sides are
-    read at x = 2^bits, each shifted to start at x^0, with bits chosen so
-    that no coefficient of either reaches 2^(bits - 1) in absolute value:
-    two such polynomials are equal exactly when those integers are
-    (Kronecker substitution), and one big-integer square costs far less
-    than squaring g term by term."""
+def is_square_multiple(f: Poly, g: Poly) -> bool:
+    """Whether f(p) = p^k g(p^2)^2 for some integer k: a raw value at q = 1
+    against Delta(P), P = p^2.  Both sides are read at p = 2^bits, each
+    shifted to start at p^0, with bits chosen so that no coefficient of
+    either reaches 2^(bits - 1) in absolute value: two such polynomials are
+    equal exactly when those integers are (Kronecker substitution), and one
+    big-integer square costs far less than squaring g term by term."""
     if not f or not g:
         return f == g
     bound = max(max(map(abs, f.values())), sum(map(abs, g.values())) ** 2)
     bits = bound.bit_length() + 2
-    return _at(f, bits) == _at(g, bits * step) ** 2
+    return _at(f, bits) == _at(g, 2 * bits) ** 2
 
 
-def at_q_one(terms: dict[tuple[int, int], int]) -> Poly:
-    """A polynomial in q and one other variable, {(q-exponent, exponent):
-    coefficient}, at q = 1: a raw value's terms give it in p, an
-    invariant polynomial in P."""
+def at_q_one(value: LaurentQP) -> Poly:
+    """A raw value at q = 1, a polynomial in p."""
     out: Poly = {}
-    for (_, e), c in terms.items():
+    for (_, e), c in value.terms.items():
         out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
@@ -190,7 +173,7 @@ def check(word: BraidWord, value: LaurentQP) -> Poly:
     closure (in q^(1/2) and p, P = p^2) is checked to be P^k Delta(P)^2 at
     q = 1; AlexanderMismatchError if it is not."""
     delta = alexander(word)
-    if not is_square_multiple(at_q_one(value.terms), delta, 2):
+    if not is_square_multiple(at_q_one(value), delta):
         raise AlexanderMismatchError(
             f"value at q = 1 is not P^k Delta(P)^2 for the braid's Alexander polynomial"
             f" Delta ({len(delta)} terms, from its Burau matrix)"
@@ -218,4 +201,4 @@ def square_root(f: Poly) -> Poly | None:
             return None
         if c:
             g[e] = c
-    return g if _mul(g, g) == f else None
+    return g if _products((1, g, g)) == f else None

@@ -11,7 +11,6 @@ times; negative k means |k| copies of the inverse of the generator given.
 
 from __future__ import annotations
 
-import random
 import re
 from collections import deque
 
@@ -280,8 +279,10 @@ def _destabilize(
 
 
 def random_braid(
-    rng: random.Random, max_strings: int = 4, max_expanded_len: int = 8
+    rng: "random.Random", max_strings: int = 4, max_expanded_len: int = 8
 ) -> BraidWord:
+    # the annotation is text: eval never draws a random braid, so it does not
+    # import random (nor typing, which TYPE_CHECKING would need)
     n = rng.randint(2, max_strings)
     length = rng.randint(0, max_expanded_len)
     letters: list[tuple[int, int]] = []

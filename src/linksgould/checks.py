@@ -7,10 +7,10 @@ generator's powers, the handles' closed forms and traces, and the handle's
 commuting with the generator.  The regression evaluates every corpus entry
 that carries a braid word through ``cli.evaluate``, the pipeline of the
 API, eval and batch, and compares it bit-exactly with the stored value.
-The Alexander row compares the stored value of each of those entries at
-q = 1 with the Burau Delta of its braid.  The Markov-move property suite
-also checks reduce_closure and the column evaluate_raw forms, and keys its
-failures by check.  A refused evaluation fails a row, not the command.
+The Alexander row runs the oracle every evaluation passes, alexander.check,
+on the stored value of each of those entries.  The Markov-move property
+suite also checks reduce_closure and the column evaluate_raw forms, and
+keys its failures by check.  A refused evaluation fails a row, not the command.
 ``cmd_selftest`` prints one row per check and returns the exit code.
 """
 
@@ -20,7 +20,7 @@ import argparse
 import random
 import time
 
-from .alexander import alexander, at_q_one, is_square_multiple
+from . import alexander
 from .braid import (
     BraidWord,
     conjugate,
@@ -43,7 +43,9 @@ from .engine import (
     identity_tangle,
     plan,
 )
-from .invariant import from_compact, q_inverted, render_machine, to_compact, to_invariant
+from .invariant import (
+    from_compact, q_inverted, render_machine, to_compact, to_invariant, to_raw
+)
 from .knotdata import CorpusEntry, load_corpus, validate_entry
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS, M_DIM, Diagonal
@@ -225,14 +227,17 @@ def regression(entries: list[CorpusEntry]) -> list[tuple[CorpusEntry, str, float
 
 
 def alexander_mismatches(entries: list[CorpusEntry]) -> list[str]:
-    """The names of the entries with a braid word whose stored value at
-    q = 1 is not P^k Delta(P)^2, Delta from the braid's Burau matrix."""
-    return [
-        entry.name
-        for entry in entries
-        if entry.braid is not None
-        and not is_square_multiple(at_q_one(from_compact(entry.compact)), alexander(entry.braid))
-    ]
+    """The names of the entries with a braid word whose stored value
+    alexander.check refuses, the check every evaluation passes."""
+    mismatched = []
+    for entry in entries:
+        if entry.braid is None:
+            continue
+        try:
+            alexander.check(entry.braid, to_raw(from_compact(entry.compact)))
+        except alexander.AlexanderMismatchError:
+            mismatched.append(entry.name)
+    return mismatched
 
 
 IDENTITIES = (

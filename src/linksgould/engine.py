@@ -709,9 +709,11 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     highest touched string), then the Alexander oracle on the word as
     given (alexander.check), so that it covers the reduction too.  The
     refusals are the size guard and _check_reach on the letters as given,
-    since the oracle reads the word as given and its work grows with those
-    letters.  A split link's plan closes a free string first, so its value
-    is 0 and no power is formed."""
+    so whether a word is refused does not depend on how far it reduces.
+    Neither bounds the oracle's time: the Burau coefficients of the word as
+    given can grow with its letters even when it reduces to nothing (see
+    README, "Storage wall").  A split link's plan closes a free string
+    first, so its value is 0 and no power is formed."""
     _guard(word.n_strings, max_size)
     _check_reach(word.expanded_length(), 0)
     reduced = reduce_closure(word)

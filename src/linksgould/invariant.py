@@ -48,6 +48,12 @@ def to_invariant(raw: LaurentQP) -> InvariantPoly:
     return poly
 
 
+def to_raw(poly: InvariantPoly) -> LaurentQP:
+    """The raw value of an invariant polynomial, in q^(1/2) and p: the
+    inverse of to_invariant's exponent map."""
+    return LaurentQP({(2 * eq, 2 * eP): c for (eq, eP), c in poly.items()})
+
+
 def to_compact(poly: InvariantPoly) -> CompactForm:
     """q-polynomial blocks for P^0, P^1, ..., P^K (negative powers are
     implied by symmetry), each in ascending q-exponent order; interior zero

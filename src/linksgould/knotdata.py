@@ -20,9 +20,8 @@ from importlib import resources
 from .alexander import at_q_one, square_root
 from .braid import BraidWord, components, parse as parse_braid
 from .invariant import (
-    CompactForm, StructureError, from_compact, is_palindromic_q, parse_machine, to_invariant
+    StructureError, from_compact, is_palindromic_q, parse_machine, to_invariant, to_raw
 )
-from .ring import LaurentQP
 
 CORPUS_RESOURCE = "lg_table.txt"
 
@@ -97,14 +96,14 @@ def validate_entry(entry: CorpusEntry) -> list[str]:
     for a knot and 0 for a link."""
     problems = []
     poly = from_compact(entry.compact)
+    raw = to_raw(poly)
     try:
-        to_invariant(LaurentQP({(2 * eq, 2 * eP): c for (eq, eP), c in poly.items()}))
+        to_invariant(raw)
     except StructureError as exc:
         problems.append(str(exc))
     if entry.amphichiral != is_palindromic_q(poly):
         problems.append("amphichirality flag disagrees with q-palindromicity")
-    # in P^(1/2), whose exponents are twice those of P
-    root = square_root({2 * k: c for k, c in at_q_one(poly).items()})
+    root = square_root(at_q_one(raw))  # in p = P^(1/2)
     if root is None:
         problems.append("LG(q = 1) is not the square of an integer Laurent polynomial")
     elif abs(sum(root.values())) != (1 if entry.components == 1 else 0):

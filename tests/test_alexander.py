@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from linksgould import alexander, engine
 from linksgould.alexander import (
     AlexanderMismatchError,
-    _add,
     _determinant,
-    _mul,
+    _products,
+    _sum,
     at_q_one,
     burau,
     check,
@@ -19,10 +20,52 @@ from linksgould.alexander import (
 from linksgould.braid import BraidWord, parse
 from linksgould.cli import EVAL_ERRORS, main
 from linksgould.engine import ALL_COLUMNS, evaluate_raw, execute, plan
-from linksgould.invariant import from_compact
+from linksgould.invariant import from_compact, to_raw
 from linksgould.knotdata import load_corpus
 
 CORPUS = {e.name: e for e in load_corpus()}
+
+
+# reference arithmetic for the checks below, sharing no code with alexander.py
+
+
+def nonzero(counts):
+    return {e: c for e, c in counts.items() if c}
+
+
+def times(f, g):
+    out = Counter()
+    for (a, x), (b, y) in product(f.items(), g.items()):
+        out[a + b] += x * y
+    return nonzero(out)
+
+
+def plus(*polys):
+    out = Counter()
+    for poly in polys:
+        out.update(poly)
+    return nonzero(out)
+
+
+def minus(f):
+    return {e: -c for e, c in f.items()}
+
+
+polys = st.dictionaries(st.integers(-6, 6), st.integers(-(2**70), 2**70).filter(bool), max_size=5)
+signs = st.sampled_from((1, -1))
+
+
+@given(st.lists(st.tuples(signs, polys, polys), max_size=4))
+def test_products_is_the_signed_sum_of_the_products(terms):
+    expected = plus(*(times(f, g) if s > 0 else minus(times(f, g)) for s, f, g in terms))
+    assert _products(*terms) == expected
+
+
+@given(polys, polys, polys)
+def test_sum_is_f_plus_g_minus_h_and_leaves_its_operands(f, g, h):
+    kept = [dict(f), dict(g), dict(h)]
+    assert _sum(f, g, h) == plus(f, g, minus(h))
+    assert [f, g, h] == kept
 
 
 def identity(n):
@@ -36,7 +79,7 @@ def full(word):
     first = [{c: 1} for c in range(word.n_strings)]
     for r, row in enumerate(rows, start=1):
         for c, entry in enumerate(row):
-            first[c] = _add(first[c], {e + r: v for e, v in entry.items()}, -1)
+            first[c] = plus(first[c], minus({e + r: v for e, v in entry.items()}))
     return [first] + rows
 
 
@@ -80,18 +123,11 @@ def test_the_rows_are_the_matrix_product():
     assert full(parse("-1")) == [[{}, {0: 1}], [{-1: 1}, {0: 1, -1: -1}]]
     u, v = parse("1 -2 1", 3), parse("2 2 -1", 3)
     bu, bv = full(u), full(v)
-    product = [
-        [sum_polys(_mul(bu[r][k], bv[k][c]) for k in range(3)) for c in range(3)]
+    expected = [
+        [plus(*(times(bu[r][k], bv[k][c]) for k in range(3))) for c in range(3)]
         for r in range(3)
     ]
-    assert full(BraidWord(3, u.letters + v.letters)) == product
-
-
-def sum_polys(polys):
-    out = {}
-    for p in polys:
-        out = _add(out, p)
-    return out
+    assert full(BraidWord(3, u.letters + v.letters)) == expected
 
 
 def cofactor_determinant(m):
@@ -106,8 +142,8 @@ def cofactor_determinant(m):
                     sign = -sign
         term = {0: sign}
         for r, c in enumerate(perm):
-            term = _mul(term, m[r][c])
-        total = _add(total, term)
+            term = times(term, m[r][c])
+        total = plus(total, term)
     return total
 
 
@@ -145,29 +181,31 @@ def test_alexander_examples(word, strings, delta):
 @pytest.mark.parametrize("name", ["3_1", "4_1", "8_19", "10_124", "6^3_2", "JE_2_1"])
 def test_the_stored_value_at_q_one_is_the_burau_delta_squared(name):
     entry = CORPUS[name]
-    f = at_q_one(from_compact(entry.compact))
+    f = at_q_one(to_raw(from_compact(entry.compact)))  # in p, P = p^2
     delta = alexander.alexander(entry.braid)
     assert is_square_multiple(f, delta)
-    root = square_root({2 * k: c for k, c in f.items()})
+    root = square_root(f)
     assert root is not None and len(root) == len(delta)
 
 
 def test_is_square_multiple_examples():
+    # f in p against g in P = p^2: f(p) = p^k g(p^2)^2
     g = {0: 1, 1: -1, 2: 1}
-    square = {0: 1, 1: -2, 2: 3, 3: -2, 4: 1}
+    square = {0: 1, 2: -2, 4: 3, 6: -2, 8: 1}  # g(p^2)^2
     assert is_square_multiple(square, g)
-    assert is_square_multiple({e - 7: c for e, c in square.items()}, g)  # times x^-7
-    assert is_square_multiple({2 * e + 3: c for e, c in square.items()}, g, 2)
-    assert not is_square_multiple({e: -c for e, c in square.items()}, g)  # -g^2
-    assert not is_square_multiple({**square, 2: 4}, g)
-    assert not is_square_multiple(square, g, 2)
+    assert is_square_multiple({e - 7: c for e, c in square.items()}, g)  # times p^-7
+    assert is_square_multiple({e + 3: c for e, c in square.items()}, g)  # times p^3
+    assert not is_square_multiple(minus(square), g)  # -g(p^2)^2
+    assert not is_square_multiple({**square, 4: 4}, g)
+    assert not is_square_multiple({e // 2: c for e, c in square.items()}, g)  # g(p)^2
     assert not is_square_multiple({**square, 9: 1}, g)
     assert is_square_multiple({}, {}) and not is_square_multiple({}, g)
     assert not is_square_multiple({0: 1}, {})
     # coefficients far past the bits of one of them: still exact
     big = {0: 2**70, 5: -(2**70) + 1, 9: 3}
-    assert is_square_multiple(_mul(big, big), big)
-    assert not is_square_multiple(_add(_mul(big, big), {9: 1}), big)
+    spread = {2 * e: c for e, c in big.items()}  # big(p^2)
+    assert is_square_multiple(times(spread, spread), big)
+    assert not is_square_multiple(plus(times(spread, spread), {9: 1}), big)
 
 
 def test_square_root_inverts_a_square():
@@ -175,7 +213,7 @@ def test_square_root_inverts_a_square():
     assert square_root({0: 4}) == {0: 2}
     assert square_root({4: 1, 0: -1}) is None
     g = {3: 2, 1: -5, 0: 1, -4: 7}
-    assert square_root(_mul(g, g)) == g
+    assert square_root(times(g, g)) == g
 
 
 @st.composite
@@ -214,7 +252,7 @@ def test_a_mismatch_is_one_error_line_from_eval_and_a_record_error_in_batch(
 
     def wrong_for_the_trefoil(word):
         delta = real(word)
-        return _add(delta, {0: 1}) if word == parse("1 1 1") else delta
+        return plus(delta, {0: 1}) if word == parse("1 1 1") else delta
 
     monkeypatch.setattr(alexander, "alexander", wrong_for_the_trefoil)
     assert main(["eval", "1 1 1"]) == 1

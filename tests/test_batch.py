@@ -54,8 +54,9 @@ def test_the_corpus_braids_give_their_stored_values_on_any_jobs(capsys):
 
 
 def test_the_dense_words_print_the_same_on_any_jobs(capsys):
+    # --jobs 3 and a count past the records are pinned on other lists
     outputs = {jobs: run(capsys, "batch", str(DATA / "dense_words.txt"), "--jobs", jobs)
-               for jobs in JOBS}
+               for jobs in ("1", "2")}
     assert all(output == outputs["1"] for output in outputs.values())
     code, out, err = outputs["1"]
     assert code == 0 and len(out.splitlines()) == 6 and err == ""

@@ -369,7 +369,6 @@ def test_selftest_fails_rows_on_a_value_the_oracle_refuses(capsys, monkeypatch):
         return {e: 2 * c for e, c in delta.items()} if render(word) == "1^3" else delta
 
     monkeypatch.setattr(alexander, "alexander", doubled_for_the_trefoil)
-    monkeypatch.setattr(checks, "alexander", doubled_for_the_trefoil)
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
     lines = out.splitlines()
@@ -380,6 +379,28 @@ def test_selftest_fails_rows_on_a_value_the_oracle_refuses(capsys, monkeypatch):
     after = lines[lines.index(failed_rows(out)[0]) + 1 :]
     assert after[0].startswith("    3_1: AlexanderMismatchError: ")
     assert after[1:] == ["result: 2 FAILED"]
+
+
+def test_the_alexander_row_runs_the_oracle_of_every_evaluation(capsys, monkeypatch):
+    # a check that refuses the figure eight's braid: the alexander row
+    # calls alexander.check on the stored value and names the entry, and
+    # the regression's evaluation of that braid is refused by the same check
+    figure_eight = next(e.braid for e in knotdata.load_corpus() if e.name == "4_1")
+    real = alexander.check
+
+    def refusing_the_figure_eight(word, value):
+        if word == figure_eight:
+            raise alexander.AlexanderMismatchError("planted refusal")
+        return real(word, value)
+
+    monkeypatch.setattr(alexander, "check", refusing_the_figure_eight)
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert [line for line in out.splitlines() if "  FAIL" in line] == [
+        "alexander stored LG(q=1) = P^k Delta^2 on 14 braids  FAIL  4_1",
+        "corpus    regression (14 evaluated, 253 value-only)  FAIL",
+    ]
+    assert "    4_1: AlexanderMismatchError: planted refusal" in out.splitlines()
 
 
 def test_selftest_fails_the_first_markov_row_on_a_refused_evaluation(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from linksgould.invariant import (
     render_qpoly,
     to_compact,
     to_invariant,
+    to_raw,
 )
 from linksgould.ring import LaurentQP
 
@@ -71,6 +72,15 @@ qpolys = st.dictionaries(st.integers(-5, 5), st.integers(-9, 9).filter(bool), ma
 
 
 @given(st.lists(qpolys, min_size=1, max_size=5))
+def test_to_raw_inverts_to_invariant(blocks):
+    # each q-exponent moved to its P-power's parity, as to_invariant asks
+    poly = from_compact(
+        [{2 * eq + k % 2: c for eq, c in block.items()} for k, block in enumerate(blocks)]
+    )
+    assert to_invariant(to_raw(poly)) == poly
+
+
+@given(st.lists(qpolys, min_size=1, max_size=5))
 def test_compact_round_trip(blocks):
     while len(blocks) > 1 and not blocks[-1]:
         blocks.pop()
@@ -97,8 +107,7 @@ def test_parity():
     # a value is a Laurent polynomial in q/P and qP: each term's q- and
     # P-exponents have the same parity, and a term that breaks it is refused
     for poly in (TREFOIL, HOPF, FIG8):
-        raw = LaurentQP({(2 * eq, 2 * eP): c for (eq, eP), c in poly.items()})
-        assert to_invariant(raw) == poly
+        assert to_invariant(to_raw(poly)) == poly
     for raw in ({(2, 0): 1, (0, 0): 2}, {(0, 2): 1, (0, -2): 1}):
         with pytest.raises(StructureError, match="different parity"):
             to_invariant(LaurentQP(raw))

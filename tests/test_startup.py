@@ -28,6 +28,7 @@ UNUSED_BY_EVAL = (
     "dataclasses",
     "json",
     "logging",
+    "random",
     "linksgould.batch",
     "linksgould.checks",
     "linksgould.knotdata",
