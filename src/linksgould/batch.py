@@ -9,13 +9,15 @@ in input order, so the run ends at most one chunk's time (one record's,
 up to 1024 records) after an ideal split.  Right after the fork each
 process moves itself to its own allowed CPU and allows them all again
 (``_spread``): the kernel leaves a forked child on its parent's CPU.  A
-child announces each claim on its pipe before it evaluates the chunk, so
-one that dies loses only the records it had claimed and not sent, each
-reported with its signal or exit status.  A failed fork or no ``os.fork``
-just means fewer claimants, so ``--jobs 1`` runs the same code.  No
-process pool is imported: the command starts no thread, so forking it is
-safe.  ``-v`` logs one line per process: the CPU it was spread to, the
-records it claimed and the seconds it was busy.
+child writes to an unlinked temporary file of its own each claim, before
+it evaluates the chunk, and then its records; the parent reads the file
+once the child has ended.  So a child that dies loses only the records it
+had claimed and not written, each reported with its signal or exit
+status.  A refused fork or file, or no ``os.fork``, just means fewer
+claimants, so ``--jobs 1`` runs the same code.  No process pool is
+imported: the command starts no thread, so forking it is safe.  ``-v``
+logs one line per process: the CPU it was spread to, the records it
+claimed and the seconds it was busy.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import argparse
 import gc
 import marshal
 import os
-import select
 import sys
+import tempfile
 import time
 from collections.abc import Iterator
-from io import BufferedWriter
+from io import BufferedRandom
 
 from .cli import EVAL_ERRORS, _render, evaluate
 from .engine import debug_logger
@@ -58,38 +60,32 @@ def run(tasks: list[Task], jobs: int) -> list[Result]:
     """Every task's result in input order, from the parent and up to
     jobs - 1 forked children claiming chunks of them from one queue."""
     queue = _queue(len(tasks))
-    children: dict[int, tuple[int, bytearray]] = {}  # read end: pid, data
+    children: list[tuple[int, BufferedRandom]] = []  # pid, the file of its frames
     # the children's collections then neither scan nor copy the parent's objects
     gc.freeze()
     try:
         for k in range(1, min(jobs, len(tasks), _TOKENS)):
             try:
-                pid, read_end = _start(tasks, queue, k, list(children))
-            except OSError as exc:  # no process or pipe to spare: fewer claimants
+                children.append(_start(tasks, queue, k))
+            except OSError as exc:  # no process or file to spare: fewer claimants
                 logger = debug_logger(__name__)
                 if logger:
                     logger.debug("no worker %d (%s): %d process(es) claim the records", k, exc, k)
                 break
-            children[read_end] = (pid, bytearray())
     finally:
         gc.unfreeze()
-    poller = select.poll() if children else None  # Windows has neither fork nor poll
-    for fd in children:
-        poller.register(fd, select.POLLIN)
     results: list[Result | None] = [None] * len(tasks)
-    open_pipes = len(children)
     for chunk in _claims(tasks, queue, 0):
         for i in chunk:
             results[i] = _batch_worker(tasks[i])
-            if open_pipes:
-                open_pipes -= _receive(poller, children, 0)
     os.close(queue)
-    while open_pipes:
-        open_pipes -= _receive(poller, children, None)
-    for pid, data in children.values():
+    for pid, file in children:
         _, status = os.waitpid(pid, 0)
         lost = _lost(status)
-        for frame in _frames(data):
+        with file:
+            file.seek(0)
+            frames = _frames(file.read())
+        for frame in frames:
             if len(frame) == 2:  # a claim, (start, stop): lost until the records come
                 for i in range(*frame):
                     results[i] = (tasks[i][0], False, lost)
@@ -151,29 +147,24 @@ def _spread(k: int) -> int | None:
     return cpu
 
 
-def _start(tasks: list[Task], queue: int, k: int, inherited: list[int]) -> tuple[int, int]:
-    """Fork child k, which claims chunks from the queue and, on a pipe,
-    announces each claim before it evaluates the chunk and sends each
-    record; returns the child's pid and the pipe's read end, or raises
-    OSError with no process, pipe or os.fork to spare.  inherited are the
-    read ends of earlier children, which this child closes."""
+def _start(tasks: list[Task], queue: int, k: int) -> tuple[int, BufferedRandom]:
+    """Fork child k, which claims chunks from the queue and, in an unlinked
+    temporary file of its own, announces each claim before it evaluates
+    the chunk and writes each record; returns the child's pid and that
+    file, or raises OSError with no process, file or os.fork to spare."""
     if not hasattr(os, "fork"):
         raise OSError("no os.fork on this platform")
-    read_end, write_end = os.pipe()
+    out = tempfile.TemporaryFile()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
+        out.close()
         raise
     if pid:
-        os.close(write_end)
-        return pid, read_end
+        return pid, out
     code = 1
     try:
-        for fd in (read_end, *inherited):
-            os.close(fd)
-        with open(write_end, "wb") as out:
+        with out:  # whose close writes every finished record, also when the child raises
             for chunk in _claims(tasks, queue, k):
                 _send(out, (chunk.start, chunk.stop))
                 out.flush()  # with the records of the chunk before
@@ -184,7 +175,7 @@ def _start(tasks: list[Task], queue: int, k: int, inherited: list[int]) -> tuple
         _exit_child(code)
 
 
-def _send(out: BufferedWriter, frame: tuple) -> None:
+def _send(out: BufferedRandom, frame: tuple) -> None:
     data = marshal.dumps(frame)
     out.write(len(data).to_bytes(_TOKEN, "little") + data)
 
@@ -205,22 +196,6 @@ def _exit_child(code: int) -> None:
     if util is not None:
         util._run_finalizers(0)
     os._exit(code)
-
-
-def _receive(poller: select.poll, children: dict, timeout: int | None) -> int:
-    """Append what has arrived on the children's pipes to their data,
-    waiting up to timeout ms (None: as long as it takes) for a pipe to be
-    ready; returns how many pipes it found closed by their writer, which
-    it closes too."""
-    closed = 0
-    for fd, _ in poller.poll(timeout):
-        chunk = os.read(fd, 1 << 16)
-        children[fd][1].extend(chunk)
-        if not chunk:
-            poller.unregister(fd)
-            os.close(fd)
-            closed += 1
-    return closed
 
 
 def _frames(data: bytes) -> list[tuple]:

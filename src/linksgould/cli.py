@@ -84,11 +84,24 @@ def evaluate(
     return to_invariant(evaluate_raw(braid, max_size=max_size))
 
 
+def _facts(braid: BraidWord, poly: InvariantPoly) -> dict:
+    """The facts of an evaluated word that eval prints: in its json record
+    and in its metadata lines."""
+    return {
+        "word": render(braid),
+        "strings": braid.n_strings,
+        "letters": braid.expanded_length(),
+        "writhe": writhe(braid),
+        "components": components(braid),
+        "palindromic_q": is_palindromic_q(poly),
+    }
+
+
 def _render(
-    poly: InvariantPoly, fmt: str, name: str | None = None, braid: BraidWord | None = None
+    poly: InvariantPoly, fmt: str, name: str | None = None, facts: dict | None = None
 ) -> str:
     """The stdout record of one evaluated word in the given format; only
-    json reads the braid."""
+    json reads the word's facts."""
     compact = to_compact(poly)
     if fmt == "compact-text":
         return render_compact_text(compact)
@@ -98,29 +111,18 @@ def _render(
         return render_laurent(poly)
     import json
 
-    return json.dumps(
-        {
-            "name": name,
-            "word": render(braid),
-            "strings": braid.n_strings,
-            "letters": braid.expanded_length(),
-            "writhe": writhe(braid),
-            "components": components(braid),
-            "palindromic_q": is_palindromic_q(poly),
-            "compact": [sorted(block.items()) for block in compact],
-        },
-        sort_keys=True,
-    )
+    record = {"name": name, **facts, "compact": [sorted(block.items()) for block in compact]}
+    return json.dumps(record, sort_keys=True)
 
 
-def _metadata(braid: BraidWord, poly: InvariantPoly, elapsed: float) -> list[str]:
+def _metadata(facts: dict, poly: InvariantPoly, elapsed: float) -> list[str]:
     """The human metadata lines that eval prints after its record."""
     meta = [
-        f"strings:      {braid.n_strings}",
-        f"letters:      {braid.expanded_length()}",
-        f"writhe:       {writhe(braid)}",
-        f"components:   {components(braid)}",
-        f"palindromic:  {'yes' if is_palindromic_q(poly) else 'no'}",
+        f"strings:      {facts['strings']}",
+        f"letters:      {facts['letters']}",
+        f"writhe:       {facts['writhe']}",
+        f"components:   {facts['components']}",
+        f"palindromic:  {'yes' if facts['palindromic_q'] else 'no'}",
         f"elapsed:      {elapsed:.3f}s",
     ]
     if not poly:
@@ -134,13 +136,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         poly = evaluate(braid, max_size=args.max_size)
         elapsed = time.perf_counter() - start
-        record = _render(poly, args.format, braid=braid)
+        facts = _facts(braid, poly)
+        record = _render(poly, args.format, facts=facts)
     except EVAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BraidSyntaxError) else 1
     print(record)
     stream = sys.stdout if args.format == "compact-text" else sys.stderr
-    for line in _metadata(braid, poly, elapsed):
+    for line in _metadata(facts, poly, elapsed):
         print(line, file=stream)
     return 0
 

@@ -6,6 +6,7 @@ import errno
 import os
 import random
 import signal
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,54 @@ def test_records_taken_by_a_child_that_died_before_announcing_them_are_not_lost(
 
     monkeypatch.setattr(batch, "_send", dying_on_a_claim)
     assert run(capsys, "batch", four_words, "--jobs", "2") == serial
+
+
+def test_a_child_that_raises_still_delivers_the_records_it_finished(
+    four_words, capsys, monkeypatch
+):
+    # the child raises on announcing its second claim: its first record
+    # reaches the parent all the same, and no process has claimed the
+    # second chunk's records, so the parent evaluates them
+    serial = run(capsys, "batch", four_words)
+    parent = os.getpid()
+    real_send, exact = batch._send, batch._batch_worker
+    read_end, write_end = os.pipe()
+    claims, waited = [], []
+
+    def interrupted_on_the_second_claim(out, frame):
+        if os.getpid() != parent and len(frame) == 2:
+            claims.append(frame)
+            if len(claims) == 2:
+                os.write(write_end, b"!")
+                raise KeyboardInterrupt
+        real_send(out, frame)
+
+    def worker(task):
+        if os.getpid() == parent and not waited:  # until the child has claimed twice
+            waited.append(os.read(read_end, 1))
+        return exact(task)
+
+    monkeypatch.setattr(batch, "_send", interrupted_on_the_second_claim)
+    monkeypatch.setattr(batch, "_batch_worker", worker)
+    try:
+        assert run(capsys, "batch", four_words, "--jobs", "2") == serial
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+def test_no_temporary_file_for_a_child_means_no_fork(four_words, capsys, monkeypatch):
+    serial = run(capsys, "batch", four_words)
+
+    def no_file():
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def no_fork():
+        raise AssertionError("forked a child with no file to write to")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(capsys, "batch", four_words, "--jobs", "3") == serial
 
 
 def test_jobs_past_the_record_count_forks_one_child_per_record(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,8 @@ from linksgould import cli
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# modules that evaluating one word does not use, and so must not import
+# modules that evaluating one word does not use, and so must not import;
+# the tests that check it run python -S, as site may import some of them
 UNUSED_BY_EVAL = (
     "concurrent.futures",
     "multiprocessing",
@@ -29,6 +30,8 @@ UNUSED_BY_EVAL = (
     "json",
     "logging",
     "random",
+    "select",
+    "tempfile",
     "linksgould.batch",
     "linksgould.checks",
     "linksgould.knotdata",
@@ -59,7 +62,7 @@ def test_eval_imports_only_what_it_uses():
         f"print(code, sorted(m for m in {UNUSED_BY_EVAL!r} "
         "if m in sys.modules and m not in before))\n"
     )
-    result = python("-c", script)
+    result = python("-S", "-c", script)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "1 + 2 q^{2}, - q^{1} - q^{3}, q^{2}"
@@ -75,7 +78,7 @@ def test_the_api_imports_only_what_eval_uses():
         f"print(sorted(m for m in {UNUSED_BY_EVAL!r} "
         "if m in sys.modules and m not in before))\n"
     )
-    result = python("-c", script)
+    result = python("-S", "-c", script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[{0: 1, 2: 2}, {1: -1, 3: -1}, {2: 1}]", "[]"]
 
@@ -87,10 +90,10 @@ def test_batch_jobs_imports_no_process_pool(tmp_path):
         "before = set(sys.modules)\n"
         "from linksgould.cli import main\n"
         "code = main(['batch', '--jobs', '2', 'words.txt'])\n"
-        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging') "
-        "if m in sys.modules and m not in before))\n"
+        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging', "
+        "'select') if m in sys.modules and m not in before))\n"
     )
-    result = python("-c", script, cwd=tmp_path)
+    result = python("-S", "-c", script, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "trefoil; 0: [0:1, 2:2]; 1: [1:-1, 3:-1]; 2: [2:1]",
@@ -111,7 +114,7 @@ def test_the_corpus_and_selftest_import_neither_dataclasses_nor_inspect():
         "print(entries, code, sorted(m for m in ('dataclasses', 'inspect') "
         "if m in sys.modules and m not in before))\n"
     )
-    result = python("-c", script)
+    result = python("-S", "-c", script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "267 0 []"
 
