@@ -10,10 +10,11 @@ up to 1024 records) after an ideal split.  Right after the fork each
 process moves itself to its own allowed CPU and allows them all again
 (``_spread``): the kernel leaves a forked child on its parent's CPU.  A
 child writes to an unlinked temporary file of its own each claim, before
-it evaluates the chunk, and then its records; the parent reads the file
-once the child has ended.  So a child that dies loses only the records it
-had claimed and not written, each reported with its signal or exit
-status.  A refused fork or file, or no ``os.fork``, just means fewer
+it evaluates the chunk, and then its records, each frame a marshal value
+that marks its own end; the parent reads the file up to the last whole
+frame once the child has ended.  So a child that dies loses only the
+records it had claimed and not written, each reported with its signal or
+exit status.  A refused fork or file, or no ``os.fork``, just means fewer
 claimants, so ``--jobs 1`` runs the same code.  No process pool is
 imported: the command starts no thread, so forking it is safe.  ``-v``
 logs one line per process: the CPU it was spread to, the records it
@@ -37,7 +38,7 @@ from .engine import debug_logger
 
 Task = tuple[str, str, int]  # name, word, size cap
 Result = tuple[str, bool, str]  # name, whether it evaluated, record or error
-_TOKEN = 4  # bytes of a chunk's number in the queue, and of a frame's length
+_TOKEN = 4  # bytes of a chunk's number in the queue
 _TOKENS = 4096 // _TOKEN  # chunks at most: the queue is written in one page
 
 
@@ -83,8 +84,7 @@ def run(tasks: list[Task], jobs: int) -> list[Result]:
         _, status = os.waitpid(pid, 0)
         lost = _lost(status)
         with file:
-            file.seek(0)
-            frames = _frames(file.read())
+            frames = _frames(file)
         for frame in frames:
             if len(frame) == 2:  # a claim, (start, stop): lost until the records come
                 for i in range(*frame):
@@ -176,8 +176,7 @@ def _start(tasks: list[Task], queue: int, k: int) -> tuple[int, BufferedRandom]:
 
 
 def _send(out: BufferedRandom, frame: tuple) -> None:
-    data = marshal.dumps(frame)
-    out.write(len(data).to_bytes(_TOKEN, "little") + data)
+    marshal.dump(frame, out)  # a marshal value marks its own end
 
 
 def _exit_child(code: int) -> None:
@@ -198,18 +197,17 @@ def _exit_child(code: int) -> None:
     os._exit(code)
 
 
-def _frames(data: bytes) -> list[tuple]:
-    """The claims and records a child sent, up to the last whole one: a
-    child killed while writing leaves a partial frame."""
+def _frames(file: BufferedRandom) -> list[tuple]:
+    """The claims and records a child sent to its file, up to the last
+    whole one: a child killed while writing leaves a partial frame, which
+    marshal.load refuses."""
+    file.seek(0)
     out = []
-    pos = 0
-    while pos + _TOKEN <= len(data):
-        end = pos + _TOKEN + int.from_bytes(data[pos : pos + _TOKEN], "little")
-        if end > len(data):
-            break
-        out.append(marshal.loads(data[pos + _TOKEN : end]))
-        pos = end
-    return out
+    while True:
+        try:
+            out.append(marshal.load(file))
+        except (EOFError, ValueError):
+            return out
 
 
 def _lost(status: int) -> str:

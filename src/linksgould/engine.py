@@ -38,7 +38,7 @@ tangle's cells cross the boundary as {(upper, lower): value}, index tuples
 one index per string, in through ``SparseTangle.from_cells`` and out
 through ``entries``.  ``SparseTangle(n, terms)`` takes
 packed terms and is this module's own.  A field holds an exponent of at
-most ``_LIMIT`` in absolute value, and ``execute`` refuses a word whose
+most ``_LIMIT`` in absolute value, and ``plan`` refuses a word whose
 terms could outgrow it (``_check_reach``) before any arithmetic.
 """
 
@@ -621,8 +621,10 @@ def plan(
     an untouched open string opens after the last.  Exact: the handle on a
     string commutes with every operator not acting on it, conjugate braids
     have the same closure, and no step changes a lower index.  The word is
-    planned as given; evaluate_raw plans its reduced word."""
+    planned as given; evaluate_raw plans its reduced word.  The plan alone
+    refuses a schedule: one whose terms could outgrow a packed field."""
     n = word.n_strings
+    _check_reach(word.expanded_length(), n - 1)
     touched = _touched(word)
     top = max(touched, default=n)
     costs = _rotation_costs(top, word.letters)
@@ -658,47 +660,35 @@ def plan(
 
 
 def execute(schedule: tuple[int, int, tuple[int, ...], list[Step]]) -> LaurentQP:
-    """Run the steps of a plan over SparseTangle, one debug line each, and
-    extract the scalar from the columns the plan formed.  Each kernel forms
-    only the cells its step's keep admits.  A word whose terms could
-    outgrow a packed field is refused first (_check_reach).  R and R^-1
-    are the module's own tangles, prepared once per place they are
-    accreted at; a power R^e, |e| > 1, is formed for its letter.  A tangle
-    that falls empty stays empty, so no power is formed after that."""
+    """Run the steps of a plan, which has refused what cannot run, one
+    kernel call each, and extract the scalar from the columns it formed.
+    Each kernel forms only the cells its step's keep admits.  R and R^-1
+    are the module's own tangles, prepared once per place they are accreted
+    at; a power R^e, |e| > 1, is formed for its letter, and none once the
+    tangle is empty.  -v logs one plan line, then one key=value line per
+    step: the live strings, cells and terms after it."""
     rotation, cost, columns, steps = schedule
-    _check_reach(sum(abs(e) for _, _, _, e, _ in steps), sum(op == "close" for op, *_ in steps))
     logger = debug_logger(__name__)
     if logger:
-        letters = sum(op in ("take", "accrete") for op, *_ in steps)
-        logger.debug("rotation %d of %d", rotation, letters)
-        logger.debug("modelled cost %d", cost)
-        logger.debug("columns %s of the open string", ", ".join(map(str, columns)))
+        logger.debug(
+            "plan rotation=%d cost=%d columns=%s steps=%d",
+            rotation, cost, ",".join(map(str, columns)), len(steps),
+        )
     z = identity_tangle(0)
-    done = 0
-    for op, s, i, e, keep in steps:
+    for k, (op, s, i, e, keep) in enumerate(steps, 1):
         if op == "open":
             z = _open_string(z, i, *keep)
-            if logger:
-                logger.debug(
-                    "opened string %d: %d live strings, %d entries", s, z.n, _cell_count(z)
-                )
         elif op == "close":
             z = close(z, i + 1)
-            if logger:
-                logger.debug(
-                    "closed one string (%d): %d live strings, %d entries", s, z.n, _cell_count(z)
-                )
-        else:
-            if op == "take":
-                z = generator_power(e, keep)
-            elif z.terms:  # else a closing emptied it, and no later step refills it
-                z = accrete(z, generator_power(e), i + 1, keep)
-            done += 1
-            if logger:
-                logger.debug(
-                    "accreted letter %d/%d (pos %d, exp %+d): %d entries",
-                    done, letters, s, e, _cell_count(z),
-                )
+        elif op == "take":
+            z = generator_power(e, keep)
+        elif z.terms:  # else a closing emptied it, and no later step refills it
+            z = accrete(z, generator_power(e), i + 1, keep)
+        if logger:
+            logger.debug(
+                "step=%d/%d op=%s string=%d exp=%+d live=%d cells=%d terms=%d",
+                k, len(steps), op, s, e, z.n, _cell_count(z), len(z.terms),
+            )
     return extract_scalar(z, columns)
 
 

@@ -163,6 +163,24 @@ def test_a_child_that_raises_still_delivers_the_records_it_finished(
         os.close(write_end)
 
 
+def test_a_cut_frame_ends_the_frames_read_back():
+    # a child killed while writing leaves its file cut at any byte: what is
+    # read back is exactly the frames written whole before the cut
+    frames = [(0, 2), (0, True, "a; 1"), (1, False, "x" * 400), (1, True, "")]
+    with tempfile.TemporaryFile() as out:
+        ends = []
+        for frame in frames:
+            batch._send(out, frame)
+            ends.append(out.tell())
+        out.seek(0)
+        data = out.read()
+    assert ends[-1] == len(data)
+    for cut in range(len(data) + 1):
+        with tempfile.TemporaryFile() as out:
+            out.write(data[:cut])
+            assert batch._frames(out) == frames[: sum(end <= cut for end in ends)], cut
+
+
 def test_no_temporary_file_for_a_child_means_no_fork(four_words, capsys, monkeypatch):
     serial = run(capsys, "batch", four_words)
 

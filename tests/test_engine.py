@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from itertools import product
 
 import pytest
@@ -247,8 +248,8 @@ def test_progress_diagnostics_on_verbose_channel(caplog):
     with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
         evaluate_raw(parse("1 -2 1 -2"))
     messages = [r.getMessage() for r in caplog.records]
-    assert any("accreted letter" in m and "entries" in m for m in messages)
-    assert any("closed one string" in m for m in messages)
+    assert any(m.startswith("step=") and " op=accrete " in m and " cells=" in m for m in messages)
+    assert any(m.startswith("step=") and " op=close " in m for m in messages)
 
 
 def close_all(z, strings):
@@ -389,13 +390,11 @@ def test_rotation_costs_match_brute_force():
         ("1 3 3 2 1", 4, 2),  # rotations 2 and 3 tie: the earlier wins
     ],
 )
-def test_chosen_rotation(caplog, word, strings, rotation):
+def test_chosen_rotation(word, strings, rotation):
     b = parse(word, strings)
     costs = rotation_costs_by_brute_force(b.n_strings, b.letters)
     assert rotation == costs.index(min(costs))
-    with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
-        execute(plan(b))
-    assert f"rotation {rotation} of {len(b.letters)}" in caplog.messages
+    assert plan(b)[0] == rotation
 
 
 @pytest.mark.parametrize("word, strings, calls", [("1^5", 2, 0), ("1 2", 3, 1)])
@@ -416,13 +415,41 @@ def test_opening_and_closing_are_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
         execute(plan(parse("1 2 -1 3", 4)))
     messages = caplog.messages
-    assert "rotation 0 of 4" in messages
-    assert messages.count("columns 0 of the open string") == 1
-    opened = [m for m in messages if m.startswith("opened string")]
-    closed = [m for m in messages if m.startswith("closed one string")]
+    assert messages[0] == f"plan rotation=0 cost={2 * 16**2 + 2 * 16**3} columns=0 steps=9"
+    opened = [m for m in messages if " op=open " in m]
+    closed = [m for m in messages if " op=close " in m]
     assert len(opened) == 2 and len(closed) == 3  # the take opens strings 1 and 2
-    assert "opened string 4: 2 live strings" in opened[-1]
-    assert all("live strings" in m and "entries" in m for m in opened + closed)
+    assert opened[-1].startswith("step=7/9 op=open string=4 exp=+0 live=2 cells=")
+    assert all(" live=" in m and " cells=" in m and " terms=" in m for m in opened + closed)
+
+
+@pytest.mark.parametrize(
+    "word, strings",
+    [
+        ("1 -1 3^200", 4),  # a take, then an accretion skipped once the tangle is empty
+        ("2^200", 3),  # a free string, opened and closed before the first letter
+    ],
+)
+def test_execute_logs_one_plan_line_and_one_line_per_step(caplog, word, strings):
+    schedule = plan(parse(word, strings))
+    steps = schedule[3]
+    with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
+        execute(schedule)
+    head, *lines = caplog.messages
+    assert head.startswith("plan rotation=") and head.endswith(f" steps={len(steps)}")
+    pattern = re.compile(
+        r"step=(\d+)/(\d+) op=(open|take|accrete|close) string=(\d+) exp=([+-]\d+) "
+        r"live=(\d+) cells=(\d+) terms=(\d+)"
+    )
+    fields = [pattern.fullmatch(line).groups() for line in lines]
+    assert [(int(k), int(total), op, int(s), int(e)) for k, total, op, s, e, *_ in fields] == [
+        (k, len(steps), op, s, e) for k, (op, s, _, e, _) in enumerate(steps, 1)
+    ]
+    # the live strings: one more per open, two for the take, one fewer per close
+    live = 0
+    for (op, *_), (*_, shown, cells, terms) in zip(steps, fields):
+        live += {"open": 1, "take": 2, "accrete": 0, "close": -1}[op]
+        assert int(shown) == live and int(cells) <= int(terms)
 
 
 def test_no_power_is_formed_once_the_tangle_is_empty(monkeypatch):
@@ -492,7 +519,7 @@ def test_reduced_word_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="linksgould.engine"):
         evaluate_raw(parse("1 3 -1 2 2 1", 4))
     assert "reduced word '1^2': 2 letters, 2 strings" in caplog.messages
-    assert "rotation 0 of 1" in caplog.messages
+    assert "plan rotation=0 cost=256 columns=0 steps=2" in caplog.messages
 
 
 @settings(deadline=None)
@@ -595,6 +622,8 @@ def test_plan_does_no_arithmetic(monkeypatch):
         assert modelled == min(costs), b
         assert sorted(opened) == list(range(1, n + 1)), b
         assert sorted(closed) == sorted(set(range(1, n + 1)) - {top}), b
+        # the identity the plan's reach check rests on: every string but one closes
+        assert sum(op == "close" for op, *_ in steps) == b.n_strings - 1, b
         assert live == [top], b
         ops = [op for op, *_ in steps]
         free = set(range(1, n + 1)) - touched - {top}
@@ -865,3 +894,14 @@ def test_a_word_past_the_exponent_field_is_refused_before_any_arithmetic(monkeyp
         evaluate_raw(parse("1 1 1"))
     with pytest.raises(engine.ExponentRangeError, match=r"\|eq2\| = 17, \|ep\| = 8"):
         execute(plan(parse("1 -1 1")))  # planned as given, not reduced
+
+
+def test_the_plan_refuses_a_word_past_the_exponent_field(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tensor was formed")
+
+    monkeypatch.setattr(engine, "_LIMIT", 16)
+    monkeypatch.setattr(engine, "accrete", refuse)
+    monkeypatch.setattr(engine, "generator_power", refuse)
+    with pytest.raises(engine.ExponentRangeError, match=r"3 letters and 1 closed strings"):
+        plan(parse("1 -1 1"))

@@ -188,9 +188,10 @@ def test_verbose_prints_the_engine_debug_lines(tmp_path, argv, line):
     assert result.returncode == 0, result.stderr
     lines = result.stderr.splitlines()
     assert "linksgould.engine: " + line in lines
-    assert "linksgould.engine: columns 0 of the open string" in lines
+    plans = [x for x in lines if x.startswith("linksgould.engine: plan rotation=")]
+    assert plans and all(" columns=0 " in x for x in plans)
     oracle = [x for x in lines if x.startswith("linksgould.engine: alexander oracle: ")]
-    assert len(oracle) == lines.count("linksgould.engine: columns 0 of the open string")
+    assert len(oracle) == len(plans)
 
 
 def test_verbose_selftest_prints_the_table_and_no_debug_line():
