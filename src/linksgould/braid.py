@@ -110,14 +110,17 @@ def parse(text: str, n_strings: int | None = None) -> BraidWord:
         tokens.append((abs(j), k))
         if k:
             _merge_push(letters, abs(j), (1 if j > 0 else -1) * k)
-    inferred = infer_strings(tokens)
-    if n_strings is None:
-        n_strings = inferred
-    elif n_strings < inferred:
-        raise BraidSyntaxError(
-            f"--strings {n_strings} below inferred minimum {inferred}"
-        )
-    return BraidWord(n_strings, tuple(letters))
+    return with_strings(BraidWord(infer_strings(tokens), tuple(letters)), n_strings)
+
+
+def with_strings(word: BraidWord, n_strings: int | None) -> BraidWord:
+    """word on n_strings strings, the added ones free; None keeps its own
+    count, and a count below it is refused."""
+    if n_strings is None or n_strings == word.n_strings:
+        return word
+    if n_strings < word.n_strings:
+        raise BraidSyntaxError(f"--strings {n_strings} below inferred minimum {word.n_strings}")
+    return BraidWord(n_strings, word.letters)
 
 
 def render(word: BraidWord) -> str:

@@ -33,7 +33,7 @@ import sys
 import time
 
 from .alexander import AlexanderMismatchError
-from .braid import BraidSyntaxError, BraidWord, components, parse, render, writhe
+from .braid import BraidSyntaxError, BraidWord, components, parse, render, with_strings, writhe
 from .engine import (
     DEFAULT_SIZE_CAP,
     ExponentRangeError,
@@ -79,8 +79,9 @@ def evaluate(
 ) -> InvariantPoly:
     """The (q, P) polynomial of the closure of a braid word, given as a
     :class:`BraidWord` or as text in the generator grammar (e.g. ``"1 1 1"``
-    for the trefoil).  A refused word raises one of ``EVAL_ERRORS``."""
-    braid = parse(word, strings) if isinstance(word, str) else word
+    for the trefoil), on ``strings`` strings if given: the added ones are
+    free.  A refused word raises one of ``EVAL_ERRORS``."""
+    braid = parse(word, strings) if isinstance(word, str) else with_strings(word, strings)
     return to_invariant(evaluate_raw(braid, max_size=max_size))
 
 

@@ -10,8 +10,8 @@ Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
 one.  ``accrete`` is the one product.  A plan step may restrict the
 cells it forms on each of its strings to a set of (upper, lower) index
-pairs, and the kernels (``_open_string``, ``generator_power``,
-``accrete``) form no cell outside it.  Two restrictions are used:
+pairs, and no kernel (``_open_string``, ``accrete``, ``combine``) forms a
+cell outside it.  Two restrictions are used:
   - DIAGONAL, upper == lower, at a string's last letter: the cells its
     close reads;
   - lower index in COLUMNS on the open string (the highest touched
@@ -238,11 +238,6 @@ def _allows(keep: tuple[int, ...], cell: int) -> bool:
     return True
 
 
-def _restrict(t: SparseTangle, keep: tuple[int, ...]) -> SparseTangle:
-    """The terms of t whose cells keep, one restriction per string, admits."""
-    return SparseTangle(t.n, {k: c for k, c in t.terms.items() if _allows(keep, k >> _CELL)})
-
-
 def _guard(n: int, max_size: int) -> None:
     if _surely_over(n, max_size) or M_DIM ** (2 * n) > max_size:
         raise SizeCapExceeded(n, max_size)
@@ -319,13 +314,18 @@ def accrete(
     return SparseTangle(n, out)
 
 
-def combine(parts: list[tuple[LaurentQP, SparseTangle]]) -> SparseTangle:
-    """Sum of coeff * tangle over parts, all on the same number of strings."""
+def combine(
+    parts: list[tuple[LaurentQP, SparseTangle]], keep: tuple[int, ...] | None = None
+) -> SparseTangle:
+    """Sum of coeff * tangle over parts, all on the same number of strings,
+    formed only in the cells that keep, one restriction per string, admits."""
     out: dict[int, int] = {}
     get = out.get
     for coeff, t in parts:
         changes = _deltas(coeff)
         for key, c in t.terms.items():
+            if keep and not _allows(keep, key >> _CELL):
+                continue
             for change, cc in changes:
                 nk = key + change
                 out[nk] = v = get(nk, 0) + c * cc
@@ -352,21 +352,24 @@ _IDENTITY2 = identity_tangle(2)
 
 def _crossing(
     gauged: dict[tuple[int, int], LaurentQP],
-) -> tuple[SparseTangle, SparseTangle, SparseTangle, SparseTangle]:
+) -> tuple[SparseTangle, SparseTangle, tuple[SparseTangle, ...], tuple[SparseTangle, ...]]:
     """The crossing tensor R from its gauged (row, col) cells, its inverse,
-    and the Newton basis of the cubic relation at the eigenvalues taken in
-    the order (-1, q p^-2, q p^2): N1 = R + I and N2 = (R + I)(R - q p^-2 I)."""
+    and the Newton basis of R^e for each sign of e: for e > 0, (I, N1, N2)
+    at the eigenvalues taken in the order (-1, q p^-2, q p^2), with
+    N1 = R + I and N2 = (R + I)(R - q p^-2 I); for e < 0 the same three
+    swapped and inverted (see _swap_invert), which leaves I as it is."""
     sigma = SparseTangle.from_cells(
         2, {(divmod(row, M_DIM), divmod(col, M_DIM)): v for (row, col), v in gauged.items()}
     )
     n1 = combine([(ONE, sigma), (ONE, _IDENTITY2)])
     n2 = accrete(n1, combine([(ONE, sigma), (-EIGENVALUES[0], _IDENTITY2)]), 1)
-    return sigma, _swap_invert(sigma), n1, n2
+    basis = (_IDENTITY2, n1, n2)
+    return sigma, _swap_invert(sigma), basis, tuple(map(_swap_invert, basis))
 
 
-# R and R^-1 are formed once per process, and generator_power(+-1) returns
-# them, so each is prepared once per place it is accreted at (see _prepare)
-_SIGMA, _SIGMA_INVERSE, _NEWTON_1, _NEWTON_2 = _crossing(GAUGED)
+# formed once per process; generator_power(+-1) returns R and R^-1, so each
+# is prepared once per place it is accreted at (see _prepare)
+_SIGMA, _SIGMA_INVERSE, _BASIS, _BASIS_INVERSE = _crossing(GAUGED)
 
 
 # Each letter R^e or R^-e adds at most 5 |e| to |eq2| and 2 |e| to |ep|
@@ -396,18 +399,19 @@ def _check_reach(letters: int, closes: int) -> None:
 
 
 def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
-    """The divided differences of x^e at the nodes (-1, q p^-2) and
-    (-1, q p^-2, q p^2), which are the complete homogeneous polynomials
+    """For e > 0, the divided differences of x^e at the nodes (-1, q p^-2)
+    and (-1, q p^-2, q p^2), which are the complete homogeneous polynomials
         h_{e-1}(-1, qp^-2)        = sum_{i < e} (-1)^(e-1-i) q^i p^(-2i),
-        h_{e-2}(-1, qp^-2, qp^2)  = sum_{i+k <= e-2} (-1)^(e-2-i-k) q^(i+k) p^(2k-2i).
-    Each term is +-1 on a monomial of its own, so both are written down
-    without a ring product."""
+        h_{e-2}(-1, qp^-2, qp^2)  = sum_{i+k <= e-2} (-1)^(e-2-i-k) q^(i+k) p^(2k-2i),
+    h_0 = 1 and h_-1 = 0; for e < 0, those of |e|, q and p inverted.  Each
+    term is +-1 on a monomial of its own: no ring product is taken."""
     sign = (1, -1)  # (-1)^n by the parity of n
-    h1 = {(2 * i, -2 * i): sign[(e - 1 - i) & 1] for i in range(e)}
+    n, s = abs(e), 2 if e > 0 else -2  # s: twice the exponents' sign
+    h1 = {(s * i, -s * i): sign[(n - 1 - i) & 1] for i in range(n)}
     h2 = {
-        (2 * (i + k), 2 * (k - i)): sign[(e - i - k) & 1]
-        for i in range(e - 1)
-        for k in range(e - 1 - i)
+        (s * (i + k), s * (k - i)): sign[(n - i - k) & 1]
+        for i in range(n - 1)
+        for k in range(n - 1 - i)
     }
     return LaurentQP(h1), LaurentQP(h2)
 
@@ -415,34 +419,21 @@ def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
 def generator_power(e: int, keep: tuple[int, int] = (ANY, ANY)) -> SparseTangle:
     """Crossing tensor raised to the e-th power (e != 0), in Newton form
     over the eigenvalues: x^e modulo the cubic relation is its
-    interpolating polynomial at the three roots, so
-    R^e = (-1)^e I + h_{e-1} N1 + h_{e-2} N2.  The coefficients have O(e^2)
-    terms and R^e is one linear combination, so the cost grows as e^2.
-    R^-e is the same combination with the coefficients inverted and N1, N2
-    swapped and inverted (see _swap_invert), so only the small basis is
-    swapped.  It forms only the cells that keep, one restriction per
-    string, admits: only those cells of the basis are combined.  An
-    unrestricted R or R^-1 is the module's own tangle, which no caller
-    may change."""
+    interpolating polynomial at the three roots, so for e > 0
+    R^e = (-1)^e I + h_{e-1} N1 + h_{e-2} N2, and R^-e is the same over
+    the basis swapped and inverted, the coefficients inverted (see
+    _crossing): one combination over its sign's basis, whose cost grows
+    as e^2 with the coefficients' terms.  Only the cells that keep, one
+    restriction per string, admits are formed.  An unrestricted R or
+    R^-1 is the module's own tangle, which no caller may change."""
     if e == 0:
         raise ValueError("exponent must be nonzero")
     _check_reach(abs(e), 0)
-    inverse = e < 0
-    e = abs(e)
-    if e == 1:  # most letters; the combination costs about 200 times a copy
-        power = _SIGMA_INVERSE if inverse else _SIGMA
-        return power if keep == (ANY, ANY) else _restrict(power, keep)
-
-    def basis(t: SparseTangle) -> SparseTangle:
-        return _restrict(_swap_invert(t) if inverse else t, keep)
-
+    if abs(e) == 1 and keep == (ANY, ANY):
+        return _SIGMA if e > 0 else _SIGMA_INVERSE
+    identity, n1, n2 = _BASIS if e > 0 else _BASIS_INVERSE
     h1, h2 = _newton_coefficients(e)
-    if inverse:
-        h1, h2 = h1.invert_qp(), h2.invert_qp()
-    sign = ONE if e % 2 == 0 else -ONE
-    return combine(
-        [(sign, _restrict(_IDENTITY2, keep)), (h1, basis(_NEWTON_1)), (h2, basis(_NEWTON_2))]
-    )
+    return combine([(-ONE if e % 2 else ONE, identity), (h1, n1), (h2, n2)], keep)
 
 
 def _open_string(z: SparseTangle, i: int, keep: int = ANY) -> SparseTangle:
@@ -698,14 +689,15 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     reduced word executed, forming the columns of the open string (the
     highest touched string), then the Alexander oracle on the word as
     given (alexander.check), so that it covers the reduction too.  The
-    refusals are the size guard and _check_reach on the letters as given,
-    so whether a word is refused does not depend on how far it reduces.
+    refusals are the size guard and _check_reach on the word as given,
+    n - 1 closes: reduction adds no letter or string, so whether a word
+    is refused does not depend on how far it reduces.
     Neither bounds the oracle's time: the Burau coefficients of the word as
     given can grow with its letters even when it reduces to nothing (see
     README, "Storage wall").  A split link's plan closes a free string
     first, so its value is 0 and no power is formed."""
     _guard(word.n_strings, max_size)
-    _check_reach(word.expanded_length(), 0)
+    _check_reach(word.expanded_length(), word.n_strings - 1)
     reduced = reduce_closure(word)
     logger = debug_logger(__name__)
     if logger:

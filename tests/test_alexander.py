@@ -275,5 +275,5 @@ def test_a_word_as_given_past_the_reach_is_refused_before_the_oracle(monkeypatch
         raise AssertionError("the oracle ran")
 
     monkeypatch.setattr(alexander, "alexander", refuse)
-    with pytest.raises(engine.ExponentRangeError, match="1000000 letters and 0 closed strings"):
+    with pytest.raises(engine.ExponentRangeError, match="1000000 letters and 2 closed strings"):
         evaluate_raw(parse("1^1000000", 3))

@@ -15,6 +15,18 @@ def test_evaluate_accepts_text_and_words():
     assert linksgould.evaluate(braid) == poly
 
 
+def test_evaluate_applies_strings_to_a_parsed_word_as_to_text():
+    from linksgould.braid import BraidSyntaxError
+
+    braid = linksgould.parse_braid("1 1 1")
+    # a third string is free, so the closure is split and its value is 0
+    assert linksgould.evaluate(braid, strings=3) == linksgould.evaluate("1 1 1", strings=3) == {}
+    assert linksgould.evaluate(braid, strings=2) == linksgould.evaluate("1 1 1")
+    for word in (braid, "1 1 1"):
+        with pytest.raises(BraidSyntaxError, match="--strings 1 below inferred minimum 2"):
+            linksgould.evaluate(word, strings=1)
+
+
 def test_evaluate_empty_words():
     assert linksgould.evaluate("", strings=1) == {(0, 0): 1}
     assert linksgould.evaluate("", strings=2) == {}

@@ -493,18 +493,25 @@ def test_dump_rmatrix_is_unchanged(capsys):
     assert sum(token == "." for line in out.splitlines()[1:] for token in line.split()) == 256 - 26
 
 
-SHARED_TENSORS = ("_SIGMA", "_SIGMA_INVERSE", "_NEWTON_1", "_NEWTON_2")
+SHARED_TENSORS = ("_SIGMA", "_SIGMA_INVERSE", "_BASIS", "_BASIS_INVERSE")
+
+
+def shared_terms():
+    """The terms of every tangle the engine shares across words: R, R^-1
+    and the three of each sign's Newton basis."""
+    sigma, inverse, basis, basis_inverse = (getattr(engine, name) for name in SHARED_TENSORS)
+    return [dict(t.terms) for t in (sigma, inverse, *basis, *basis_inverse)]
 
 
 def test_no_command_changes_the_shared_tensors(capsys):
     # generator_power(+-1) returns the module's own tangles, not copies
-    before = {name: dict(getattr(engine, name).terms) for name in SHARED_TENSORS}
+    before = shared_terms()
     assert run(capsys, "selftest", "--braids", "20")[0] == 0
     assert run(capsys, "dump-rmatrix")[0] == 0
     words = str(Path(__file__).parent / "data" / "batch_words.txt")
     assert run(capsys, "batch", words, "--jobs", "1")[0] == 1  # the refused six_strings line
     assert run(capsys, "eval", "1 -2 1 -2 3 -2")[0] == 0
-    assert {name: getattr(engine, name).terms for name in SHARED_TENSORS} == before
+    assert shared_terms() == before
 
 
 def test_selftest_identity_rows_read_the_engines_inverse(capsys, monkeypatch):

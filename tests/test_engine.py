@@ -180,12 +180,15 @@ def test_a_negated_crossing_cell_is_not_scalar(monkeypatch, cell):
     # for a wrong R.  The Alexander oracle catches every negated cell but
     # (9, 9), q^2 - 1, which vanishes at q = 1: that one changes 11 of the
     # 15 values, and to_invariant refuses each of them.  The mutant R^-1 is
-    # formed from the mutant R, so inverse letters are mutated too.
+    # formed from the mutant R, so inverse letters are mutated too, and so
+    # are both signs' Newton bases, so every power is.
     gauged = dict(GAUGED)
     gauged[cell] = -gauged[cell]
-    names = ("_SIGMA", "_SIGMA_INVERSE", "_NEWTON_1", "_NEWTON_2")
+    powers = generator_power(3), generator_power(-3)
+    names = ("_SIGMA", "_SIGMA_INVERSE", "_BASIS", "_BASIS_INVERSE")
     for name, t in zip(names, engine._crossing(gauged)):
         monkeypatch.setattr(engine, name, t)
+    assert generator_power(3) != powers[0] and generator_power(-3) != powers[1]
     caught = []
     for b in seeded_four_string_braids(2):
         try:
@@ -766,10 +769,10 @@ def test_kernels_match_dense_contractions(n):
         for j in range(1, n + 1):
             assert close(z, j) == dense_close(z, j), j
             for keep, admits in RESTRICTIONS:
-                kept = engine._restrict(z, (ANY,) * (j - 1) + (keep,) + (ANY,) * (n - j))
+                kept = combine([(ONE, z)], (ANY,) * (j - 1) + (keep,) + (ANY,) * (n - j))
                 assert kept == restricted(n, cells, {j: admits}), (j, keep)
         every = tuple(range(1, n + 1))
-        assert engine._restrict(z, (DIAGONAL,) * n) == dense_keep(z, every)
+        assert combine([(ONE, z)], (DIAGONAL,) * n) == dense_keep(z, every)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 7, 12, -1, -2, -3, -7, -12])
@@ -870,8 +873,8 @@ def test_the_reach_of_a_letter_bounds_every_power():
     # the data behind _check_reach's bound: |eq2| <= 5 and |ep| <= 2 per
     # letter, 2 of each per closed string
     assert engine._LETTER_REACH == (5, 2) and engine._HANDLE_REACH == (2, 2)
-    assert reach(generator_power(1)) == reach(engine._NEWTON_1) == (5, 2)
-    assert reach(engine._NEWTON_2) == (7, 4)  # its h_{e-2} starts a power later
+    assert reach(generator_power(1)) == reach(engine._BASIS[1]) == (5, 2)
+    assert reach(engine._BASIS[2]) == (7, 4)  # its h_{e-2} starts a power later
     handle = [k for h in HANDLE_PLUS for k in h.terms]
     assert max(abs(q) for q, _ in handle) == max(abs(p) for _, p in handle) == 2
     for e in (*range(1, 13), 31, 64):
@@ -887,11 +890,13 @@ def test_a_word_past_the_exponent_field_is_refused_before_any_arithmetic(monkeyp
     # a field of |exponent| <= 16: one letter on two strings reaches 5 + 2,
     # three reach 3 * 5 + 2 = 17
     monkeypatch.setattr(engine, "_LIMIT", 16)
-    assert evaluate_raw(parse("1")) == evaluate_raw(parse("1 -1 1"))
+    assert evaluate_raw(parse("1"))
     monkeypatch.setattr(engine, "accrete", refuse)
     monkeypatch.setattr(engine, "generator_power", refuse)
-    with pytest.raises(engine.ExponentRangeError, match=r"3 letters and 1 closed strings"):
-        evaluate_raw(parse("1 1 1"))
+    # "1 -1 1" reduces to "1", but is refused as given, as "1 1 1" is
+    for word in ("1 1 1", "1 -1 1"):
+        with pytest.raises(engine.ExponentRangeError, match=r"3 letters and 1 closed strings"):
+            evaluate_raw(parse(word))
     with pytest.raises(engine.ExponentRangeError, match=r"\|eq2\| = 17, \|ep\| = 8"):
         execute(plan(parse("1 -1 1")))  # planned as given, not reduced
 
