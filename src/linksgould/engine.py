@@ -4,7 +4,7 @@ word's schedule with no arithmetic, and ``execute`` runs it over sparse
 tangles and extracts the scalar.  ``evaluate_raw`` then checks the value
 against the word as given with the Alexander oracle (``alexander.check``,
 which shares no code with the state model): at q = 1 it must be
-P^k Delta(P)^2, Delta from the word's Burau matrix.
+P^k Delta(P)^2, Delta from the Burau matrix of the word's normal form.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
@@ -334,49 +334,71 @@ def combine(
     return SparseTangle(parts[0][1].n, out)
 
 
-def _swap_invert(t: SparseTangle) -> SparseTangle:
-    """The two strings swapped, q and p inverted.  Both steps respect
-    products (a conjugation and a ring map), and the map takes R to R^-1,
-    so it takes R^e to R^-e.  Inverting q forces p -> 1/p because p is a
-    half-integer power of q times the representation parameter."""
-    out: dict[int, int] = {}
-    for key, c in t.terms.items():
-        first, second = divmod(key >> _CELL, _PAIR)
-        # each field f = x + _OFFSET turns into 2 _OFFSET - f = -x + _OFFSET
-        out[(second * _PAIR + first) << _CELL | 2 * _ORIGIN - (key & _FIELDS)] = c
-    return SparseTangle(2, out)
-
-
 _IDENTITY2 = identity_tangle(2)
+
+
+def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
+    """The divided differences h1 and h2 of x^e, e != 0, at the nodes
+    (-1, l1) and (-1, l1, l2), l1 = q p^-2, l2 = q p^2.  For e = n > 0 they
+    are h_{n-1}(-1, l1) and h_{n-2}(-1, l1, l2) (h_0 = 1, h_-1 = 0),
+        sum_{i < n} (-1)^(n-1-i) l1^i,  sum_{i+k <= n-2} (-1)^(n-i-k) l1^i l2^k.
+    The nodes are units, so for e = -n they are Laurent polynomials,
+    -(-l1)^-1 h_{n-1}(-1, l1^-1) and (-l1 l2)^-1 h_{n-1}(-1, l1^-1, l2^-1),
+        sum_{i < n} (-1)^(n-1-i) l1^-(i+1),  sum_{i+k <= n-1} (-1)^(n-i-k) l1^-(i+1) l2^-(k+1),
+    of n and n(n+1)/2 terms.  Each term is +-1 on a monomial of its own,
+    l1^a l2^b = q^(a+b) p^(2b-2a): no ring product is taken."""
+    sign = (1, -1)  # (-1)^k by the parity of k
+    # s: twice the exponents' sign; d: the shift of i and k for e < 0
+    n, s, d = (e, 2, 0) if e > 0 else (-e, -2, 1)
+    h1 = {(s * (i + d), -s * (i + d)): sign[(n - 1 - i) & 1] for i in range(n)}
+    h2 = {
+        (s * (i + k + 2 * d), s * (k - i)): sign[(n - i - k) & 1]
+        for i in range(n - 1 + d)
+        for k in range(n - 1 + d - i)
+    }
+    return LaurentQP(h1), LaurentQP(h2)
+
+
+def _combination(
+    basis: tuple[SparseTangle, ...], e: int, keep: tuple[int, int] | None = None
+) -> SparseTangle:
+    """R^e = (-1)^e I + h1 N1 + h2 N2 over R's Newton basis (I, N1, N2)
+    (see _newton_coefficients), formed only in the cells keep admits."""
+    identity, n1, n2 = basis
+    h1, h2 = _newton_coefficients(e)
+    return combine([(-ONE if e % 2 else ONE, identity), (h1, n1), (h2, n2)], keep)
 
 
 def _crossing(
     gauged: dict[tuple[int, int], LaurentQP],
-) -> tuple[SparseTangle, SparseTangle, tuple[SparseTangle, ...], tuple[SparseTangle, ...]]:
+) -> tuple[SparseTangle, SparseTangle, tuple[SparseTangle, ...]]:
     """The crossing tensor R from its gauged (row, col) cells, its inverse,
-    and the Newton basis of R^e for each sign of e: for e > 0, (I, N1, N2)
-    at the eigenvalues taken in the order (-1, q p^-2, q p^2), with
-    N1 = R + I and N2 = (R + I)(R - q p^-2 I); for e < 0 the same three
-    swapped and inverted (see _swap_invert), which leaves I as it is."""
+    and the Newton basis of every power R^e: (I, N1, N2) at the eigenvalues
+    taken in the order (-1, q p^-2, q p^2), with N1 = R + I and
+    N2 = (R + I)(R - q p^-2 I).  R^-1 is that basis's e = -1 combination,
+    -I + q^-1 p^2 N1 - q^-2 N2, so it changes with R."""
     sigma = SparseTangle.from_cells(
         2, {(divmod(row, M_DIM), divmod(col, M_DIM)): v for (row, col), v in gauged.items()}
     )
     n1 = combine([(ONE, sigma), (ONE, _IDENTITY2)])
     n2 = accrete(n1, combine([(ONE, sigma), (-EIGENVALUES[0], _IDENTITY2)]), 1)
     basis = (_IDENTITY2, n1, n2)
-    return sigma, _swap_invert(sigma), basis, tuple(map(_swap_invert, basis))
+    return sigma, _combination(basis, -1), basis
 
 
 # formed once per process; generator_power(+-1) returns R and R^-1, so each
 # is prepared once per place it is accreted at (see _prepare)
-_SIGMA, _SIGMA_INVERSE, _BASIS, _BASIS_INVERSE = _crossing(GAUGED)
+_SIGMA, _SIGMA_INVERSE, _BASIS = _crossing(GAUGED)
 
 
 # Each letter R^e or R^-e adds at most 5 |e| to |eq2| and 2 |e| to |ep|
-# of every term formed for it: R reaches |eq2| = 5, |ep| = 2; beyond
-# e = 1, R^e is (-1)^e I + h_{e-1} N1 + h_{e-2} N2, where N1 reaches
-# (5, 2), N2 (7, 4) and a term of h_k (2 k, 2 k); and R^-e negates R^e's
-# exponents.  A close multiplies by a handle term, which reaches (2, 2).
+# of every term formed for it: R reaches (5, 2), so R^e reaches (5 |e|,
+# 2 |e|), and R^-e's terms are R^e's negated (the strings swapped and q, p
+# inverted take R to R^-1).  On the way, a coefficient's term times one of
+# N1 (eq2 in -1..5, |ep| <= 2) or N2 (eq2 in -1..7, |ep| <= 4) reaches
+# (2n + 3, 2n) for e = n, and (2n + 3, 2n + 2) for e = -n, whose h1 has eq2
+# in -2n..-2 and h2 in -2n-2..-4: within a field holding 5n.  A close
+# multiplies by a handle term, which reaches (2, 2).
 _LETTER_REACH = (5, 2)
 _HANDLE_REACH = (2, 2)
 
@@ -398,42 +420,21 @@ def _check_reach(letters: int, closes: int) -> None:
         )
 
 
-def _newton_coefficients(e: int) -> tuple[LaurentQP, LaurentQP]:
-    """For e > 0, the divided differences of x^e at the nodes (-1, q p^-2)
-    and (-1, q p^-2, q p^2), which are the complete homogeneous polynomials
-        h_{e-1}(-1, qp^-2)        = sum_{i < e} (-1)^(e-1-i) q^i p^(-2i),
-        h_{e-2}(-1, qp^-2, qp^2)  = sum_{i+k <= e-2} (-1)^(e-2-i-k) q^(i+k) p^(2k-2i),
-    h_0 = 1 and h_-1 = 0; for e < 0, those of |e|, q and p inverted.  Each
-    term is +-1 on a monomial of its own: no ring product is taken."""
-    sign = (1, -1)  # (-1)^n by the parity of n
-    n, s = abs(e), 2 if e > 0 else -2  # s: twice the exponents' sign
-    h1 = {(s * i, -s * i): sign[(n - 1 - i) & 1] for i in range(n)}
-    h2 = {
-        (s * (i + k), s * (k - i)): sign[(n - i - k) & 1]
-        for i in range(n - 1)
-        for k in range(n - 1 - i)
-    }
-    return LaurentQP(h1), LaurentQP(h2)
-
-
 def generator_power(e: int, keep: tuple[int, int] = (ANY, ANY)) -> SparseTangle:
     """Crossing tensor raised to the e-th power (e != 0), in Newton form
     over the eigenvalues: x^e modulo the cubic relation is its
-    interpolating polynomial at the three roots, so for e > 0
-    R^e = (-1)^e I + h_{e-1} N1 + h_{e-2} N2, and R^-e is the same over
-    the basis swapped and inverted, the coefficients inverted (see
-    _crossing): one combination over its sign's basis, whose cost grows
-    as e^2 with the coefficients' terms.  Only the cells that keep, one
-    restriction per string, admits are formed.  An unrestricted R or
-    R^-1 is the module's own tangle, which no caller may change."""
+    interpolating polynomial at the three roots, all units, so for every
+    e != 0 R^e = (-1)^e I + h1 N1 + h2 N2 over the one basis _BASIS (see
+    _newton_coefficients), whose cost grows as e^2 with the coefficients'
+    terms.  Only the cells that keep, one restriction per string, admits
+    are formed.  An unrestricted R or R^-1 is the module's own tangle,
+    which no caller may change."""
     if e == 0:
         raise ValueError("exponent must be nonzero")
     _check_reach(abs(e), 0)
     if abs(e) == 1 and keep == (ANY, ANY):
         return _SIGMA if e > 0 else _SIGMA_INVERSE
-    identity, n1, n2 = _BASIS if e > 0 else _BASIS_INVERSE
-    h1, h2 = _newton_coefficients(e)
-    return combine([(-ONE if e % 2 else ONE, identity), (h1, n1), (h2, n2)], keep)
+    return _combination(_BASIS, e, keep)
 
 
 def _open_string(z: SparseTangle, i: int, keep: int = ANY) -> SparseTangle:
@@ -692,9 +693,10 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     refusals are the size guard and _check_reach on the word as given,
     n - 1 closes: reduction adds no letter or string, so whether a word
     is refused does not depend on how far it reduces.
-    Neither bounds the oracle's time: the Burau coefficients of the word as
-    given can grow with its letters even when it reduces to nothing (see
-    README, "Storage wall").  A split link's plan closes a free string
+    Neither bounds the oracle's time: it reads its own free and cyclic
+    normal form of the word, linear to form, but one that shrinks only by
+    commuting letters still grows its Burau coefficients with its letters
+    (see README, "Storage wall").  A split link's plan closes a free string
     first, so its value is 0 and no power is formed."""
     _guard(word.n_strings, max_size)
     _check_reach(word.expanded_length(), word.n_strings - 1)

@@ -54,10 +54,6 @@ class LaurentQP:
                 out[k] = out.get(k, 0) + c1 * c2
         return LaurentQP(out)
 
-    def invert_qp(self) -> LaurentQP:
-        """Negate q- and p-exponents together (mirror substitution)."""
-        return LaurentQP({(-e, -p): c for (e, p), c in self.terms.items()})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

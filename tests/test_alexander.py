@@ -17,11 +17,12 @@ from linksgould.alexander import (
     is_square_multiple,
     square_root,
 )
-from linksgould.braid import BraidWord, parse
+from linksgould.braid import BraidWord, conjugate, free_insert, mirror, parse, random_braid
 from linksgould.cli import EVAL_ERRORS, main
 from linksgould.engine import ALL_COLUMNS, evaluate_raw, execute, plan
 from linksgould.invariant import from_compact, to_raw
 from linksgould.knotdata import load_corpus
+from linksgould.ring import ZERO
 
 CORPUS = {e.name: e for e in load_corpus()}
 
@@ -277,3 +278,49 @@ def test_a_word_as_given_past_the_reach_is_refused_before_the_oracle(monkeypatch
     monkeypatch.setattr(alexander, "alexander", refuse)
     with pytest.raises(engine.ExponentRangeError, match="1000000 letters and 2 closed strings"):
         evaluate_raw(parse("1^1000000", 3))
+
+
+def test_a_word_that_cancels_costs_the_oracle_no_letter(monkeypatch):
+    # (1 -2)^2000 (2 -1)^2000, 8,000 letters on 3 strings, is the identity
+    letters = []
+    monkeypatch.setattr(alexander, "_letter", lambda *args: letters.append(args))
+    word = BraidWord(3, ((1, 1), (2, -1)) * 2000 + ((2, 1), (1, -1)) * 2000)
+    assert evaluate_raw(word) == ZERO
+    assert letters == []
+
+
+def unit_free(f):
+    """f up to a unit +-t^k: shifted to start at t^0, its top coefficient
+    positive."""
+    if not f:
+        return f
+    low, sign = min(f), 1 if f[max(f)] > 0 else -1
+    return {e - low: sign * c for e, c in f.items()}
+
+
+def inverse(word):
+    """The word's inverse: its letters reversed and inverted."""
+    return mirror(BraidWord(word.n_strings, word.letters[::-1]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_the_oracles_normal_form_keeps_delta_under_the_moves(seed, index):
+    # each move keeps the closure; the normal form takes the moved word
+    # back to no more letters than the word's own
+    word = random_braid(random.Random(seed), max_strings=4, max_expanded_len=10)
+    n, size = word.n_strings, len(word.letters)
+    g = (index % (n - 1) + 1, 1 if index & 1 else -1)
+    moved = [
+        free_insert(word, index % (size + 1), g[0]),
+        conjugate(word, g),
+        BraidWord(n, word.letters[index % (size or 1):] + word.letters[: index % (size or 1)]),
+    ]
+    delta = unit_free(alexander.alexander(word))
+    for other in moved:
+        assert unit_free(alexander.alexander(other)) == delta, other
+        assert len(alexander._normal_form(other).letters) <= size, other
+    # a word times its inverse cancels to nothing: a split link on n >= 2
+    identity = BraidWord(n, word.letters + inverse(word).letters)
+    assert alexander._normal_form(identity).letters == ()
+    assert alexander.alexander(identity) == {} and evaluate_raw(identity) == ZERO

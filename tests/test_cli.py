@@ -493,14 +493,14 @@ def test_dump_rmatrix_is_unchanged(capsys):
     assert sum(token == "." for line in out.splitlines()[1:] for token in line.split()) == 256 - 26
 
 
-SHARED_TENSORS = ("_SIGMA", "_SIGMA_INVERSE", "_BASIS", "_BASIS_INVERSE")
+SHARED_TENSORS = ("_SIGMA", "_SIGMA_INVERSE", "_BASIS")
 
 
 def shared_terms():
     """The terms of every tangle the engine shares across words: R, R^-1
-    and the three of each sign's Newton basis."""
-    sigma, inverse, basis, basis_inverse = (getattr(engine, name) for name in SHARED_TENSORS)
-    return [dict(t.terms) for t in (sigma, inverse, *basis, *basis_inverse)]
+    and the three of the Newton basis."""
+    sigma, inverse, basis = (getattr(engine, name) for name in SHARED_TENSORS)
+    return [dict(t.terms) for t in (sigma, inverse, *basis)]
 
 
 def test_no_command_changes_the_shared_tensors(capsys):

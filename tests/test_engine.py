@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -33,6 +34,8 @@ from linksgould.engine import (
 from linksgould.invariant import StructureError
 from linksgould.ring import ONE, ZERO, LaurentQP
 from linksgould.statemodel import GAUGED, HANDLE_PLUS
+
+from test_ring import invert_qp
 
 # reference values in raw (eq2, ep) coordinates, P = p^2
 TREFOIL_RAW = LaurentQP(
@@ -178,14 +181,14 @@ def seeded_four_string_braids(seed):
 def test_a_negated_crossing_cell_is_not_scalar(monkeypatch, cell):
     # evaluate_raw forms column 0 only, whose off-diagonal cells vanish even
     # for a wrong R.  The Alexander oracle catches every negated cell but
-    # (9, 9), q^2 - 1, which vanishes at q = 1: that one changes 11 of the
+    # (9, 9), q^2 - 1, which vanishes at q = 1: that one changes 14 of the
     # 15 values, and to_invariant refuses each of them.  The mutant R^-1 is
-    # formed from the mutant R, so inverse letters are mutated too, and so
-    # are both signs' Newton bases, so every power is.
+    # the e = -1 combination over the mutant R's Newton basis, so inverse
+    # letters are mutated too, and so is every power.
     gauged = dict(GAUGED)
     gauged[cell] = -gauged[cell]
     powers = generator_power(3), generator_power(-3)
-    names = ("_SIGMA", "_SIGMA_INVERSE", "_BASIS", "_BASIS_INVERSE")
+    names = ("_SIGMA", "_SIGMA_INVERSE", "_BASIS")
     for name, t in zip(names, engine._crossing(gauged)):
         monkeypatch.setattr(engine, name, t)
     assert generator_power(3) != powers[0] and generator_power(-3) != powers[1]
@@ -196,7 +199,7 @@ def test_a_negated_crossing_cell_is_not_scalar(monkeypatch, cell):
         except (AlexanderMismatchError, StructureError, NonScalarTangleError) as exc:
             caught.append(type(exc))
     if cell == (9, 9):
-        assert caught == [StructureError] * 11
+        assert caught == [StructureError] * 14
     else:
         assert AlexanderMismatchError in caught, f"negating R cell {cell} went unnoticed"
 
@@ -792,7 +795,33 @@ def test_closing_power_is_the_power_restricted(e):
 
 def test_inverse_is_the_generator_swapped_and_inverted():
     sig, inv = generator_power(1).entries, generator_power(-1).entries
-    assert inv == {(upper[::-1], lower[::-1]): v.invert_qp() for (upper, lower), v in sig.items()}
+    assert inv == {(upper[::-1], lower[::-1]): invert_qp(v) for (upper, lower), v in sig.items()}
+
+
+def at(v, s, p):
+    """v at q^(1/2) = s and p, exact rationals: its doubled q-exponents
+    are exponents of s."""
+    return sum(c * s**eq2 * p**ep for (eq2, ep), c in v.terms.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+def test_a_negative_power_is_one_combination_over_the_one_basis(n):
+    h1, h2 = engine._newton_coefficients(-n)
+    assert (len(h1.terms), len(h2.terms)) == (n, n * (n + 1) // 2)
+    # the divided differences of x^-n at rationals, p < 1 keeping the nodes
+    # apart, with no Laurent term
+    rng = random.Random(n)
+    for _ in range(5):
+        s, p = Fraction(rng.randint(1, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), 10)
+        nodes = (Fraction(-1), s * s / (p * p), s * s * p * p)  # -1, q p^-2, q p^2
+        d01, d12 = ((b**-n - a**-n) / (b - a) for a, b in zip(nodes, nodes[1:]))
+        assert at(h1, s, p) == d01
+        assert at(h2, s, p) == (d12 - d01) / (nodes[2] - nodes[0])
+    identity, n1, n2 = engine._BASIS
+    parts = [(-ONE if n % 2 else ONE, identity), (h1, n1), (h2, n2)]
+    assert combine(parts) == generator_power(-n)
+    for (first, _), (second, _) in product(RESTRICTIONS, repeat=2):
+        assert combine(parts, (first, second)) == generator_power(-n, (first, second))
 
 
 def test_identity_on_no_strings_is_the_scalar_one():
@@ -881,6 +910,17 @@ def test_the_reach_of_a_letter_bounds_every_power():
         for sign in (1, -1):
             q, p = reach(generator_power(sign * e))
             assert q <= 5 * e and p <= 2 * e, sign * e
+    # on the way, a coefficient's term times a basis term reaches no further
+    # than (2n + 3, 2n + 2), for e = n and for e = -n: within the 5n a field
+    # holds when _check_reach admits n
+    basis = [[k for v in t.entries.values() for k in v.terms] for t in engine._BASIS[1:]]
+    for n in (*range(1, 13), 31, 64):
+        for e in (n, -n):
+            for h, terms in zip(engine._newton_coefficients(e), basis):
+                for i in (0, 1):
+                    x, y = [k[i] for k in h.terms], [k[i] for k in terms]
+                    widest = max(max(x) + max(y), -min(x) - min(y)) if x else 0
+                    assert widest <= (2 * n + 3, 2 * n + 2)[i] <= 5 * n, (e, i)
 
 
 def test_a_word_past_the_exponent_field_is_refused_before_any_arithmetic(monkeypatch):

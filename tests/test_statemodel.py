@@ -28,6 +28,8 @@ from linksgould.statemodel import (
     TRANSCRIPTION,
 )
 
+from test_ring import invert_qp
+
 
 def mono(c, eq2=0, ep=0):
     return LaurentQP.monomial(c, eq2, ep)
@@ -240,9 +242,10 @@ def recurrence_powers(r, eigenvalues, exponents):
 @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
 def test_power_matches_the_cubic_recurrence(sign):
     # negative powers come from the inverse generator and the inverted
-    # eigenvalues, so the oracle does not go through the swap-and-invert map
+    # eigenvalues, so past R^-1, which R R^-1 = I pins, the oracle uses no
+    # Newton coefficient
     r = generator_power(1) if sign > 0 else generator_power(-1)
-    eigenvalues = EIGENVALUES if sign > 0 else tuple(lam.invert_qp() for lam in EIGENVALUES)
+    eigenvalues = EIGENVALUES if sign > 0 else tuple(map(invert_qp, EIGENVALUES))
     exponents = (*range(2, 21), 31, 48, 64)
     for e, oracle in recurrence_powers(r, eigenvalues, exponents).items():
         assert generator_power(sign * e).entries == oracle.entries, sign * e
@@ -262,15 +265,17 @@ def test_power_fails_with_a_flipped_newton_coefficient(monkeypatch):
             monkeypatch.setattr(engine, "_newton_coefficients", lambda _, m=tuple(mutated): m)
             assert generator_power(e) != oracle, (which, key)
 
-    # the run-time check sees a flip too: the constant term of h_{e-2}, at
-    # every e >= 2, so R^1 and R^-1 stay right and a pair product fails
-    def flip_constant_term(e):
+    # the run-time check sees a flip too: h2's term l1^a l2^b nearest
+    # a = b = 0 (the constant term for e >= 2, q^-2 for e <= -2), at every
+    # |e| >= 2, so R^1 and R^-1 stay right and a pair product fails
+    def flip_first_term(e):
         h1, h2 = exact(e)
-        if h2:
-            h2 = LaurentQP({**h2.terms, (0, 0): -h2.terms[(0, 0)]})
+        if abs(e) > 1:
+            key = (0, 0) if e > 0 else (-4, 0)
+            h2 = LaurentQP({**h2.terms, key: -h2.terms[key]})
         return h1, h2
 
-    monkeypatch.setattr(engine, "_newton_coefficients", flip_constant_term)
+    monkeypatch.setattr(engine, "_newton_coefficients", flip_first_term)
     assert not check_power_law()
 
 
