@@ -24,7 +24,6 @@ claimed and the seconds it was busy.
 from __future__ import annotations
 
 import argparse
-import gc
 import marshal
 import os
 import sys
@@ -62,19 +61,14 @@ def run(tasks: list[Task], jobs: int) -> list[Result]:
     jobs - 1 forked children claiming chunks of them from one queue."""
     queue = _queue(len(tasks))
     children: list[tuple[int, BufferedRandom]] = []  # pid, the file of its frames
-    # the children's collections then neither scan nor copy the parent's objects
-    gc.freeze()
-    try:
-        for k in range(1, min(jobs, len(tasks), _TOKENS)):
-            try:
-                children.append(_start(tasks, queue, k))
-            except OSError as exc:  # no process or file to spare: fewer claimants
-                logger = debug_logger(__name__)
-                if logger:
-                    logger.debug("no worker %d (%s): %d process(es) claim the records", k, exc, k)
-                break
-    finally:
-        gc.unfreeze()
+    for k in range(1, min(jobs, len(tasks), _TOKENS)):
+        try:
+            children.append(_start(tasks, queue, k))
+        except OSError as exc:  # no process or file to spare: fewer claimants
+            logger = debug_logger(__name__)
+            if logger:
+                logger.debug("no worker %d (%s): %d process(es) claim the records", k, exc, k)
+            break
     results: list[Result | None] = [None] * len(tasks)
     for chunk in _claims(tasks, queue, 0):
         for i in chunk:

@@ -529,51 +529,43 @@ def _rotation_costs(top: int, letters: tuple[tuple[int, int], ...]) -> list[int]
     is live from its first letter to its last, and the open string top
     from its first letter to the end.
 
-    Letter indices stay those of the word as written.  Moving the cut past
-    letter r (from the front of the word to its back) changes the live
-    span of r's two strings only, and of string top, which then also
-    covers r.  For each of r's strings the stretch up to its next letter
-    turns dead and, unless it is string top (live to the end already), the
-    stretch since its previous letter turns live.  Over all rotations each
-    such stretch is crossed at most twice, so the whole is O(n L)."""
+    One rule gives every rotation (letter indices are the word's as
+    written): with the cut before letter r, a touched string is dead
+    strictly between its last letter before the cut and its first after
+    it, cyclically, string top only from the cut up to its first letter,
+    and live elsewhere.  shift applies each change of a gap, at rotation
+    0 and as the cut moves past each letter.  Each gap is shifted at most
+    twice over all rotations, plus once at rotation 0: O(n L)."""
     size = len(letters)
     touches: dict[int, list[int]] = {}
     for t, (pos, _) in enumerate(letters):
         touches.setdefault(pos, []).append(t)
         touches.setdefault(pos + 1, []).append(t)
-    live = [0] * (size + 1)
-    for s, ts in touches.items():  # rotation 0, as a difference array
-        live[ts[0]] += 1
-        live[size if s == top else ts[-1] + 1] -= 1
-    for t in range(1, size):
-        live[t] += live[t - 1]
-    del live[size]
-    cost = sum(_PAIR ** c for c in live)
+    live = [len(touches)] * size
+    cost = size * _PAIR ** len(touches)
 
-    def shift(start: int, length: int, delta: int) -> None:
+    def shift(after: int, before: int, delta: int) -> None:
+        # the letters strictly between letters after and before, cyclically
         nonlocal cost
-        for k in range(start, start + length):
+        for k in range(after + 1, after + 1 + (before - after - 1) % size):
             t = k % size
             cost += _PAIR ** (live[t] + delta) - _PAIR ** live[t]
             live[t] += delta
 
-    # each letter's neighbours among the letters touching the same string
-    prev: dict[tuple[int, int], int] = {}
-    nxt: dict[tuple[int, int], int] = {}
     for s, ts in touches.items():
-        for k, t in enumerate(ts):
-            prev[t, s] = ts[k - 1]
-            nxt[t, s] = ts[(k + 1) % len(ts)]
-
+        shift(-1 if s == top else ts[-1], ts[0], -1)
+    passed = dict.fromkeys(touches, 0)  # each string's letters before the cut
     costs = [cost]
-    for r in range(size - 1):
+    for r in range(size - 1):  # move the cut past letter r
         pos = letters[r][0]
         for s in (pos, pos + 1):
-            if s != top:  # the stretch since s's previous letter turns live
-                shift(prev[r, s] + 1, (r - prev[r, s] - 1) % size, 1)
-            shift(r + 1, (nxt[r, s] - r - 1) % size, -1)  # and up to its next, dead
-        if top in touches and pos + 1 != top:
-            shift(r, 1, 1)  # r is now the last letter, and string top is open
+            ts = touches[s]
+            if s != top:  # the gap since s's previous letter re-opens
+                shift(ts[passed[s] - 1], r, 1)
+            passed[s] += 1
+            shift(r, ts[passed[s] % len(ts)], -1)  # the gap up to its next closes
+        if top in touches and top not in (pos, pos + 1):
+            shift(r - 1, r + 1, 1)  # string top turns live at r
         costs.append(cost)
     return costs
 

@@ -359,7 +359,9 @@ def test_every_rotation_gives_one_value():
     assert values == {str(old_schedule(b))}
 
 
-def rotation_costs_by_brute_force(n, letters):
+def rotation_costs_by_brute_force(top, letters):
+    """Each rotation's cost, from each string's span in the rotated word:
+    string top, the open string, stays live to the end."""
     costs = []
     for r in range(max(len(letters), 1)):
         rotated = letters[r:] + letters[:r]
@@ -370,7 +372,7 @@ def rotation_costs_by_brute_force(n, letters):
         end = len(rotated) - 1
         costs.append(
             sum(
-                16 ** sum(lo <= t <= (end if s == n else hi) for s, (lo, hi) in spans.items())
+                16 ** sum(lo <= t <= (end if s == top else hi) for s, (lo, hi) in spans.items())
                 for t in range(len(rotated))
             )
         )
@@ -378,11 +380,14 @@ def rotation_costs_by_brute_force(n, letters):
 
 
 def test_rotation_costs_match_brute_force():
+    # every open string top, touched or not, and below a touched string or
+    # not (plan passes the highest touched string, or string n); in "3 2"
+    # string 3 is both the open string and the lower string of letter 0
     rng = random.Random(5)
-    for _ in range(150):
-        b = random_braid(rng, max_strings=6, max_expanded_len=14)
-        expected = rotation_costs_by_brute_force(b.n_strings, b.letters)
-        assert engine._rotation_costs(b.n_strings, b.letters) == expected, b
+    for b in [parse("3 2", 6)] + [random_braid(rng, 6, 30) for _ in range(150)]:
+        for top in range(1, b.n_strings + 1):
+            expected = rotation_costs_by_brute_force(top, b.letters)
+            assert engine._rotation_costs(top, b.letters) == expected, (top, b)
 
 
 @pytest.mark.parametrize(
