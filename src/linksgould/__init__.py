@@ -12,7 +12,7 @@ and P, symmetric under P -> 1/P.
 
 from __future__ import annotations
 
-from .braid import BraidWord, parse as parse_braid
+from .braid import BraidWord, Refusal, parse as parse_braid
 from .engine import DEFAULT_SIZE_CAP, evaluate_raw
 from .invariant import to_compact, to_invariant
 
@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidWord",
     "DEFAULT_SIZE_CAP",
+    "Refusal",
     "evaluate",
     "evaluate_raw",
     "parse_braid",

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 
-from .braid import BraidWord
+from .braid import BraidWord, Refusal
 from .ring import LaurentQP
 
 Poly = dict[int, int]
 
 
-class AlexanderMismatchError(RuntimeError):
+class AlexanderMismatchError(Refusal):
     """A value at q = 1 is not P^k times the square of the Alexander
     polynomial of the word it was evaluated from."""
 
@@ -130,26 +130,45 @@ def _determinant(m: list[list[Poly]]) -> Poly:
 
 
 def _normal_form(word: BraidWord) -> BraidWord:
-    """The word freely and cyclically reduced, on its own strings, in one
-    pass: adjacent letters at one position merged, and dropped if their
-    exponents sum to 0; then the first and the last letter merged or
-    cancelled while they sit at one position.  Its closure has the word's
-    Delta, since Burau is a representation and Delta a conjugacy invariant.
-    It shares no code with braid.reduce_closure, which the oracle checks."""
-    out: list[tuple[int, int]] = []
+    """The word shortened by one rule, on its own strings: a letter at p
+    merges into the latest letter at p - 1, p or p + 1 when that letter
+    sits at p, and both go when their exponents sum to 0 (every letter
+    between them is two or more positions away, so it commutes with the
+    letter, as a braid and as a Burau matrix).  Then the first letter,
+    moved to the end (a conjugation), does the same for as long as it
+    merges.  The closure keeps its Delta, since Burau is a representation
+    and Delta a conjugacy invariant.  Each position stacks its letters'
+    indices on a -1, so the latest letter is the largest of three tops and
+    the pass is linear.  It shares no code with braid.reduce_closure,
+    which the oracle checks."""
+    out: list[tuple[int, int] | None] = []  # None once merged away or moved
+    stacks = [[-1] for _ in range(word.n_strings + 1)]
+
+    def merged(pos: int, exp: int, first: int) -> bool:
+        # into the latest letter at pos - 1, pos or pos + 1 if it sits at
+        # pos; a moved letter stays on its stack, below every later index,
+        # and no index up to first's counts
+        k = stacks[pos][-1]
+        if k <= first or k < stacks[pos - 1][-1] or k < stacks[pos + 1][-1]:
+            return False
+        total = out[k][1] + exp
+        if total:
+            out[k] = (pos, total)
+        else:
+            out[k] = None
+            stacks[pos].pop()
+        return True
+
     for pos, exp in word.letters:
-        if out and out[-1][0] == pos:
-            exp += out.pop()[1]
-        if exp:
+        if not merged(pos, exp, -1):
+            stacks[pos].append(len(out))
             out.append((pos, exp))
-    lo, hi = 0, len(out) - 1
-    while lo < hi and out[lo][0] == out[hi][0]:
-        exp, hi = out[lo][1] + out[hi][1], hi - 1
-        if exp:
-            out[lo] = (out[lo][0], exp)
-            break
-        lo += 1
-    return BraidWord(word.n_strings, tuple(out[lo : hi + 1]))
+    for first, letter in enumerate(out):
+        if letter is not None:
+            if not merged(*letter, first):
+                break
+            out[first] = None
+    return BraidWord(word.n_strings, tuple(letter for letter in out if letter))
 
 
 def alexander(word: BraidWord) -> Poly:

@@ -32,7 +32,8 @@ import time
 from collections.abc import Iterator
 from io import BufferedRandom
 
-from .cli import EVAL_ERRORS, _render, evaluate
+from .braid import Refusal
+from .cli import _render, evaluate
 from .engine import debug_logger
 
 Task = tuple[str, str, int]  # name, word, size cap
@@ -47,7 +48,7 @@ def _batch_worker(task: Task) -> Result:
         return name, False, "no braid word after the name"
     try:
         return name, True, _render(evaluate(word, max_size=max_size), "compact-machine", name)
-    except EVAL_ERRORS as exc:
+    except Refusal as exc:
         return name, False, str(exc)
     except Exception as exc:  # a defect: report it on this record, keep the others
         logger = debug_logger(__name__)

@@ -15,7 +15,13 @@ import re
 from collections import deque
 
 
-class BraidSyntaxError(ValueError):
+class Refusal(ValueError):
+    """An input the package will not read or evaluate, or a value it will
+    not return, with a one-line diagnostic.  Every error class the package
+    defines derives from it, so one ``except Refusal`` catches them all."""
+
+
+class BraidSyntaxError(Refusal):
     """Raised on malformed braid-word text; carries the offending token."""
 
 

@@ -23,6 +23,7 @@ import time
 from . import alexander
 from .braid import (
     BraidWord,
+    Refusal,
     conjugate,
     free_insert,
     mirror,
@@ -31,7 +32,7 @@ from .braid import (
     render,
     stabilize,
 )
-from .cli import EVAL_ERRORS, evaluate
+from .cli import evaluate
 from .engine import (
     ALL_COLUMNS,
     SparseTangle,
@@ -159,9 +160,9 @@ def run_markov_suite(seed: int = 0, braids: int = 100) -> MarkovReport:
     in all four columns, so each passes the 16-cell scalar check, and
     evaluate_raw, which forms engine.COLUMNS of the reduced word, must
     give the same value.  Every value also passes the structural checks
-    inside to_invariant.  A braid whose evaluation raises one of
-    EVAL_ERRORS fails the "evaluation" check, with the error's class, and
-    its other checks are skipped."""
+    inside to_invariant.  A braid whose evaluation raises a Refusal fails
+    the "evaluation" check, with the error's class, and its other checks
+    are skipped."""
     rng = random.Random(seed)
     report = MarkovReport()
 
@@ -200,7 +201,7 @@ def run_markov_suite(seed: int = 0, braids: int = 100) -> MarkovReport:
 
             mirrored = to_invariant(value(mirror(b)))
             check("mirror", word, mirrored == q_inverted(poly))
-        except EVAL_ERRORS as exc:
+        except Refusal as exc:
             report.failures["evaluation"].append(f"{word!r}: {type(exc).__name__}: {exc}")
     return report
 
@@ -209,7 +210,7 @@ def regression(entries: list[CorpusEntry]) -> list[tuple[CorpusEntry, str, float
     """Evaluate every entry that carries a braid word and compare it
     bit-exactly with its stored compact form: one (entry, mismatch detail or
     "", seconds) row per evaluated entry; value-only entries get no row.  A
-    refusal (one of EVAL_ERRORS) is the detail of its entry's row."""
+    Refusal is the detail of its entry's row."""
     rows = []
     for entry in entries:
         if entry.braid is None:
@@ -220,7 +221,7 @@ def regression(entries: list[CorpusEntry]) -> list[tuple[CorpusEntry, str, float
             detail = "" if got == entry.compact else (
                 f"got {render_machine(got)} expected {render_machine(entry.compact)}"
             )
-        except EVAL_ERRORS as exc:
+        except Refusal as exc:
             detail = f"{type(exc).__name__}: {exc}"
         rows.append((entry, detail, time.perf_counter() - start))
     return rows

@@ -32,20 +32,12 @@ import re
 import sys
 import time
 
-from .alexander import AlexanderMismatchError
-from .braid import BraidSyntaxError, BraidWord, components, parse, render, with_strings, writhe
-from .engine import (
-    DEFAULT_SIZE_CAP,
-    ExponentRangeError,
-    NonScalarTangleError,
-    SizeCapExceeded,
-    evaluate_raw,
-    generator_power,
+from .braid import (
+    BraidSyntaxError, BraidWord, Refusal, components, parse, render, with_strings, writhe
 )
+from .engine import DEFAULT_SIZE_CAP, evaluate_raw, generator_power
 from .invariant import (
     InvariantPoly,
-    MachineFormatError,
-    StructureError,
     is_palindromic_q,
     render_compact_text,
     render_laurent,
@@ -59,15 +51,6 @@ from .invariant import (
 # is a fresh process, and on a small word start-up is most of its cost.
 
 FORMATS = ("compact-text", "compact-machine", "laurent", "json")
-EVAL_ERRORS = (
-    BraidSyntaxError,
-    SizeCapExceeded,
-    ExponentRangeError,
-    NonScalarTangleError,
-    AlexanderMismatchError,
-    StructureError,
-    MachineFormatError,
-)
 # a braid word led by an inverse letter and going on past its digits
 _DASH_LED_WORD = re.compile(r"-\d+[,^][-\d,^]*")
 
@@ -80,7 +63,7 @@ def evaluate(
     """The (q, P) polynomial of the closure of a braid word, given as a
     :class:`BraidWord` or as text in the generator grammar (e.g. ``"1 1 1"``
     for the trefoil), on ``strings`` strings if given: the added ones are
-    free.  A refused word raises one of ``EVAL_ERRORS``."""
+    free.  A refused word raises a :class:`Refusal`."""
     braid = parse(word, strings) if isinstance(word, str) else with_strings(word, strings)
     return to_invariant(evaluate_raw(braid, max_size=max_size))
 
@@ -139,7 +122,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - start
         facts = _facts(braid, poly)
         record = _render(poly, args.format, facts=facts)
-    except EVAL_ERRORS as exc:
+    except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BraidSyntaxError) else 1
     print(record)

@@ -50,7 +50,7 @@ import time
 from itertools import product
 
 from . import alexander
-from .braid import BraidWord, reduce_closure
+from .braid import BraidWord, Refusal, reduce_closure
 from .ring import ONE, LaurentQP
 from .statemodel import EIGENVALUES, GAUGED, HANDLE_PLUS, M_DIM
 
@@ -86,7 +86,7 @@ def debug_logger(name: str):
     return logger if logger.isEnabledFor(logging.DEBUG) else None
 
 
-class SizeCapExceeded(RuntimeError):
+class SizeCapExceeded(Refusal):
     """Evaluation refused because M^(2n) exceeds the configured cap."""
 
     def __init__(self, n: int, cap: int):
@@ -104,11 +104,11 @@ def _surely_over(n: int, cap: int) -> bool:
     return 2 * n >= cap.bit_length()
 
 
-class NonScalarTangleError(RuntimeError):
+class NonScalarTangleError(Refusal):
     """The closed (1,1)-tangle is not a scalar multiple of the identity."""
 
 
-class ExponentRangeError(RuntimeError):
+class ExponentRangeError(Refusal):
     """Evaluation refused because a term's exponent could outgrow the
     packed key's field."""
 
@@ -599,14 +599,15 @@ def plan(
     take that opens it), ANY elsewhere.
     The open string (the highest touched string; string n if no letter
     touches one) is the one left open.  A string opens at its first letter
-    and, unless it is the open string, closes after its last; a free
-    string (any other untouched string) opens and closes before the first
-    letter, so the tangle is 0 from there on and no power is formed, and
-    an untouched open string opens after the last.  Exact: the handle on a
-    string commutes with every operator not acting on it, conjugate braids
-    have the same closure, and no step changes a lower index.  The word is
-    planned as given; evaluate_raw plans its reduced word.  The plan alone
-    refuses a schedule: one whose terms could outgrow a packed field."""
+    and, unless it is the open string, closes after its last.  Every
+    untouched string opens before the first letter, and a free one (any
+    but the open string) closes there too, so the tangle is 0 from there
+    on and no power is formed; the open string is untouched only in an
+    empty word.  Exact: the handle on a string commutes with every
+    operator not acting on it, conjugate braids have the same closure, and
+    no step changes a lower index.  The word is planned as given;
+    evaluate_raw plans its reduced word.  The plan alone refuses a
+    schedule: one whose terms could outgrow a packed field."""
     n = word.n_strings
     _check_reach(word.expanded_length(), n - 1)
     touched = _touched(word)
@@ -614,9 +615,8 @@ def plan(
     costs = _rotation_costs(top, word.letters)
     r = costs.index(min(costs))  # the earliest of the cheapest
     # each event is the strings it touches and its exponent, 0 for no letter
-    events = [((s,), 0) for s in range(1, n + 1) if s not in touched and s != top]
+    events = [((s,), 0) for s in range(1, n + 1) if s not in touched]
     events += [((pos, pos + 1), exp) for pos, exp in word.letters[r:] + word.letters[:r]]
-    events.append(((top,), 0))  # a no-op if the open string is live already
     last = {s: t for t, (span, _) in enumerate(events) for s in span}
     opening = lower_in(columns)
     live: list[int] = []
@@ -685,9 +685,9 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     refusals are the size guard and _check_reach on the word as given,
     n - 1 closes: reduction adds no letter or string, so whether a word
     is refused does not depend on how far it reduces.
-    Neither bounds the oracle's time: it reads its own free and cyclic
-    normal form of the word, linear to form, but one that shrinks only by
-    commuting letters still grows its Burau coefficients with its letters
+    Neither bounds the oracle's time: it reads its own normal form of the
+    word, linear to form, but one that shrinks only after a
+    destabilization still grows its Burau coefficients with its letters
     (see README, "Storage wall").  A split link's plan closes a free string
     first, so its value is 0 and no power is formed."""
     _guard(word.n_strings, max_size)

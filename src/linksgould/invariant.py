@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 
+from .braid import Refusal
 from .ring import LaurentQP
 
 InvariantPoly = dict[tuple[int, int], int]  # (eq, eP) -> coefficient
@@ -18,7 +19,7 @@ QPoly = dict[int, int]  # q-exponent -> coefficient
 CompactForm = list[QPoly]
 
 
-class StructureError(RuntimeError):
+class StructureError(Refusal):
     """Raw value violates the invariant's structure (odd exponents, q- and
     P-exponents of different parity, or broken P-symmetry); indicates an
     upstream bug."""
@@ -137,7 +138,7 @@ _BLOCK_RE = re.compile(r"^([0-9]+)\s*:\s*\[([^\]]*)\]$")
 _PAIR_RE = re.compile(r"\s*(-?[0-9]+)\s*:\s*(-?[0-9]+)\s*")
 
 
-class MachineFormatError(ValueError):
+class MachineFormatError(Refusal):
     pass
 
 

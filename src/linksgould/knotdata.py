@@ -18,7 +18,7 @@ from collections import namedtuple
 from importlib import resources
 
 from .alexander import at_q_one, square_root
-from .braid import BraidWord, components, parse as parse_braid
+from .braid import BraidWord, Refusal, components, parse as parse_braid
 from .invariant import (
     StructureError, from_compact, is_palindromic_q, parse_machine, to_invariant, to_raw
 )
@@ -26,7 +26,7 @@ from .invariant import (
 CORPUS_RESOURCE = "lg_table.txt"
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(Refusal):
     pass
 
 

@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import pytest
 
 import linksgould
@@ -53,3 +56,28 @@ def test_evaluate_refuses_a_value_that_breaks_the_parity(monkeypatch):
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         linksgould.nothing
+
+
+def test_every_error_the_package_defines_is_a_refusal():
+    # __main__ is left out: importing it runs the command
+    defined = {}
+    for info in pkgutil.iter_modules(linksgould.__path__, "linksgould."):
+        if info.name != "linksgould.__main__":
+            module = importlib.import_module(info.name)
+            for cls in vars(module).values():
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    if cls.__module__ == module.__name__:
+                        defined[cls.__name__] = cls
+    assert linksgould.Refusal is defined.pop("Refusal")
+    assert sorted(defined) == [
+        "AlexanderMismatchError",
+        "BraidSyntaxError",
+        "CorpusFormatError",
+        "ExponentRangeError",
+        "MachineFormatError",
+        "NonScalarTangleError",
+        "SizeCapExceeded",
+        "StructureError",
+    ]
+    for cls in defined.values():
+        assert cls.__bases__ == (linksgould.Refusal,), cls

@@ -83,6 +83,21 @@ def test_the_api_imports_only_what_eval_uses():
     assert result.stdout.splitlines() == ["[{0: 1, 2: 2}, {1: -1, 3: -1}, {2: 1}]", "[]"]
 
 
+def test_the_package_root_catches_a_refusal_without_the_command_line():
+    script = (
+        "import sys\n"
+        "import linksgould\n"
+        "try:\n"
+        "    linksgould.parse_braid('1 x')\n"
+        "except linksgould.Refusal as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "print(sorted(m for m in ('argparse', 'linksgould.cli') if m in sys.modules))\n"
+    )
+    result = python("-S", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["BraidSyntaxError bad token 'x' at position 2", "[]"]
+
+
 def test_batch_jobs_imports_no_process_pool(tmp_path):
     (tmp_path / "words.txt").write_text("trefoil 1 1 1\nhopf 1^2\n")
     script = (
