@@ -1,18 +1,35 @@
-"""The Alexander polynomial of a braid's closure from its Burau matrix, and
-the check that ties it to the Links-Gould invariant: LG(q = 1, P) is
-P^k Delta(P)^2 for some integer k (Ishii; Kohli 2016, "On the Links-Gould
-invariant and the square of the Alexander polynomial").  Nothing here
-comes from the state model, so the check is independent of the engine.
+"""The check that ties a Links-Gould value to the Alexander polynomial of
+its braid's closure: LG(q = 1, P) is P^k Delta(P)^2 (Ishii; Kohli 2016,
+"On the Links-Gould invariant and the square of the Alexander
+polynomial").  Nothing here comes from the state model, so the check is
+independent of the engine.
+
+Delta is D(t) = det(I - B') (Kassel-Turaev, "Braid Groups"), B' the
+unreduced Burau matrix B of the word with row 1 and column 1 deleted.
+sigma_i acts on rows i and i + 1 of B as [[1 - t, t], [1, 0]], so row r
+of B is e_r times the letters' matrices in word order, each row formed on
+its own, and only rows 2..n are needed.  The unit is fixed: for a raw
+value f at q = 1, a polynomial in p with P = p^2, a word on n strings
+with exponent sum e has
+
+    f(p) p^(2(e - n + 1)) = D(p^2)^2.
+
+The check reads both sides at one point, p = X modulo the prime
+P_MOD = 2^61 - 1, for the word as given: linear in its letters, with no
+coefficient growth and no normal form.  It never refuses a correct
+value, since the identity is exact.  A wrong value passes only if the
+difference of the two sides vanishes at X modulo P_MOD: each of its
+coefficients is a multiple of P_MOD, or X is one of its roots.  For a
+value whose p-exponents stay within the p-reach N = 2 letters + 2 closes
+that engine._check_reach admits, the difference times p^N is a
+polynomial of degree at most 2N, with at most 2N roots, so a point drawn
+at random is one with chance at most 2N / P_MOD: under 2 * 10^-13 on the
+five strings the default size cap admits (where the q-reach keeps N
+under 210,000), and under 5 * 10^-13 for any admitted word.  X is a
+constant, so the same input always gives the same outcome.
 
 A polynomial is a plain dict {exponent: integer coefficient} with no zero
-coefficient, a Laurent polynomial in t (or in P, or in p).
-
-Delta(t) is det(I - B) with row 1 and column 1 deleted, up to a unit
-+-t^k.  B is the unreduced Burau matrix of the word: sigma_i acts on rows
-i and i + 1 as [[1 - t, t], [1, 0]].  Row r of B is e_r times the letters'
-matrices in word order, so each row is formed on its own, and a letter
-at i changes its entries i and i + 1 (see _letter).  Only rows 2..n are
-needed.
+coefficient, a Laurent polynomial in p (or in P).
 """
 
 from __future__ import annotations
@@ -23,6 +40,9 @@ from .braid import BraidWord, Refusal
 from .ring import LaurentQP
 
 Poly = dict[int, int]
+
+P_MOD = (1 << 61) - 1  # a prime, 3 mod 4: no x has x^2 = -1, so 1 + t is a unit
+X = 0x0123456789ABCDEF  # the point p = X, t = P = X^2
 
 
 class AlexanderMismatchError(Refusal):
@@ -42,165 +62,56 @@ def _products(*terms: tuple[int, Poly, Poly]) -> Poly:
     return {e: c for e, c in out.items() if c}
 
 
-def _sum(f: Poly, g: Poly, h: Poly) -> Poly:
-    """f + g - h, formed in one dict.  Every sum the oracle forms has this
-    shape, and fixed signs cost less per call than a list of signed terms."""
-    out = dict(f)
-    for e, c in g.items():
-        out[e] = out.get(e, 0) + c
-    for e, c in h.items():
-        out[e] = out.get(e, 0) - c
-    return {e: c for e, c in out.items() if c}
-
-
-def _alpha(e: int) -> Poly:
-    """alpha with M^e = alpha M + (1 - alpha) I for the Burau block
-    M = [[1 - t, t], [1, 0]], whose eigenvalues are 1 and -t:
-    alpha = (1 - (-t)^e) / (1 + t), a sum of |e| powers of -t."""
-    sign = (1, -1)  # (-1)^k by the parity of k
-    if e > 0:
-        return {k: sign[k & 1] for k in range(e)}
-    return {k: -sign[k & 1] for k in range(e, 0)}
-
-
-def _letter(x: Poly, y: Poly, e: int) -> tuple[Poly, Poly]:
-    """A row's entries (x, y) at i, i + 1 times sigma_i^e's block:
-    (x, y) M^e = (x - d, y + d) with d = alpha (t x - y) (see _alpha), so
-    the letter keeps x + y.  At e = 1, y + d = t x; at e = -1, x - d = y / t."""
-    if e == 1:
-        new_y = {k + 1: c for k, c in x.items()}
-        return _sum(x, y, new_y), new_y
-    if e == -1:
-        new_x = {k - 1: c for k, c in y.items()}
-        return new_x, _sum(x, y, new_x)
-    d = _products((1, _alpha(e), _sum({k + 1: c for k, c in x.items()}, {}, y)))
-    return _sum(x, {}, d), _sum(y, d, {})
-
-
-def burau(word: BraidWord) -> list[list[Poly]]:
-    """Rows 2..n of the unreduced Burau matrix of the word, each a list of
-    n polynomials in t (see _letter).  Row 1 follows from them, as
-    (1, t, ..., t^(n-1)) B = (1, t, ..., t^(n-1)) for every braid."""
+def burau_rows(word: BraidWord, t: int) -> list[list[int]]:
+    """Rows 2..n of the unreduced Burau matrix of the word at t mod P_MOD.
+    A letter sigma_i^e takes a row's entries (x, y) at i, i + 1 to
+    (x, y) M^e = (x - d, y + d), d = alpha (t x - y): M's eigenvalues are 1
+    and -t, so M^e = alpha M + (1 - alpha) I with
+    alpha = (1 - (-t)^e) / (1 + t), one pow per distinct exponent."""
     n = word.n_strings
-    out = [[{0: 1} if c == r else {} for c in range(n)] for r in range(1, n)]
-    for pos, exp in word.letters:
-        for row in out:
-            if row[pos - 1] or row[pos]:
-                row[pos - 1], row[pos] = _letter(row[pos - 1], row[pos], exp)
-    return out
+    rows = [[int(c == r) for c in range(n)] for r in range(1, n)]
+    over = pow(1 + t, -1, P_MOD)
+    alphas: dict[int, int] = {}
+    for pos, e in word.letters:
+        a = alphas.get(e)
+        if a is None:
+            a = alphas[e] = (1 - pow(-t, e, P_MOD)) * over % P_MOD
+        for row in rows:
+            x, y = row[pos - 1], row[pos]
+            d = a * (t * x - y) % P_MOD
+            row[pos - 1], row[pos] = (x - d) % P_MOD, (y + d) % P_MOD
+    return rows
 
 
-def _divide(f: Poly, g: Poly) -> Poly:
-    """f / g when g divides f exactly, term by term from the top."""
-    f, out = dict(f), {}
-    top = max(g)
-    lowest = min(f) - min(g) if f else 0
-    while f:
-        e = max(f)
-        c, r = divmod(f[e], g[top])
-        if r or e - top < lowest:
-            raise ArithmeticError("inexact polynomial division")
-        out[e - top] = c
-        for k, v in g.items():
-            s = f.get(k + e - top, 0) - c * v
-            if s:
-                f[k + e - top] = s
-            else:
-                del f[k + e - top]
-    return out
-
-
-def _determinant(m: list[list[Poly]]) -> Poly:
-    """The determinant by fraction-free elimination (Bareiss): each
-    division in it is exact, so every entry stays a polynomial."""
+def _determinant(m: list[list[int]]) -> int:
+    """The determinant mod P_MOD, by elimination with one inverse per pivot."""
     m = [row[:] for row in m]
-    size, sign, previous = len(m), 1, {0: 1}
-    for k in range(size):
-        pivot = next((r for r in range(k, size) if m[r][k]), None)
+    det = 1
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
         if pivot is None:
-            return {}
+            return 0
         if pivot != k:
-            m[k], m[pivot], sign = m[pivot], m[k], -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                cross = _products((1, m[k][k], m[i][j]), (-1, m[i][k], m[k][j]))
-                m[i][j] = _divide(cross, previous) if k else cross
-        previous = m[k][k]
-    return {e: sign * c for e, c in previous.items()}
+            m[k], m[pivot], det = m[pivot], m[k], -det
+        row = m[k]
+        det = det * row[k] % P_MOD
+        inverse = pow(row[k], -1, P_MOD)
+        for below in m[k + 1 :]:
+            factor = below[k] * inverse % P_MOD
+            if factor:
+                for j in range(k + 1, len(m)):
+                    below[j] = (below[j] - factor * row[j]) % P_MOD
+    return det
 
 
-def _normal_form(word: BraidWord) -> BraidWord:
-    """The word shortened by one rule, on its own strings: a letter at p
-    merges into the latest letter at p - 1, p or p + 1 when that letter
-    sits at p, and both go when their exponents sum to 0 (every letter
-    between them is two or more positions away, so it commutes with the
-    letter, as a braid and as a Burau matrix).  Then the first letter,
-    moved to the end (a conjugation), does the same for as long as it
-    merges.  The closure keeps its Delta, since Burau is a representation
-    and Delta a conjugacy invariant.  Each position stacks its letters'
-    indices on a -1, so the latest letter is the largest of three tops and
-    the pass is linear.  It shares no code with braid.reduce_closure,
-    which the oracle checks."""
-    out: list[tuple[int, int] | None] = []  # None once merged away or moved
-    stacks = [[-1] for _ in range(word.n_strings + 1)]
-
-    def merged(pos: int, exp: int, first: int) -> bool:
-        # into the latest letter at pos - 1, pos or pos + 1 if it sits at
-        # pos; a moved letter stays on its stack, below every later index,
-        # and no index up to first's counts
-        k = stacks[pos][-1]
-        if k <= first or k < stacks[pos - 1][-1] or k < stacks[pos + 1][-1]:
-            return False
-        total = out[k][1] + exp
-        if total:
-            out[k] = (pos, total)
-        else:
-            out[k] = None
-            stacks[pos].pop()
-        return True
-
-    for pos, exp in word.letters:
-        if not merged(pos, exp, -1):
-            stacks[pos].append(len(out))
-            out.append((pos, exp))
-    for first, letter in enumerate(out):
-        if letter is not None:
-            if not merged(*letter, first):
-                break
-            out[first] = None
-    return BraidWord(word.n_strings, tuple(letter for letter in out if letter))
-
-
-def alexander(word: BraidWord) -> Poly:
-    """Delta(t) of the word's closure, up to a unit +-t^k; 0 for a split
-    link, 1 for the unknot on one string.  It is det(I - B'), B' being B
-    with row 1 and column 1 deleted, formed as (-1)^(n-1) det(B' - I), B
-    the Burau matrix of the word's normal form (see _normal_form)."""
-    minor = [row[1:] for row in burau(_normal_form(word))]
-    for r, row in enumerate(minor):
-        row[r] = _sum(row[r], {}, {0: 1})
-    delta = _determinant(minor)
-    return {e: -c for e, c in delta.items()} if len(minor) % 2 else delta
-
-
-def _at(f: Poly, bits: int) -> int:
-    """f shifted to start at x^0, at x = 2^bits."""
-    low = min(f)
-    return sum(c << bits * (e - low) for e, c in f.items())
-
-
-def is_square_multiple(f: Poly, g: Poly) -> bool:
-    """Whether f(p) = p^k g(p^2)^2 for some integer k: a raw value at q = 1
-    against Delta(P), P = p^2.  Both sides are read at p = 2^bits, each
-    shifted to start at p^0, with bits chosen so that no coefficient of
-    either reaches 2^(bits - 1) in absolute value: two such polynomials are
-    equal exactly when those integers are (Kronecker substitution), and one
-    big-integer square costs far less than squaring g term by term."""
-    if not f or not g:
-        return f == g
-    bound = max(max(map(abs, f.values())), sum(map(abs, g.values())) ** 2)
-    bits = bound.bit_length() + 2
-    return _at(f, bits) == _at(g, 2 * bits) ** 2
+def delta_at_point(word: BraidWord) -> int:
+    """D(t) = det(I - B') of the word as given, at t = X^2 mod P_MOD."""
+    t = X * X % P_MOD
+    minor = [
+        [(int(r == c) - v) % P_MOD for c, v in enumerate(row[1:])]
+        for r, row in enumerate(burau_rows(word, t))
+    ]
+    return _determinant(minor)
 
 
 def at_q_one(value: LaurentQP) -> Poly:
@@ -211,17 +122,24 @@ def at_q_one(value: LaurentQP) -> Poly:
     return {e: c for e, c in out.items() if c}
 
 
-def check(word: BraidWord, value: LaurentQP) -> Poly:
-    """Delta of the word's closure, once the raw Links-Gould value of that
-    closure (in q^(1/2) and p, P = p^2) is checked to be P^k Delta(P)^2 at
-    q = 1; AlexanderMismatchError if it is not."""
-    delta = alexander(word)
-    if not is_square_multiple(at_q_one(value), delta):
+def check(word: BraidWord, value: LaurentQP) -> None:
+    """AlexanderMismatchError unless the raw Links-Gould value of the
+    word's closure (in q^(1/2) and p, P = p^2) has
+    f(X) X^(2(e - n + 1)) = D(X^2)^2 mod P_MOD at q = 1, f being read by
+    Horner over its p-exponents."""
+    f = at_q_one(value)
+    side = 0
+    if f:
+        low = min(f)
+        for e in range(max(f), low - 1, -1):
+            side = (side * X + f.get(e, 0)) % P_MOD
+        shift = 2 * (sum(e for _, e in word.letters) - word.n_strings + 1)
+        side = side * pow(X, low + shift, P_MOD) % P_MOD
+    if side != pow(delta_at_point(word), 2, P_MOD):
         raise AlexanderMismatchError(
-            f"value at q = 1 is not P^k Delta(P)^2 for the braid's Alexander polynomial"
-            f" Delta ({len(delta)} terms, from its Burau matrix)"
+            "value at q = 1 is not P^k Delta(P)^2, k = n - 1 - e, for the braid's"
+            f" Alexander polynomial Delta (from its Burau matrix, at p = {X} mod 2^61 - 1)"
         )
-    return delta
 
 
 def square_root(f: Poly) -> Poly | None:

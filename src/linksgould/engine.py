@@ -4,7 +4,9 @@ word's schedule with no arithmetic, and ``execute`` runs it over sparse
 tangles and extracts the scalar.  ``evaluate_raw`` then checks the value
 against the word as given with the Alexander oracle (``alexander.check``,
 which shares no code with the state model): at q = 1 it must be
-P^k Delta(P)^2, Delta from the Burau matrix of the word's normal form.
+P^(n - 1 - e) Delta(P)^2 for a word on n strings with exponent sum e,
+Delta from the Burau matrix of the word as given, both sides read at one
+point modulo a prime in one pass over the letters.
 
 Every tensor here is a ``SparseTangle``: the crossing tensor, its inverse
 and its powers are 2-string tangles, and the closed tangle is a 1-string
@@ -684,12 +686,10 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
     given (alexander.check), so that it covers the reduction too.  The
     refusals are the size guard and _check_reach on the word as given,
     n - 1 closes: reduction adds no letter or string, so whether a word
-    is refused does not depend on how far it reduces.
-    Neither bounds the oracle's time: it reads its own normal form of the
-    word, linear to form, but one that shrinks only after a
-    destabilization still grows its Burau coefficients with its letters
-    (see README, "Storage wall").  A split link's plan closes a free string
-    first, so its value is 0 and no power is formed."""
+    is refused does not depend on how far it reduces.  The oracle's time
+    is linear in the letters of the word as given, at a few integer
+    products per letter and string.  A split link's plan closes a free
+    string first, so its value is 0 and no power is formed."""
     _guard(word.n_strings, max_size)
     _check_reach(word.expanded_length(), word.n_strings - 1)
     reduced = reduce_closure(word)
@@ -701,10 +701,11 @@ def evaluate_raw(word: BraidWord, max_size: int = DEFAULT_SIZE_CAP) -> LaurentQP
         )
     value = execute(plan(reduced))
     start = time.perf_counter() if logger else 0.0
-    delta = alexander.check(word, value)
+    alexander.check(word, value)
     if logger:
         logger.debug(
-            "alexander oracle: Delta has %d terms, %.4fs", len(delta), time.perf_counter() - start
+            "alexander oracle: letters=%d strings=%d seconds=%.4f",
+            word.expanded_length(), word.n_strings, time.perf_counter() - start,
         )
     return value
 

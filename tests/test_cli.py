@@ -362,13 +362,12 @@ def test_selftest_fails_only_the_row_of_a_planted_defect(capsys, monkeypatch, na
 def test_selftest_fails_rows_on_a_value_the_oracle_refuses(capsys, monkeypatch):
     # a wrong Delta for the trefoil's braid: the oracle refuses the
     # regression's value, which is a FAIL row naming the error, not a traceback
-    real = alexander.alexander
+    real = alexander.delta_at_point
 
     def doubled_for_the_trefoil(word):
-        delta = real(word)
-        return {e: 2 * c for e, c in delta.items()} if render(word) == "1^3" else delta
+        return real(word) * (2 if render(word) == "1^3" else 1)
 
-    monkeypatch.setattr(alexander, "alexander", doubled_for_the_trefoil)
+    monkeypatch.setattr(alexander, "delta_at_point", doubled_for_the_trefoil)
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
     lines = out.splitlines()

@@ -1,4 +1,5 @@
 import copy
+from itertools import product
 
 import pytest
 
@@ -116,6 +117,12 @@ def test_square_root_examples():
     assert square_root({4: 1, 2: -2, 0: 4, -2: -2, -4: 1}) is None  # one coefficient off
     assert square_root({0: 2}) is None and square_root({1: 1}) is None
     assert square_root({0: -1}) is None and square_root({}) == {}
+    assert square_root({4: 1, 0: -1}) is None
+    g = {3: 2, 1: -5, 0: 1, -4: 7}
+    square = {}
+    for (a, x), (b, y) in product(g.items(), g.items()):
+        square[a + b] = square.get(a + b, 0) + x * y
+    assert square_root({e: c for e, c in square.items() if c}) == g
 
 
 def test_lg_at_q_one_is_the_square_of_the_alexander_polynomial():
