@@ -34,8 +34,6 @@ coefficient, a Laurent polynomial in p (or in P).
 
 from __future__ import annotations
 
-import math
-
 from .braid import BraidWord, Refusal
 from .ring import LaurentQP
 
@@ -48,18 +46,6 @@ X = 0x0123456789ABCDEF  # the point p = X, t = P = X^2
 class AlexanderMismatchError(Refusal):
     """A value at q = 1 is not P^k times the square of the Alexander
     polynomial of the word it was evaluated from."""
-
-
-def _products(*terms: tuple[int, Poly, Poly]) -> Poly:
-    """The sum of sign * f * g over (sign, f, g), formed in one dict."""
-    out: Poly = {}
-    get = out.get
-    for sign, f, g in terms:
-        for a, x in f.items():
-            x *= sign
-            for b, y in g.items():
-                out[a + b] = get(a + b, 0) + x * y
-    return {e: c for e, c in out.items() if c}
 
 
 def burau_rows(word: BraidWord, t: int) -> list[list[int]]:
@@ -140,26 +126,3 @@ def check(word: BraidWord, value: LaurentQP) -> None:
             "value at q = 1 is not P^k Delta(P)^2, k = n - 1 - e, for the braid's"
             f" Alexander polynomial Delta (from its Burau matrix, at p = {X} mod 2^61 - 1)"
         )
-
-
-def square_root(f: Poly) -> Poly | None:
-    """The integer Laurent polynomial g with g * g == f and a positive top
-    coefficient, or None if f is no such square.  g's terms are found from
-    the top down: the next is what f's matching coefficient leaves over
-    the square of the terms found so far, over twice g's top coefficient."""
-    if not f:
-        return {}
-    top = max(f)
-    lead = math.isqrt(f[top]) if f[top] > 0 else 0
-    if top % 2 or lead * lead != f[top]:
-        return None
-    half = top // 2
-    g = {half: lead}
-    for e in range(half - 1, min(f) // 2 - 1, -1):
-        known = sum(c * g.get(half + e - k, 0) for k, c in g.items())
-        c, r = divmod(f.get(half + e, 0) - known, 2 * lead)
-        if r:
-            return None
-        if c:
-            g[e] = c
-    return g if _products((1, g, g)) == f else None

@@ -23,7 +23,6 @@ claimed and the seconds it was busy.
 
 from __future__ import annotations
 
-import argparse
 import marshal
 import os
 import sys
@@ -31,6 +30,7 @@ import tempfile
 import time
 from collections.abc import Iterator
 from io import BufferedRandom
+from types import SimpleNamespace
 
 from .braid import Refusal
 from .cli import _render, evaluate
@@ -219,7 +219,7 @@ def _lost(status: int) -> str:
     return f"its worker was killed by {name} before sending it"
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
+def cmd_batch(args: SimpleNamespace) -> int:
     tasks: list[Task] = []
     try:
         # utf-8-sig: a leading byte-order mark is not part of the first name

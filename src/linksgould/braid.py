@@ -1,6 +1,6 @@
-"""Braid words: parsing, closure bookkeeping, and the moves that preserve
-the closure's link type: ``reduce_closure``, which the engine runs before
-it plans, and the moves the property-test suite applies.
+"""Braid words: parsing, closure bookkeeping, and ``reduce_closure``, which
+the engine runs before it plans: moves that keep the closure's link type.
+The moves the Markov property suite applies are in ``checks``.
 
 Grammar: a word is whitespace- or comma-separated tokens, each ``j`` or
 ``j^k``, with j and k in ASCII digits (any other script's digits are a
@@ -166,41 +166,6 @@ def writhe(word: BraidWord) -> int:
     return sum(exp for _, exp in word.letters)
 
 
-def mirror(word: BraidWord) -> BraidWord:
-    return BraidWord(
-        word.n_strings, tuple((pos, -exp) for pos, exp in word.letters)
-    )
-
-
-def conjugate(word: BraidWord, g: tuple[int, int]) -> BraidWord:
-    """g^-1 . word . g for a single letter g; same closure."""
-    pos, exp = g
-    if exp == 0:
-        raise ValueError("zero exponent letter")
-    n = max(word.n_strings, pos + 1)
-    letters: list[tuple[int, int]] = [(pos, -exp)]
-    for item in word.letters:
-        _merge_push(letters, *item)
-    _merge_push(letters, pos, exp)
-    return BraidWord(n, tuple(letters))
-
-
-def stabilize(word: BraidWord, sign: int) -> BraidWord:
-    """Append the new top generator on one extra string; same closure."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n = word.n_strings
-    return BraidWord(n + 1, word.letters + ((n, sign),))
-
-
-def free_insert(word: BraidWord, index: int, pos: int) -> BraidWord:
-    """Insert the cancelling pair sigma_pos sigma_pos^-1 before letter index."""
-    n = max(word.n_strings, pos + 1)
-    letters = list(word.letters)
-    letters[index:index] = [(pos, 1), (pos, -1)]
-    return BraidWord(n, tuple(letters))
-
-
 def reduce_closure(word: BraidWord) -> BraidWord:
     """A word with the same closure and no more letters or strings, by
     moves that do no arithmetic, applied until none applies:
@@ -285,16 +250,3 @@ def _destabilize(
             rest = letters[: at[0]] + letters[at[0] + 1 :]
             return n - 1, [(pos - shift, exp) for pos, exp in rest]
     return n, letters
-
-
-def random_braid(
-    rng: "random.Random", max_strings: int = 4, max_expanded_len: int = 8
-) -> BraidWord:
-    # the annotation is text: eval never draws a random braid, so it does not
-    # import random (nor typing, which TYPE_CHECKING would need)
-    n = rng.randint(2, max_strings)
-    length = rng.randint(0, max_expanded_len)
-    letters: list[tuple[int, int]] = []
-    for _ in range(length):
-        _merge_push(letters, rng.randint(1, n - 1), rng.choice((1, -1)))
-    return BraidWord(n, tuple(letters))

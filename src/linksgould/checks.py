@@ -9,29 +9,22 @@ that carries a braid word through ``cli.evaluate``, the pipeline of the
 API, eval and batch, and compares it bit-exactly with the stored value.
 The Alexander row runs the oracle every evaluation passes, alexander.check,
 on the stored value of each of those entries.  The Markov-move property
-suite also checks reduce_closure and the column evaluate_raw forms, and
-keys its failures by check.  A refused evaluation fails a row, not the command.
+suite draws its braids with ``random_braid`` and moves them with
+``conjugate``, ``stabilize``, ``free_insert`` and ``mirror``, which live
+here, off the eval path; it also checks reduce_closure and the column
+evaluate_raw forms, and keys its failures by check.  A refused evaluation
+fails a row, not the command.
 ``cmd_selftest`` prints one row per check and returns the exit code.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
+from types import SimpleNamespace
 
 from . import alexander
-from .braid import (
-    BraidWord,
-    Refusal,
-    conjugate,
-    free_insert,
-    mirror,
-    random_braid,
-    reduce_closure,
-    render,
-    stabilize,
-)
+from .braid import BraidWord, Refusal, _merge_push, reduce_closure, render
 from .cli import evaluate
 from .engine import (
     ALL_COLUMNS,
@@ -50,6 +43,50 @@ from .invariant import (
 from .knotdata import CorpusEntry, load_corpus, validate_entry
 from .ring import ONE, ZERO, LaurentQP
 from .statemodel import EIGENVALUES, HANDLE_MINUS, HANDLE_PLUS, M_DIM, Diagonal
+
+
+# the moves the Markov suite applies, each keeping the closure (mirror: its
+# mirror image), and its random braids; eval runs none of them
+def mirror(word: BraidWord) -> BraidWord:
+    return BraidWord(word.n_strings, tuple((pos, -exp) for pos, exp in word.letters))
+
+
+def conjugate(word: BraidWord, g: tuple[int, int]) -> BraidWord:
+    """g^-1 . word . g for a single letter g; same closure."""
+    pos, exp = g
+    if exp == 0:
+        raise ValueError("zero exponent letter")
+    n = max(word.n_strings, pos + 1)
+    letters: list[tuple[int, int]] = [(pos, -exp)]
+    for item in word.letters:
+        _merge_push(letters, *item)
+    _merge_push(letters, pos, exp)
+    return BraidWord(n, tuple(letters))
+
+
+def stabilize(word: BraidWord, sign: int) -> BraidWord:
+    """Append the new top generator on one extra string; same closure."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    n = word.n_strings
+    return BraidWord(n + 1, word.letters + ((n, sign),))
+
+
+def free_insert(word: BraidWord, index: int, pos: int) -> BraidWord:
+    """Insert the cancelling pair sigma_pos sigma_pos^-1 before letter index."""
+    n = max(word.n_strings, pos + 1)
+    letters = list(word.letters)
+    letters[index:index] = [(pos, 1), (pos, -1)]
+    return BraidWord(n, tuple(letters))
+
+
+def random_braid(rng: random.Random, max_strings: int = 4, max_expanded_len: int = 8) -> BraidWord:
+    n = rng.randint(2, max_strings)
+    length = rng.randint(0, max_expanded_len)
+    letters: list[tuple[int, int]] = []
+    for _ in range(length):
+        _merge_push(letters, rng.randint(1, n - 1), rng.choice((1, -1)))
+    return BraidWord(n, tuple(letters))
 
 
 def check_inverse(x: SparseTangle, y: SparseTangle) -> bool:
@@ -252,7 +289,7 @@ IDENTITIES = (
 )
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: SimpleNamespace) -> int:
     """Print one row per check, then the result line; 1 if any row failed."""
     failures = 0
 

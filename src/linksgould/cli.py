@@ -12,25 +12,30 @@ stages through the names this module binds, which lgbench/tracer.py wraps.
 Machine-format output on stdout is byte-identical across runs; human
 metadata and timing go to stderr for the machine formats.
 
+``COMMANDS`` is the one table of the subcommands and their arguments, and
+``parse_args`` reads a command line against it, with no ``argparse`` (its
+imports cost each fresh process milliseconds): whole option names only,
+as ``--opt value`` or ``--opt=value``, the last repeat winning; ``--``
+ends the options, and a token of ``-`` and a digit is a word (``-1^48``).
+
 ``main`` parses the arguments, runs the subcommand and returns its exit
 code, so in-process callers get it back as from any function.  ``launch``,
 the entry point of ``python -m linksgould`` and of the ``lgpoly`` script,
 runs ``main``, flushes stdout and stderr and ends the process with
 ``os._exit``: interpreter teardown, the final collection and ``atexit``
 handlers are skipped.  The program registers no exit handler and holds no
-buffered output past those flushes, so nothing is lost; an exception,
-argparse's ``SystemExit`` among them, takes the normal exit path.
+buffered output past those flushes, so nothing is lost; an exception, a
+usage error's ``SystemExit`` among them, takes the normal exit path.
 ``logging`` is imported only under ``eval -v`` and ``batch -v``; ``selftest
 -v`` adds the regression table and no debug line.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .braid import (
     BraidSyntaxError, BraidWord, Refusal, components, parse, render, with_strings, writhe
@@ -51,8 +56,6 @@ from .invariant import (
 # is a fresh process, and on a small word start-up is most of its cost.
 
 FORMATS = ("compact-text", "compact-machine", "laurent", "json")
-# a braid word led by an inverse letter and going on past its digits
-_DASH_LED_WORD = re.compile(r"-\d+[,^][-\d,^]*")
 
 
 def evaluate(
@@ -114,7 +117,7 @@ def _metadata(facts: dict, poly: InvariantPoly, elapsed: float) -> list[str]:
     return meta
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: SimpleNamespace) -> int:
     try:
         braid = parse(args.word, args.strings)
         start = time.perf_counter()
@@ -132,19 +135,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
+def cmd_batch(args: SimpleNamespace) -> int:
     from .batch import cmd_batch
 
     return cmd_batch(args)
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: SimpleNamespace) -> int:
     from .checks import cmd_selftest
 
     return cmd_selftest(args)
 
 
-def cmd_dump_rmatrix(_: argparse.Namespace) -> int:
+def cmd_dump_rmatrix(_: SimpleNamespace) -> int:
     sig = generator_power(1).entries
     pairs = [divmod(i, 4) for i in range(16)]  # the index pair of row or column 4a + b
     cells = [[str(sig.get((row, col), ".")) for col in pairs] for row in pairs]
@@ -156,58 +159,135 @@ def cmd_dump_rmatrix(_: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lgpoly",
-        description="Exact evaluation of the two-variable Links-Gould "
-        "invariant of the closure of a braid word.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(FORMATS)})")
+    return text
 
-    p_eval = sub.add_parser("eval", help="evaluate one braid word")
-    p_eval.add_argument("word", help="braid word, e.g. '1 1 1' or '1^3'")
-    p_eval.add_argument("--strings", type=int, default=None)
-    p_eval.add_argument("--format", choices=FORMATS, default="compact-text")
-    p_eval.add_argument("--max-size", type=_positive_int, default=DEFAULT_SIZE_CAP)
-    p_eval.add_argument("-v", "--verbose", action="store_true")
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_batch = sub.add_parser("batch", help="evaluate a file of named words")
-    p_batch.add_argument("file", help="one 'name word...' per line")
-    p_batch.add_argument("--jobs", type=_positive_int, default=1)
-    p_batch.add_argument("--max-size", type=_positive_int, default=DEFAULT_SIZE_CAP)
-    p_batch.add_argument("-v", "--verbose", action="store_true")
-    p_batch.set_defaults(func=cmd_batch)
+_MAX_SIZE = ("--max-size", "max_size", _positive_int, DEFAULT_SIZE_CAP, "the cap on 4^(2n) entries")
+# command -> (help, function, positional names, options as (flags, attribute,
+# converter, default, help)); a flag has no converter and is True if given
+COMMANDS = {
+    "eval": ("evaluate one braid word, e.g. '1 1 1' or '1^3'", cmd_eval, ("word",), (
+        ("--strings", "strings", _int, None, "the string count, if above the word's own"),
+        ("--format", "format", _format, "compact-text", "one of " + ", ".join(FORMATS)),
+        _MAX_SIZE,
+        ("-v --verbose", "verbose", None, False, "log the plan and each step to stderr"),
+    )),
+    "batch": ("evaluate a file of 'name word...' lines", cmd_batch, ("file",), (
+        ("--jobs", "jobs", _positive_int, 1, "the processes to evaluate in, at most"),
+        _MAX_SIZE,
+        ("-v --verbose", "verbose", None, False, "log the plan, each step and each process"),
+    )),
+    "selftest": ("model identities, corpus, Markov suite", cmd_selftest, (), (
+        ("--quick", "quick", None, False, "skip the Markov suite"),
+        ("--seed", "seed", _int, 0, "the seed of the Markov suite's random braids"),
+        ("--braids", "braids", _positive_int, 100, "the Markov suite's braid count"),
+        # its own attribute: main turns on the engine's debug lines for "verbose" only
+        ("-v --verbose", "table", None, False, "print the regression table"),
+    )),
+    "dump-rmatrix": ("print the crossing tensor grid", cmd_dump_rmatrix, (), ()),
+}
 
-    p_self = sub.add_parser("selftest", help="model identities, corpus, Markov suite")
-    p_self.add_argument("--quick", action="store_true", help="skip the Markov suite")
-    p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--braids", type=_positive_int, default=100)
-    # its own dest: main turns on the engine's debug lines for "verbose" only
-    p_self.add_argument("-v", "--verbose", action="store_true", dest="table")
-    p_self.set_defaults(func=cmd_selftest)
 
-    p_dump = sub.add_parser("dump-rmatrix", help="print the crossing tensor grid")
-    p_dump.set_defaults(func=cmd_dump_rmatrix)
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: lgpoly [-h] {" + ",".join(COMMANDS) + "} ..."
+    _, _, positionals, options = COMMANDS[command]
+    flags = "[-h] [options]" if options else "[-h]"
+    return " ".join(["usage: lgpoly", command, flags, *positionals])
+
+
+def _help(command: str | None) -> SystemExit:
+    """Print the help of the command, or of lgpoly; returns the exit to raise."""
+    about = "Exact evaluation of the Links-Gould invariant of the closure of a braid word."
+    rows = [(name, spec[0]) for name, spec in COMMANDS.items()]
+    if command is not None:
+        about, _, _, options = COMMANDS[command]
+        rows = [(", ".join(flags.split()) + f" {attribute.upper()}" * bool(convert), text)
+                for flags, attribute, convert, _, text in options]
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    print(_usage(command), "", about, "", *(f"  {n:<{width}}{t}" for n, t in rows), sep="\n")
+    return SystemExit(0)
+
+
+def _usage_error(command: str | None, message: str) -> SystemExit:
+    """Print the usage line and the error to stderr; returns the exit to raise."""
+    prog = "lgpoly" if command is None else f"lgpoly {command}"
+    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    return SystemExit(2)
+
+
+def _is_option(token: str) -> bool:
+    # "-" alone and a word led by an inverse letter, such as "-1^48", are not
+    return token[:1] == "-" and len(token) > 1 and not token[1].isdigit()
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line read against COMMANDS: the command, its function as
+    ``func`` and one attribute per argument (see the module docstring)."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        raise _help(None)
+    if command not in COMMANDS:
+        raise _usage_error(None, "the following arguments are required: command" if command is None
+                           else f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    _, func, positionals, options = COMMANDS[command]
+    by_flag = {flag: option for option in options for flag in option[0].split()}
+    args = SimpleNamespace(command=command, func=func, **{o[1]: o[3] for o in options})
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            words += tokens  # the rest, which ends the loop
+        elif not _is_option(token):
+            words.append(token)
+        elif token in ("-h", "--help"):
+            raise _help(command)
+        else:
+            flag, given, value = token.partition("=")
+            if flag not in by_flag:
+                raise _usage_error(command, f"unrecognized arguments: {token}")
+            flags, attribute, convert, _, _ = by_flag[flag]
+            name = "/".join(flags.split())
+            if convert is None and given:
+                raise _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+            if convert is not None and not given:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise _usage_error(command, f"argument {name}: expected one argument")
+            try:
+                value = True if convert is None else convert(value)
+            except ValueError as exc:
+                raise _usage_error(command, f"argument {name}: {exc}") from None
+            setattr(args, attribute, value)
+    if len(words) < len(positionals):
+        missing = ", ".join(positionals[len(words):])
+        raise _usage_error(command, f"the following arguments are required: {missing}")
+    if len(words) > len(positionals):
+        raise _usage_error(command, "unrecognized arguments: " + " ".join(words[len(positionals):]))
+    vars(args).update(zip(positionals, words))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse takes a word such as "-1^48" for an option (none of ours starts
-    # "-<digit>"); a leading space, which the braid grammar ignores, prevents it
-    argv = sys.argv[1:] if argv is None else argv
-    argv = [" " + a if _DASH_LED_WORD.fullmatch(a) else a for a in argv]
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if getattr(args, "verbose", False):
         # nothing in the package logs above DEBUG, so without -v there is
         # nothing to configure; the stderr handler flushes every record it

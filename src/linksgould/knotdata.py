@@ -13,11 +13,12 @@ structural checks and checks it against LG(q = 1) = Delta(P)^2 (see
 
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 from importlib import resources
 
-from .alexander import at_q_one, square_root
+from .alexander import Poly, at_q_one
 from .braid import BraidWord, Refusal, components, parse as parse_braid
 from .invariant import (
     StructureError, from_compact, is_palindromic_q, parse_machine, to_invariant, to_raw
@@ -85,6 +86,41 @@ def load_corpus() -> list[CorpusEntry]:
     """The corpus, read and parsed afresh on each call."""
     text = resources.files("linksgould").joinpath("data", CORPUS_RESOURCE).read_text()
     return parse_corpus(text)
+
+
+def _products(*terms: tuple[int, Poly, Poly]) -> Poly:
+    """The sum of sign * f * g over (sign, f, g), formed in one dict."""
+    out: Poly = {}
+    get = out.get
+    for sign, f, g in terms:
+        for a, x in f.items():
+            x *= sign
+            for b, y in g.items():
+                out[a + b] = get(a + b, 0) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
+def square_root(f: Poly) -> Poly | None:
+    """The integer Laurent polynomial g with g * g == f and a positive top
+    coefficient, or None if f is no such square.  g's terms are found from
+    the top down: the next is what f's matching coefficient leaves over
+    the square of the terms found so far, over twice g's top coefficient."""
+    if not f:
+        return {}
+    top = max(f)
+    lead = math.isqrt(f[top]) if f[top] > 0 else 0
+    if top % 2 or lead * lead != f[top]:
+        return None
+    half = top // 2
+    g = {half: lead}
+    for e in range(half - 1, min(f) // 2 - 1, -1):
+        known = sum(c * g.get(half + e - k, 0) for k, c in g.items())
+        c, r = divmod(f.get(half + e, 0) - known, 2 * lead)
+        if r:
+            return None
+        if c:
+            g[e] = c
+    return g if _products((1, g, g)) == f else None
 
 
 def validate_entry(entry: CorpusEntry) -> list[str]:

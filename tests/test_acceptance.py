@@ -10,8 +10,10 @@ import time
 
 import pytest
 
-from linksgould.braid import mirror, parse
-from linksgould.checks import check_handles, check_inverse, check_yang_baxter, run_markov_suite
+from linksgould.braid import parse
+from linksgould.checks import (
+    check_handles, check_inverse, check_yang_baxter, mirror, run_markov_suite
+)
 from linksgould.engine import (
     DEFAULT_SIZE_CAP,
     SizeCapExceeded,

@@ -11,20 +11,17 @@ from linksgould.alexander import (
     X,
     AlexanderMismatchError,
     _determinant,
-    _products,
     at_q_one,
     burau_rows,
     check,
     delta_at_point,
-    square_root,
 )
-from linksgould.braid import (
-    BraidWord, conjugate, free_insert, mirror, parse, random_braid, stabilize
-)
+from linksgould.braid import BraidWord, parse
+from linksgould.checks import conjugate, free_insert, mirror, random_braid, stabilize
 from linksgould.cli import main
 from linksgould.engine import ALL_COLUMNS, evaluate_raw, execute, plan
 from linksgould.invariant import from_compact, to_raw
-from linksgould.knotdata import load_corpus
+from linksgould.knotdata import _products, load_corpus, square_root
 from linksgould.ring import ONE, ZERO, LaurentQP
 
 CORPUS = {e.name: e for e in load_corpus()}

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from linksgould import batch, cli
-from linksgould.braid import random_braid, render
+from linksgould.braid import render
+from linksgould.checks import random_braid
 from linksgould.cli import main
 from linksgould.invariant import render_machine
 from linksgould.knotdata import load_corpus

@@ -11,17 +11,13 @@ from linksgould.braid import (
     BraidSyntaxError,
     BraidWord,
     components,
-    conjugate,
-    free_insert,
     infer_strings,
-    mirror,
     parse,
-    random_braid,
     reduce_closure,
     render,
-    stabilize,
     writhe,
 )
+from linksgould.checks import conjugate, free_insert, mirror, random_braid, stabilize
 
 
 def test_parse_merges_runs():

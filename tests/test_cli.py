@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from linksgould import alexander, checks, cli, engine, knotdata
-from linksgould.braid import BraidWord, mirror, render
-from linksgould.checks import MARKOV_CHECKS, run_markov_suite
+from linksgould.braid import BraidWord, render
+from linksgould.checks import MARKOV_CHECKS, mirror, run_markov_suite
 from linksgould.cli import main
 from linksgould.engine import NonScalarTangleError, SparseTangle
 from linksgould.invariant import parse_machine
@@ -553,6 +553,72 @@ def test_selftest_rejects_braids_below_one(capsys, braids):
 def test_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv, strings, word",
+    [
+        (["--format=json", "1 1 1"], 2, "1^3"),
+        (["--format", "json", "--strings=5", "1 1 1"], 5, "1^3"),
+        (["--format", "laurent", "--format", "json", "1 1 1"], 2, "1^3"),  # the last wins
+        (["--format=json", "--strings", "3", "1 1 1", "--strings", "4"], 4, "1^3"),
+        (["--format=json", "--", "-1^48"], 2, "1^-48"),
+        (["--format=json", "-1^48"], 2, "1^-48"),
+        (["-1,2", "--format=json"], 3, "-1 2"),
+    ],
+)
+def test_eval_reads_either_option_form_and_a_word_led_by_an_inverse(capsys, argv, strings, word):
+    code, out, _ = run(capsys, "eval", *argv)
+    assert code == 0
+    record = json.loads(out)
+    assert (record["strings"], record["word"]) == (strings, word)
+
+
+# every name the help of lgpoly (None) or of a command gives
+HELP_NAMES = {
+    None: ["eval", "batch", "selftest", "dump-rmatrix", "-h, --help"],
+    "eval": ["word", "--strings", "--format", "--max-size", "-v, --verbose", "-h, --help",
+             *cli.FORMATS],
+    "batch": ["file", "--jobs", "--max-size", "-v, --verbose", "-h, --help"],
+    "selftest": ["--quick", "--seed", "--braids", "-v, --verbose", "-h, --help"],
+    "dump-rmatrix": ["-h, --help"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(HELP_NAMES))
+def test_help_names_every_argument_and_exits_0(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: lgpoly {command or ''}".rstrip())
+    assert [name for name in HELP_NAMES[command] if name not in out] == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--bogus", "1", "1 1 1"], "unrecognized arguments: --bogus"),
+        (["eval", "--str", "3", "1 1 1"], "unrecognized arguments: --str"),  # no abbreviation
+        (["eval", "1 1 1", "--strings"], "argument --strings: expected one argument"),
+        (["eval", "--format", "--strings", "3", "1 1 1"], "argument --format: expected one argument"),
+        (["eval", "--format", "xml", "1 1 1"], "argument --format: invalid choice: 'xml' "
+         "(choose from compact-text, compact-machine, laurent, json)"),
+        (["eval", "-v=1", "1 1 1"], "argument -v/--verbose: ignored explicit argument '1'"),
+        (["eval", "1 1", "1"], "unrecognized arguments: 1"),
+        (["eval"], "the following arguments are required: word"),
+        (["bogus"], "invalid command 'bogus' (choose from eval, batch, selftest, dump-rmatrix)"),
+    ],
+)
+def test_a_usage_error_prints_the_usage_and_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: lgpoly") and error.endswith(message)
 
 
 def test_a_word_past_the_exponent_field_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import linksgould
 from linksgould import engine
 from linksgould.alexander import AlexanderMismatchError
-from linksgould.braid import BraidWord, conjugate, parse, random_braid, reduce_closure
+from linksgould.braid import BraidWord, parse, reduce_closure
+from linksgould.checks import conjugate, random_braid
 from linksgould.engine import (
     ALL_COLUMNS,
     ANY,

@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 
-from linksgould.alexander import square_root
 from linksgould.braid import components, render
 from linksgould.checks import regression
 from linksgould.invariant import from_compact, is_palindromic_q, q_inverted
@@ -11,6 +10,7 @@ from linksgould.knotdata import (
     CorpusFormatError,
     load_corpus,
     parse_corpus,
+    square_root,
     validate_entry,
 )
 

@@ -24,6 +24,12 @@ SRC = ROOT / "src"
 # modules that evaluating one word does not use, and so must not import;
 # the tests that check it run python -S, as site may import some of them
 UNUSED_BY_EVAL = (
+    "argparse",
+    "gettext",
+    "locale",
+    "shutil",
+    "bz2",
+    "lzma",
     "concurrent.futures",
     "multiprocessing",
     "dataclasses",
@@ -106,7 +112,7 @@ def test_batch_jobs_imports_no_process_pool(tmp_path):
         "from linksgould.cli import main\n"
         "code = main(['batch', '--jobs', '2', 'words.txt'])\n"
         "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging', "
-        "'select') if m in sys.modules and m not in before))\n"
+        "'select', 'argparse') if m in sys.modules and m not in before))\n"
     )
     result = python("-S", "-c", script, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
@@ -126,7 +132,7 @@ def test_the_corpus_and_selftest_import_neither_dataclasses_nor_inspect():
         "from linksgould.knotdata import load_corpus\n"
         "entries = len(load_corpus())\n"
         "code = main(['selftest', '--quick'])\n"
-        "print(entries, code, sorted(m for m in ('dataclasses', 'inspect') "
+        "print(entries, code, sorted(m for m in ('dataclasses', 'inspect', 'argparse') "
         "if m in sys.modules and m not in before))\n"
     )
     result = python("-S", "-c", script)
